@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", help="output directory (default .)")
         p.add_argument("--format", choices=["csv", "json", "both"], help="data file format")
         p.add_argument("--threads", type=int,
-                       help="worker threads (default $BORNSIM_THREADS or 1)")
+                       help="worker threads for counts (default $BORNSIM_THREADS or 1)")
         p.add_argument("--config", help="JSON config file; flags override it")
 
     p = sub.add_parser("counts", help="single-detector counts vs polarizer angle")
@@ -251,7 +251,7 @@ def _run_scenario(cfg: RunConfig):
         n_states = 20 if cfg.fast else cfg.n_states
         return tomography.ensemble_sweep(cfg.d, parse_grid(cfg.alpha_grid),
                                          parse_grid(cfg.gamma_grid), n_states,
-                                         method="mle", rng=rng, threads=cfg.threads)
+                                         method="mle", rng=rng)
     if cmd == "visibility-contour":
         alphas = parse_grid(cfg.alpha_grid)
         gammas = parse_grid(cfg.gamma_grid)

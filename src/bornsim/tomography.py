@@ -4,10 +4,13 @@ A state is probed in d^2 Hermitian basis directions: for each basis matrix
 the mode direction is rotated into the matrix's eigenbasis, the conditional
 single-click probabilities are computed exactly, and their eigenvalue-
 weighted sum estimates the expectation value. Linear inversion reconstructs
-rho = sum_k m_k B_k (possibly indefinite); the constrained fit parameterizes
-rho = T T^dag / Tr[T T^dag] with lower-triangular T and minimizes the squared
-expectation residuals, so its output is positive semidefinite by
-construction.
+rho = sum_k m_k B_k (possibly indefinite). The constrained fit minimizes the
+squared expectation residuals over density matrices; because the basis is
+Hilbert-Schmidt orthonormal and complete, its exact minimizer keeps the
+eigenvectors of sum_k m_k B_k and projects the eigenvalues onto the
+probability simplex (Smolin, Gambetta & Smith, PRL 108, 070502, 2012; the
+projection of Duchi et al., ICML 2008). Reconstruction, fidelity and the
+PPT witness all act on stacks of states, so scans run as array operations.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .detection import Threshold, gamma_of, marcum_q1, visibility_single
 from .errors import DimensionMismatchError, DomainError, InvalidDimensionError
@@ -26,7 +28,6 @@ from .optics import haar_unitary
 
 __all__ = [
     "HermitianBasis",
-    "OptimizerSettings",
     "MLEResult",
     "TomographyReport",
     "SweepResult",
@@ -180,17 +181,18 @@ def _measure_batch(psis: np.ndarray, alpha: float, gamma: float,
 def linear_qst(m: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     """Linear inversion rho = sum_k m_k B_k, rescaled to unit trace.
 
+    m may stack expectation vectors as (..., d^2); rho is then (..., d, d).
     Hermitian by construction; eigenvalues may be negative. The trace
     rescaling deviation is available via tomography_report.
     """
     m = np.asarray(m, dtype=float)
-    if m.size != basis.size:
-        raise DimensionMismatchError(f"need {basis.size} expectation values, got {m.size}")
-    rho = np.einsum("k,kij->ij", m, basis.matrices)
-    tr = np.real(np.trace(rho))
-    if tr <= 0.0:
+    if m.shape[-1:] != (basis.size,):
+        raise DimensionMismatchError(f"need {basis.size} expectation values, got shape {m.shape}")
+    rho = np.einsum("...k,kij->...ij", m, basis.matrices)
+    tr = np.real(np.trace(rho, axis1=-2, axis2=-1))
+    if np.any(tr <= 0.0):
         raise DomainError("reconstructed matrix has nonpositive trace")
-    return rho / tr
+    return rho / tr[..., None, None]
 
 
 def linear_qst_trace(m: np.ndarray, basis: HermitianBasis) -> float:
@@ -201,16 +203,6 @@ def linear_qst_trace(m: np.ndarray, basis: HermitianBasis) -> float:
 
 
 @dataclass(frozen=True)
-class OptimizerSettings:
-    """Deterministic stopping rule for the constrained fit."""
-
-    maxiter: int = 1000
-    maxfun: int = 100_000
-    ftol: float = 1e-16
-    gtol: float = 1e-12
-
-
-@dataclass(frozen=True)
 class MLEResult:
     rho: np.ndarray
     objective: float
@@ -218,100 +210,89 @@ class MLEResult:
     n_iter: int
 
 
-def _psd_projection(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    s = w.sum()
-    if s <= 0.0:
-        return np.eye(rho.shape[0], dtype=complex) / rho.shape[0]
-    return (v * (w / s)) @ v.conj().T
+def _constrained_fit(m: np.ndarray, basis: HermitianBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form constrained fit of expectation vectors stacked as (..., d^2).
 
-
-def _pack(t: np.ndarray, il) -> np.ndarray:
-    return np.concatenate([np.real(np.diag(t)), np.real(t[il]), np.imag(t[il])])
-
-
-def _unpack(x: np.ndarray, d: int, il) -> np.ndarray:
-    t = np.zeros((d, d), dtype=complex)
-    t[np.diag_indices(d)] = x[:d]
-    n_off = il[0].size
-    t[il] = x[d:d + n_off] + 1j * x[d + n_off:]
-    return t
-
-
-def mle_qst(m: np.ndarray, basis: HermitianBasis,
-            opts: OptimizerSettings | None = None,
-            init: np.ndarray | None = None) -> MLEResult:
-    """Positive-semidefinite fit of the expectation vector.
-
-    rho(t) = T T^dag / Tr[T T^dag] with lower-triangular T (d^2 real
-    parameters), minimizing sum_k (Tr[rho B_k] - m_k)^2 by L-BFGS with an
-    analytic gradient. Initialized from the linear inversion projected to
-    the PSD cone; fully deterministic for fixed settings.
+    Returns the density matrices (..., d, d) and their objectives (...),
+    sum_k (Tr[rho B_k] - m_k)^2 = ||rho - sum_k m_k B_k||_F^2, which for the
+    shared eigenvectors is the squared shift of the eigenvalues.
     """
-    opts = opts or OptimizerSettings()
+    w, v = np.linalg.eigh(np.einsum("...k,kij->...ij", m, basis.matrices))
+    # Euclidean projection of w onto the probability simplex (Duchi et al.
+    # 2008): eigh sorts ascending, and the rule walks the values descending
+    u = w[..., ::-1]
+    shift = (np.cumsum(u, axis=-1) - 1.0) / np.arange(1, w.shape[-1] + 1)
+    n_kept = np.sum(u > shift, axis=-1, keepdims=True)
+    lam = np.maximum(w - np.take_along_axis(shift, n_kept - 1, axis=-1), 0.0)
+    rho = (v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    return rho, np.sum((lam - w) ** 2, axis=-1)
+
+
+def mle_qst(m: np.ndarray, basis: HermitianBasis) -> MLEResult:
+    """Positive-semidefinite least-squares fit of the expectation vector.
+
+    Minimizes sum_k (Tr[rho B_k] - m_k)^2 over unit-trace positive
+    semidefinite rho. The basis is Hilbert-Schmidt orthonormal and complete,
+    so the objective equals ||rho - sum_k m_k B_k||_F^2, and its exact
+    minimizer keeps the eigenvectors of sum_k m_k B_k and replaces the
+    eigenvalues by their Euclidean projection onto the probability simplex
+    (Smolin, Gambetta & Smith, PRL 108, 070502, 2012; Duchi et al., ICML
+    2008). The solution is exact, so converged is always True and n_iter 0.
+    """
     m = np.asarray(m, dtype=float)
-    d = basis.d
-    if m.size != basis.size:
-        raise DimensionMismatchError(f"need {basis.size} expectation values, got {m.size}")
-    if init is None:
-        init = _psd_projection(linear_qst(m, basis))
-    il = np.tril_indices(d, -1)
-    t0 = np.linalg.cholesky(init + 1e-12 * np.eye(d))
-    bs = basis.matrices
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        t = _unpack(x, d, il)
-        norm = np.real(np.sum(np.abs(t) ** 2))
-        rho = (t @ t.conj().T) / norm
-        s = np.real(np.einsum("ij,kji->k", rho, bs))
-        r = s - m
-        f = float(np.sum(r * r))
-        grad_mat = (2.0 / norm) * (np.einsum("k,kij->ij", r, bs) @ t - np.sum(r * s) * t)
-        grad = np.concatenate([
-            2.0 * np.real(np.diag(grad_mat)),
-            2.0 * np.real(grad_mat[il]),
-            2.0 * np.imag(grad_mat[il]),
-        ])
-        return f, grad
-
-    res = optimize.minimize(
-        objective, _pack(t0, il), jac=True, method="L-BFGS-B",
-        options=dict(maxiter=opts.maxiter, maxfun=opts.maxfun,
-                     ftol=opts.ftol, gtol=opts.gtol),
-    )
-    t = _unpack(res.x, d, il)
-    rho = t @ t.conj().T
-    rho = rho / np.real(np.trace(rho))
-    rho = 0.5 * (rho + rho.conj().T)
-    return MLEResult(rho=rho, objective=float(res.fun),
-                     converged=bool(res.success), n_iter=int(res.nit))
+    if m.shape != (basis.size,):
+        raise DimensionMismatchError(f"need {basis.size} expectation values, got shape {m.shape}")
+    rho, objective = _constrained_fit(m, basis)
+    return MLEResult(rho=rho, objective=float(objective), converged=True, n_iter=0)
 
 
-def fidelity(psi: np.ndarray, rho: np.ndarray) -> float:
-    """Overlap <psi| rho |psi>, clamped to its real part."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
+def _reconstruct(ms: np.ndarray, basis: HermitianBasis,
+                 method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Scored states and indefinite-linear-inversion flags for stacked m vectors."""
+    rho_lin = linear_qst(ms, basis)
+    indefinite = np.linalg.eigvalsh(rho_lin)[..., 0] < -1e-12
+    rho = rho_lin if method == "linear" else _constrained_fit(ms, basis)[0]
+    return rho, indefinite
+
+
+def fidelity(psi: np.ndarray, rho: np.ndarray) -> float | np.ndarray:
+    """Overlap <psi| rho |psi>, clamped to its real part.
+
+    psi (..., d) and rho (..., d, d) broadcast against each other; one state
+    and one matrix give a float.
+    """
+    psi = np.asarray(psi, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (psi.size, psi.size):
-        raise DimensionMismatchError(f"rho shape {rho.shape} does not match psi length {psi.size}")
-    val = psi.conj() @ rho @ psi
-    return float(np.real(val))
+    if rho.shape[-2:] != (psi.shape[-1],) * 2:
+        raise DimensionMismatchError(f"rho shape {rho.shape} does not match psi length {psi.shape[-1]}")
+    return np.real((psi.conj()[..., None, :] @ rho @ psi[..., :, None])[..., 0, 0])
 
 
 def partial_transpose(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """Transpose the second tensor factor of a (d_a x d_b)-partitioned matrix."""
+    """Transpose the second tensor factor of (a stack of) (d_a x d_b)-partitioned matrices."""
     rho = np.asarray(rho, dtype=complex)
     d_a, d_b = int(d_a), int(d_b)
-    if rho.shape != (d_a * d_b, d_a * d_b):
+    if rho.shape[-2:] != (d_a * d_b, d_a * d_b):
         raise DimensionMismatchError(f"rho shape {rho.shape} does not factor as {d_a}x{d_b}")
-    r = rho.reshape(d_a, d_b, d_a, d_b)
-    return r.transpose(0, 3, 2, 1).reshape(d_a * d_b, d_a * d_b)
+    lead = rho.shape[:-2]
+    r = rho.reshape(lead + (d_a, d_b, d_a, d_b))
+    return r.swapaxes(-3, -1).reshape(lead + (d_a * d_b, d_a * d_b))
 
 
-def ppt_witness(rho: np.ndarray, d_a: int, d_b: int) -> float:
-    """Minimum eigenvalue of the partial transpose; negative certifies entanglement
-    for a 2 x 2 partition."""
-    return float(np.linalg.eigvalsh(partial_transpose(rho, d_a, d_b)).min())
+def ppt_witness(rho: np.ndarray, d_a: int, d_b: int) -> float | np.ndarray:
+    """Minimum eigenvalue of the partial transpose, per matrix of a stack;
+    negative certifies entanglement for a 2 x 2 partition."""
+    return np.linalg.eigvalsh(partial_transpose(rho, d_a, d_b)).min(axis=-1)
+
+
+def _even_ppt_witness(rho: np.ndarray) -> np.ndarray:
+    """PPT witness over the sqrt(d) x sqrt(d) partition; NaN when d is not a square."""
+    d = rho.shape[-1]
+    root = math.isqrt(d)
+    if root * root != d:
+        return np.full(rho.shape[:-2], np.nan)
+    return ppt_witness(rho, root, root)
 
 
 @dataclass(frozen=True)
@@ -326,31 +307,31 @@ class TomographyReport:
     objective: float = 0.0
 
 
-def tomography_report(state: CoherentVector, th: Threshold | float,
-                      basis: HermitianBasis | None = None, method: str = "mle",
-                      opts: OptimizerSettings | None = None) -> TomographyReport:
-    """Measure, reconstruct, and summarize one state."""
-    basis = basis or build_basis(state.d)
+def _check_method(method: str) -> None:
     if method not in ("linear", "mle"):
         raise DomainError(f"method must be 'linear' or 'mle' (got {method!r})")
+
+
+def tomography_report(state: CoherentVector, th: Threshold | float,
+                      basis: HermitianBasis | None = None,
+                      method: str = "mle") -> TomographyReport:
+    """Measure, reconstruct, and summarize one state."""
+    basis = basis or build_basis(state.d)
+    _check_method(method)
     m = measure_expectations(state, th, basis)
     trace_dev = abs(linear_qst_trace(m, basis) - 1.0)
     if method == "linear":
         rho = linear_qst(m, basis)
         converged, objective = True, 0.0
     else:
-        result = mle_qst(m, basis, opts=opts)
+        result = mle_qst(m, basis)
         rho, converged, objective = result.rho, result.converged, result.objective
-    d = state.d
-    ppt = None
-    root = int(round(math.sqrt(d)))
-    if root * root == d and root >= 2:
-        ppt = ppt_witness(rho, root, root)
+    ppt = float(_even_ppt_witness(rho))
     return TomographyReport(
         rho=rho,
-        fidelity=fidelity(state.psi, rho),
+        fidelity=float(fidelity(state.psi, rho)),
         min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
-        ppt_min_eigenvalue=ppt,
+        ppt_min_eigenvalue=None if math.isnan(ppt) else ppt,
         method=method,
         converged=converged,
         trace_deviation=trace_dev,
@@ -374,32 +355,29 @@ def haar_states(d: int, n_states: int, rng: RngStream) -> np.ndarray:
 
 def bell_witness_scan(alphas: np.ndarray, th: Threshold | float,
                       method: str = "mle",
-                      psi: np.ndarray | None = None,
-                      opts: OptimizerSettings | None = None):
+                      psi: np.ndarray | None = None):
     """PPT witness and fidelity of the reconstructed Bell state versus amplitude."""
+    _check_method(method)
     g = gamma_of(th)
     alphas = np.asarray(alphas, dtype=float)
     psi = bell_direction() if psi is None else np.asarray(psi, dtype=complex)
     basis = build_basis(psi.size)
-    wit, fid, mineig = [], [], []
-    for a in alphas:
-        rep = tomography_report(CoherentVector(a, psi), g, basis, method=method, opts=opts)
-        wit.append(rep.ppt_min_eigenvalue if rep.ppt_min_eigenvalue is not None else np.nan)
-        fid.append(rep.fidelity)
-        mineig.append(rep.min_eigenvalue)
+    rho = np.empty((alphas.size, psi.size, psi.size), dtype=complex)
+    for i, a in enumerate(alphas):
+        m = _measure_batch(psi[None], a, g, basis)[0]
+        rho[i] = linear_qst(m, basis) if method == "linear" else mle_qst(m, basis).rho
     return ScenarioResult(
         grid_name="alpha",
         grid=alphas,
-        analytic={"witness": np.array(wit), "fidelity": np.array(fid),
-                  "min_eigenvalue": np.array(mineig)},
+        analytic={"witness": _even_ppt_witness(rho), "fidelity": fidelity(psi, rho),
+                  "min_eigenvalue": np.linalg.eigvalsh(rho)[:, 0]},
         meta={"gamma": g, "method": method, "psi": [repr(c) for c in psi]},
     )
 
 
 def fidelity_scan(alphas: np.ndarray, th: Threshold | float, n_states: int,
                   rng: RngStream, d: int = 4, method: str = "linear",
-                  psis: np.ndarray | None = None,
-                  opts: OptimizerSettings | None = None):
+                  psis: np.ndarray | None = None):
     """Reconstruction fidelity of an ensemble of pure states versus amplitude.
 
     Returns a ScenarioResult whose per-state curves are fid_state_XX columns,
@@ -407,26 +385,18 @@ def fidelity_scan(alphas: np.ndarray, th: Threshold | float, n_states: int,
     """
     g = gamma_of(th)
     alphas = np.asarray(alphas, dtype=float)
+    if psis is not None:
+        psis = np.asarray(psis, dtype=complex)
+        n_states, d = psis.shape
+    if n_states < 1:
+        raise DomainError("n_states must be >= 1")
     if psis is None:
         psis = haar_states(d, n_states, rng)
-    else:
-        psis = np.asarray(psis, dtype=complex)
-        n_states = psis.shape[0]
-        d = psis.shape[1]
     basis = build_basis(d)
-    fids = np.empty((alphas.size, n_states))
-    valid = np.empty((alphas.size, n_states), dtype=int)
-    for ia, a in enumerate(alphas):
-        ms = _measure_batch(psis, a, g, basis)
-        for s in range(n_states):
-            rho_lin = linear_qst(ms[s], basis)
-            if method == "linear":
-                rho = rho_lin
-            else:
-                rho = mle_qst(ms[s], basis, opts=opts,
-                              init=_psd_projection(rho_lin)).rho
-            fids[ia, s] = fidelity(psis[s], rho)
-            valid[ia, s] = int(np.linalg.eigvalsh(rho_lin).min() >= -1e-12)
+    ms = np.array([_measure_batch(psis, a, g, basis) for a in alphas])
+    rho, indefinite = _reconstruct(ms, basis, method)
+    fids = fidelity(psis, rho)
+    valid = ~indefinite
     analytic = {"fid_mean": fids.mean(axis=1), "frac_invalid": 1.0 - valid.mean(axis=1)}
     for s in range(n_states):
         analytic[f"fid_state_{s:02d}"] = fids[:, s]
@@ -492,16 +462,15 @@ class SweepResult:
 
 
 def ensemble_sweep(d: int, alphas: np.ndarray, gammas: np.ndarray, n_states: int,
-                   method: str = "mle", rng: RngStream | None = None,
-                   opts: OptimizerSettings | None = None,
-                   threads: int = 1) -> SweepResult:
+                   method: str = "mle", rng: RngStream | None = None) -> SweepResult:
     """Mean tomography metrics over a Haar ensemble on an (alpha, gamma) grid.
 
     Per grid point: ensemble-mean fidelity, fraction of indefinite linear
     reconstructions, the fringe visibility of the full amplitude at that
     threshold, and (for d = 4) the mean PPT witness of the reconstruction.
-    The ensemble is drawn once, one substream per state, so results are
-    independent of grid traversal or thread count.
+    The ensemble is drawn once, one substream per state, and every grid
+    point is reconstructed alone, so a sub-grid sweep equals the matching
+    slice of the full one.
     """
     if n_states < 1:
         raise DomainError("n_states must be >= 1")
@@ -510,52 +479,19 @@ def ensemble_sweep(d: int, alphas: np.ndarray, gammas: np.ndarray, n_states: int
     gammas = np.asarray(gammas, dtype=float)
     psis = haar_states(d, n_states, rng)
     basis = build_basis(d)
-    root = int(round(math.sqrt(d)))
-    has_ppt = root * root == d and root >= 2
-
-    shape = (alphas.size, gammas.size)
-    mean_fid = np.empty(shape)
-    frac_invalid = np.empty(shape)
-    mean_vis = np.empty(shape)
-    mean_ppt = np.full(shape, np.nan)
-    per_state = np.empty(shape + (n_states,))
-
-    def run_point(flat: int):
-        i, j = divmod(flat, gammas.size)
-        a, g = alphas[i], gammas[j]
-        ms = _measure_batch(psis, a, g, basis)
-        fids = np.empty(n_states)
-        invalid = 0
-        ppts = np.empty(n_states)
-        for s in range(n_states):
-            rho_lin = linear_qst(ms[s], basis)
-            if np.linalg.eigvalsh(rho_lin).min() < -1e-12:
-                invalid += 1
-            if method == "linear":
-                rho = rho_lin
-            else:
-                rho = mle_qst(ms[s], basis, opts=opts, init=_psd_projection(rho_lin)).rho
-            fids[s] = fidelity(psis[s], rho)
-            ppts[s] = ppt_witness(rho, root, root) if has_ppt else np.nan
-        return flat, fids, invalid / n_states, ppts
-
-    results = [run_point(f) for f in range(alphas.size * gammas.size)] if threads <= 1 else None
-    if results is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_point, range(alphas.size * gammas.size)))
-    for flat, fids, inv, ppts in results:
-        i, j = divmod(flat, gammas.size)
-        per_state[i, j] = fids
-        mean_fid[i, j] = fids.mean()
-        frac_invalid[i, j] = inv
-        mean_vis[i, j] = visibility_single(alphas[i], gammas[j])
-        mean_ppt[i, j] = np.nanmean(ppts) if has_ppt else np.nan
+    ms = np.empty((alphas.size, gammas.size, n_states, basis.size))
+    mean_vis = np.empty((alphas.size, gammas.size))
+    for i, a in enumerate(alphas):
+        for j, g in enumerate(gammas):
+            ms[i, j] = _measure_batch(psis, a, g, basis)
+            mean_vis[i, j] = visibility_single(a, g)
+    rho, indefinite = _reconstruct(ms, basis, method)
+    per_state = fidelity(psis, rho)
     return SweepResult(
-        alphas=alphas, gammas=gammas, mean_fidelity=mean_fid,
-        frac_invalid=frac_invalid, mean_visibility=mean_vis,
-        mean_ppt_witness=mean_ppt, per_state_fidelity=per_state,
+        alphas=alphas, gammas=gammas, mean_fidelity=per_state.mean(axis=-1),
+        frac_invalid=indefinite.mean(axis=-1), mean_visibility=mean_vis,
+        mean_ppt_witness=_even_ppt_witness(rho).mean(axis=-1),
+        per_state_fidelity=per_state,
         meta={"d": d, "n_states": n_states, "method": method,
               "seed": rng.seed, "stream_id": rng.stream_id},
     )

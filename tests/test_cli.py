@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +97,23 @@ def test_bad_grid_is_scenario_error(tmp_path, capsys):
     code = run_cli(["antibunch", "--alpha-grid", "3:0.1:0", "--out-dir", str(tmp_path)])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fidelity", "fidelity-mle"])
+def test_empty_ensemble_is_scenario_error(tmp_path, capsys, command):
+    code = run_cli([command, "--n-states", "0", "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["bornsim: error: n_states must be >= 1"]
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, bornsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_unknown_flag_is_usage_error(tmp_path):

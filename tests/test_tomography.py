@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from bornsim import CoherentVector, RngStream, realize_batch
 from bornsim.detection import detect_batch
 from bornsim.errors import DimensionMismatchError, InvalidDimensionError
 from bornsim.tomography import (
-    OptimizerSettings,
     bell_direction,
     bell_witness_scan,
     build_basis,
@@ -34,6 +34,50 @@ def random_density(d: int, seed: int) -> np.ndarray:
 def random_direction(d: int, seed: int) -> np.ndarray:
     psi = RngStream(seed).complex_normals(d)
     return psi / np.linalg.norm(psi)
+
+
+def _unpack(x: np.ndarray, d: int) -> np.ndarray:
+    """Lower-triangular T from d real diagonal entries and the real, then
+    imaginary, parts of its strictly lower entries."""
+    il = np.tril_indices(d, -1)
+    t = np.zeros((d, d), dtype=complex)
+    t[np.diag_indices(d)] = x[:d]
+    t[il] = x[d:d + il[0].size] + 1j * x[d + il[0].size:]
+    return t
+
+
+def lbfgs_objective(x: np.ndarray, m: np.ndarray, basis) -> tuple[float, np.ndarray]:
+    """sum_k (Tr[rho B_k] - m_k)^2 at rho = T T^dag / Tr[T T^dag], with its gradient."""
+    d = basis.d
+    t = _unpack(x, d)
+    norm = np.real(np.sum(np.abs(t) ** 2))
+    rho = (t @ t.conj().T) / norm
+    s = np.real(np.einsum("ij,kji->k", rho, basis.matrices))
+    r = s - m
+    grad_mat = (2.0 / norm) * (np.einsum("k,kij->ij", r, basis.matrices) @ t - np.sum(r * s) * t)
+    il = np.tril_indices(d, -1)
+    grad = np.concatenate([2.0 * np.real(np.diag(grad_mat)),
+                           2.0 * np.real(grad_mat[il]), 2.0 * np.imag(grad_mat[il])])
+    return float(np.sum(r * r)), grad
+
+
+def lbfgs_fit(m: np.ndarray, basis) -> tuple[np.ndarray, float]:
+    """Reference constrained fit by L-BFGS over the Cholesky-like factor T.
+
+    An iterative route to the minimum that mle_qst reaches in closed form,
+    started from the linear inversion with negative eigenvalues clipped.
+    """
+    d = basis.d
+    w, v = np.linalg.eigh(linear_qst(m, basis))
+    w = np.clip(w, 0.0, None)
+    start = np.linalg.cholesky((v * (w / w.sum())) @ v.conj().T + 1e-12 * np.eye(d))
+    il = np.tril_indices(d, -1)
+    x0 = np.concatenate([np.real(np.diag(start)), np.real(start[il]), np.imag(start[il])])
+    res = optimize.minimize(lbfgs_objective, x0, args=(m, basis), jac=True, method="L-BFGS-B",
+                            options=dict(maxiter=1000, maxfun=100_000, ftol=1e-16, gtol=1e-12))
+    t = _unpack(res.x, d)
+    rho = t @ t.conj().T
+    return rho / np.real(np.trace(rho)), float(res.fun)
 
 
 class TestBasis:
@@ -157,38 +201,14 @@ class TestConstrainedFit:
             assert np.max(np.abs(res.rho - res.rho.conj().T)) < 1e-10
 
     def test_gradient_matches_finite_differences(self):
-        from bornsim.tomography import _unpack
-
+        # the L-BFGS reference fit is only as good as its analytic gradient
         b = build_basis(4)
         rng = np.random.default_rng(1)
         m = rng.normal(scale=0.3, size=16)
         m[0] = 0.5
-        il = np.tril_indices(4, -1)
         x0 = rng.normal(size=16)
-
-        def f_only(x):
-            t = _unpack(x, 4, il)
-            norm = np.real(np.sum(np.abs(t) ** 2))
-            rho = (t @ t.conj().T) / norm
-            r = np.real(np.einsum("ij,kji->k", rho, b.matrices)) - m
-            return float(np.sum(r * r))
-
-        from scipy.optimize import approx_fprime
-
-        def analytic_grad(x):
-            t = _unpack(x, 4, il)
-            norm = np.real(np.sum(np.abs(t) ** 2))
-            rho = (t @ t.conj().T) / norm
-            s = np.real(np.einsum("ij,kji->k", rho, b.matrices))
-            r = s - m
-            grad_mat = (2.0 / norm) * (np.einsum("k,kij->ij", r, b.matrices) @ t
-                                       - np.sum(r * s) * t)
-            return np.concatenate([2 * np.real(np.diag(grad_mat)),
-                                   2 * np.real(grad_mat[il]),
-                                   2 * np.imag(grad_mat[il])])
-
-        numeric = approx_fprime(x0, f_only, 1e-7)
-        assert np.max(np.abs(analytic_grad(x0) - numeric)) < 1e-5
+        numeric = optimize.approx_fprime(x0, lambda x: lbfgs_objective(x, m, b)[0], 1e-7)
+        assert np.max(np.abs(lbfgs_objective(x0, m, b)[1] - numeric)) < 1e-5
 
     def test_deterministic(self):
         b = build_basis(4)
@@ -197,12 +217,28 @@ class TestConstrainedFit:
         r2 = mle_qst(m, b)
         assert np.array_equal(r1.rho, r2.rho)
 
-    def test_iteration_budget_respected(self):
+    def test_objective_never_above_lbfgs(self):
         b = build_basis(4)
-        m = measure_expectations(CoherentVector(1.0, bell_direction()), 1.0, b)
-        res = mle_qst(m, b, opts=OptimizerSettings(maxiter=1))
-        assert res.rho.shape == (4, 4)
-        assert np.linalg.eigvalsh(res.rho).min() >= -1e-10
+        rng = np.random.default_rng(2)
+        cases = []
+        for _ in range(12):
+            m = rng.normal(scale=0.3, size=16)
+            m[0] = 0.5  # identity component fixes the trace
+            cases.append(m)
+        for seed in range(4):
+            rho = random_density(4, seed)
+            cases.append(np.real(np.einsum("ij,kji->k", rho, b.matrices)))
+            psi = random_direction(4, 20 + seed)
+            cases.append(measure_expectations(CoherentVector(3.0, psi), 1.0, b))
+        indefinite = 0
+        for m in cases:
+            indefinite += np.linalg.eigvalsh(linear_qst(m, b)).min() < -1e-12
+            res = mle_qst(m, b)
+            assert res.objective <= lbfgs_fit(m, b)[1] + 1e-12
+            assert np.linalg.eigvalsh(res.rho).min() >= -1e-12
+            assert np.real(np.trace(res.rho)) == pytest.approx(1.0, abs=1e-12)
+            assert res.converged and res.n_iter == 0
+        assert indefinite >= 10
 
 
 class TestFidelityAndWitness:
@@ -260,13 +296,15 @@ class TestReportsAndSweeps:
         assert res.analytic["fid_mean"].shape == (2,)
         assert res.analytic["fid_mean"][0] == pytest.approx(0.25, abs=1e-12)
 
-    def test_ensemble_sweep_deterministic_across_threads(self):
-        alphas = np.array([0.5, 1.0])
-        gammas = np.array([1.0, 1.5])
-        a = ensemble_sweep(4, alphas, gammas, 3, rng=RngStream(60), threads=1)
-        b = ensemble_sweep(4, alphas, gammas, 3, rng=RngStream(60), threads=4)
-        assert np.array_equal(a.mean_fidelity, b.mean_fidelity)
-        assert np.array_equal(a.per_state_fidelity, b.per_state_fidelity)
+    def test_ensemble_sweep_subgrid_equals_full_slice(self):
+        alphas = np.array([0.5, 1.0, 3.0])
+        gammas = np.array([0.75, 1.0, 1.5])
+        full = ensemble_sweep(4, alphas, gammas, 3, rng=RngStream(60))
+        for ia, ig in ((slice(1, None), slice(None, None, 2)), (slice(2, 3), slice(1, 2))):
+            part = ensemble_sweep(4, alphas[ia], gammas[ig], 3, rng=RngStream(60))
+            for name in ("mean_fidelity", "frac_invalid", "mean_visibility",
+                         "mean_ppt_witness", "per_state_fidelity"):
+                assert np.array_equal(getattr(part, name), getattr(full, name)[ia, ig]), name
 
     def test_sweep_vacuum_column(self):
         res = ensemble_sweep(4, np.array([0.0]), np.array([1.0]), 4, rng=RngStream(61))
