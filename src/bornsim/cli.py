@@ -35,16 +35,15 @@ DEFAULTS: dict[str, dict] = {
     "antibunch": {"gamma": 1.0, "alpha_grid": "0:0.01:3"},
     "hyper": {"alpha": 1.0, "gamma_grid": "0.05:0.05:3"},
     "mz": {"alpha": 0.95, "gamma": 1.6, "n_points": 25, "sample_size": 2600},
-    "fidelity": {"gamma": 1.0, "alpha_grid": "0:0.1:3", "n_states": 30},
-    "fidelity-mle": {"gamma": 1.0, "alpha_grid": "0:0.1:3", "n_states": 5},
-    "witness": {"gamma": 1.0, "alpha_grid": "0:0.1:3"},
+    "fidelity": {"gamma": 1.0, "alpha_grid": "0:0.1:3", "n_states": 30, "circuit": None},
+    "fidelity-mle": {"gamma": 1.0, "alpha_grid": "0:0.1:3", "n_states": 5, "circuit": None},
+    "witness": {"gamma": 1.0, "alpha_grid": "0:0.1:3", "circuit": None},
     "fidelity-contour": {"alpha_grid": "0.25:0.25:3", "gamma_grid": "0.25:0.25:3",
-                         "n_states": 100, "d": 4},
+                         "n_states": 100, "d": 4, "fast": False},
     "visibility-contour": {"alpha_grid": "0.05:0.05:3", "gamma_grid": "0.05:0.05:3"},
 }
 
-GLOBAL_DEFAULTS = {"seed": 42, "out_dir": ".", "format": "both", "threads": 1,
-                   "fast": False, "circuit": None}
+GLOBAL_DEFAULTS = {"seed": 42, "out_dir": ".", "format": "both", "threads": 1}
 
 
 @dataclass
@@ -67,8 +66,8 @@ def parse_grid(spec: str) -> np.ndarray:
         lo, step, hi = (float(p) for p in str(spec).split(":"))
     except ValueError:
         raise BornsimError(f"bad grid spec {spec!r}; expected min:step:max") from None
-    if step <= 0 or hi < lo:
-        raise BornsimError(f"bad grid spec {spec!r}; need step > 0 and max >= min")
+    if not all(map(math.isfinite, (lo, step, hi))) or step <= 0 or hi < lo:
+        raise BornsimError(f"bad grid spec {spec!r}; need finite values, step > 0 and max >= min")
     n = int(round((hi - lo) / step))
     # snap away accumulated float dust (0.1 * 3 -> 0.30000000000000004) so
     # grid values round-trip cleanly through the CSV output
@@ -162,11 +161,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "a list of numbers", type(None): "a file path or null"}
+
+
+def _has_default_type(value, default) -> bool:
+    """Whether a parameter value has the type of its default; ints stand for floats."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_has_default_type(v, 0.0) for v in value)
+    kinds = {type(None): (str, type(None)), float: (int, float)}.get(type(default), type(default))
+    return isinstance(value, kinds) and isinstance(value, bool) == isinstance(default, bool)
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """defaults < BORNSIM_THREADS < config file < explicit flags."""
+    """defaults < BORNSIM_THREADS < config file < explicit flags.
+
+    Every key must be a parameter of the command and every value must have
+    the type of that parameter's default.
+    """
     command = args.command
-    params = dict(GLOBAL_DEFAULTS)
-    params.update(DEFAULTS[command])
+    defaults = {**GLOBAL_DEFAULTS, **DEFAULTS[command]}
+    params = dict(defaults)
     env = os.environ.get("BORNSIM_THREADS")
     if env:
         try:
@@ -181,13 +196,25 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise BornsimError(f"cannot read config file {cfg_path}: {exc}") from exc
         if not isinstance(file_params, dict):
             raise BornsimError("config file must hold a JSON object")
+        unknown = sorted(set(file_params) - set(defaults))
+        if unknown:
+            raise BornsimError(f"unknown config key {unknown[0]!r} for {command}; "
+                               f"expected one of {', '.join(sorted(defaults))}")
         params.update(file_params)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
         params[key] = value
     if isinstance(params.get("alphas"), str):
-        params["alphas"] = [float(a) for a in params["alphas"].split(",")]
+        try:
+            params["alphas"] = [float(a) for a in params["alphas"].split(",")]
+        except ValueError:
+            raise BornsimError(f"alphas must be comma-separated numbers "
+                               f"(got {params['alphas']!r})") from None
+    for key, value in params.items():
+        if not _has_default_type(value, defaults[key]):
+            expected = _TYPE_NAMES[type(defaults[key])]
+            raise BornsimError(f"config key {key!r} must be {expected} (got {value!r})")
     return RunConfig(command=command, params=params)
 
 
@@ -253,10 +280,8 @@ def _run_scenario(cfg: RunConfig):
                                          parse_grid(cfg.gamma_grid), n_states,
                                          method="mle", rng=rng)
     if cmd == "visibility-contour":
-        alphas = parse_grid(cfg.alpha_grid)
-        gammas = parse_grid(cfg.gamma_grid)
-        rows = [(a, g, visibility_single(a, g)) for a in alphas for g in gammas]
-        return rows
+        a, g = np.meshgrid(parse_grid(cfg.alpha_grid), parse_grid(cfg.gamma_grid), indexing="ij")
+        return np.column_stack([a.ravel(), g.ravel(), visibility_single(a, g).ravel()])
     raise BornsimError(f"unknown command {cfg.command!r}")
 
 

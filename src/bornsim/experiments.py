@@ -21,19 +21,20 @@ import numpy as np
 
 from .detection import (
     Threshold,
+    _divide,
+    _float_or_array,
     born_expansion,
     dark_count_prob,
     detect_batch,
     detect_prob,
     gamma_of,
     marcum_q1,
-    mode_crossing_probs,
     visibility_dual,
+    visibility_single,
 )
 from .errors import (
     DomainError,
     SaturatedDetectorError,
-    UndefinedConditionalError,
     UndefinedRatioError,
 )
 from .field import CoherentVector, RngStream, realize_batch
@@ -131,16 +132,33 @@ def _map_indexed(fn, n: int, threads: int = 1) -> list:
 # ---------------------------------------------------------------------------
 
 def _singles_from_q(q: np.ndarray) -> np.ndarray:
-    """P[exactly one click, on mode i] = q_i * prod_{j != i} (1 - q_j)."""
-    d = q.size
-    out = np.empty(d)
-    for i in range(d):
-        acc = q[i]
-        for j in range(d):
-            if j != i:
-                acc = acc * (1.0 - q[j])
-        out[i] = acc
-    return out
+    """P[exactly one click, on mode i] = q_i * prod_{j != i} (1 - q_j), over the last axis."""
+    d = q.shape[-1]
+    comp = np.broadcast_to((1.0 - q)[..., None, :], q.shape + (d,))
+    # row i multiplies q_i, then 1 - q_0, ..., 1 - q_{d-1} left to right, skipping 1 - q_i
+    factors = np.concatenate([q[..., None], comp], axis=-1)
+    kept = ~np.eye(d, d + 1, k=1, dtype=bool)
+    return np.multiply.reduce(factors[..., kept].reshape(q.shape + (d,)), axis=-1)
+
+
+def _conditional_clicks(amps: np.ndarray, gamma: float) -> np.ndarray:
+    """Single-click conditionals p_i over the last axis of mode amplitudes |alpha_i| (..., d).
+
+    p_i = (q_i / (1 - q_i)) / sum_k (q_k / (1 - q_k)) with q_i = Q1(2|alpha_i|,
+    2 gamma). A row where some q_i rounds to 1 takes the limit instead: its
+    mass is shared equally by the saturated modes of largest amplitude.
+    """
+    if gamma == 0.0:
+        raise SaturatedDetectorError("every mode crosses threshold at gamma = 0")
+    q = marcum_q1(2.0 * amps, 2.0 * gamma)
+    sat = q >= 1.0
+    w = q / np.where(sat, 1.0, 1.0 - q)
+    p = _divide(w, w.sum(axis=-1, keepdims=True))
+    rows = sat.any(axis=-1)
+    s, a = sat[rows], amps[rows]
+    winners = s & (a >= np.max(np.where(s, a, 0.0), axis=-1, keepdims=True) * (1.0 - 1e-12))
+    p[rows] = winners / winners.sum(axis=-1, keepdims=True)
+    return p
 
 
 def conditional_mode_probs(state: CoherentVector, th: Threshold | float) -> np.ndarray:
@@ -152,21 +170,7 @@ def conditional_mode_probs(state: CoherentVector, th: Threshold | float) -> np.n
     the limit is taken instead: the mass concentrates on the largest
     saturated amplitudes.
     """
-    g = gamma_of(th)
-    if g == 0.0:
-        raise SaturatedDetectorError("every mode crosses threshold at gamma = 0")
-    q = mode_crossing_probs(state, g)
-    comp = 1.0 - q
-    if np.any(comp <= 0.0):
-        amps = np.abs(state.mode_amplitudes())
-        sat = comp <= 0.0
-        amax = amps[sat].max()
-        winners = sat & (amps >= amax * (1.0 - 1e-12))
-        p = np.zeros(state.d)
-        p[winners] = 1.0 / winners.sum()
-        return p
-    w = q / comp
-    return w / w.sum()
+    return _conditional_clicks(np.abs(state.mode_amplitudes()), gamma_of(th))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +199,7 @@ def polarization_scan(
     t = np.deg2rad(thetas_deg)
     amps = np.abs(alpha0 * np.cos(t))
     analytic = n_trials * marcum_q1(2.0 * amps, 2.0 * g)
-    expansion = n_trials * np.array([born_expansion(a, g) for a in amps])
+    expansion = n_trials * born_expansion(amps, g)
 
     def run_point(i: int) -> int:
         stream = rng.substream(i)
@@ -249,13 +253,9 @@ def visibility_scan(
 ) -> ScenarioResult:
     """Single-mode fringe visibility versus threshold, one curve per amplitude."""
     gammas = np.linspace(0.05, 3.0, 60) if gammas is None else np.asarray(gammas, float)
-    curves = {}
-    for a in alphas:
-        curves[f"vis_alpha_{a:g}"] = np.array(
-            [ (detect_prob(a, g) - dark_count_prob(g)) / (detect_prob(a, g) + dark_count_prob(g))
-              for g in gammas ]
-        )
-    return ScenarioResult(grid_name="gamma", grid=gammas, analytic=curves,
+    vis = visibility_single(np.asarray(alphas, float)[:, None], gammas)
+    return ScenarioResult(grid_name="gamma", grid=gammas,
+                          analytic={f"vis_alpha_{a:g}": v for a, v in zip(alphas, vis)},
                           meta={"alphas": list(alphas)})
 
 
@@ -265,22 +265,23 @@ def visibility_scan(
 
 @dataclass(frozen=True)
 class DualModeProbs:
-    p0: float
-    p_h: float
-    p_v: float
-    p_hv: float
-    p_cond_h: float
-    p_cond_h_renorm: float
+    p0: float | np.ndarray
+    p_h: float | np.ndarray
+    p_v: float | np.ndarray
+    p_hv: float | np.ndarray
+    p_cond_h: float | np.ndarray
+    p_cond_h_renorm: float | np.ndarray
     visibility: float
 
 
-def dual_mode_probs(alpha: float, theta: float, th: Threshold | float) -> DualModeProbs:
+def dual_mode_probs(alpha: float, theta, th: Threshold | float) -> DualModeProbs:
     """Joint and post-selected probabilities of a two-polarization detector.
 
     The state puts amplitude alpha cos(theta) on H and alpha sin(theta) on V
-    (theta in radians). Post-selecting on exactly one click gives the
-    conditional p_cond_h; rescaling its fringe by the dual-mode visibility
-    gives p_cond_h_renorm, directly comparable to cos^2(theta).
+    (theta in radians, a scalar or an array). Post-selecting on exactly one
+    click gives the conditional p_cond_h; rescaling its fringe by the
+    dual-mode visibility gives p_cond_h_renorm, directly comparable to
+    cos^2(theta).
 
     The renormalized curve is not cos^2(theta) itself: its deviation is an
     exact property of the model, 0.0158 at |alpha|^2 = 0.5 and gamma = 1, and
@@ -288,15 +289,13 @@ def dual_mode_probs(alpha: float, theta: float, th: Threshold | float) -> DualMo
     |alpha|^2 = 0.01), where the Born rule emerges.
     """
     g = gamma_of(th)
-    qh = detect_prob(abs(alpha * math.cos(theta)), g)
-    qv = detect_prob(abs(alpha * math.sin(theta)), g)
+    qh = detect_prob(np.abs(alpha * np.cos(theta)), g)
+    qv = detect_prob(np.abs(alpha * np.sin(theta)), g)
     p0 = (1.0 - qh) * (1.0 - qv)
     ph = qh * (1.0 - qv)
     pv = (1.0 - qh) * qv
     phv = qh * qv
-    if ph + pv == 0.0:
-        raise UndefinedConditionalError("no single-click events to condition on")
-    p_cond = ph / (ph + pv)
+    p_cond = _divide(ph, ph + pv)
     vis = visibility_dual(abs(alpha), g)
     # zero amplitude has a flat fringe (vis = 0, p_cond = 1/2 identically);
     # the rescaled curve degenerates to the conditional itself
@@ -308,21 +307,14 @@ def dual_mode_scan(alpha: float, th: Threshold | float,
                    thetas_deg: np.ndarray | None = None) -> ScenarioResult:
     thetas_deg = DEFAULT_THETA_GRID_DEG if thetas_deg is None else np.asarray(thetas_deg, float)
     g = gamma_of(th)
-    rows = [dual_mode_probs(alpha, math.radians(t), g) for t in thetas_deg]
     t = np.deg2rad(thetas_deg)
+    r = dual_mode_probs(alpha, t, g)
     return ScenarioResult(
         grid_name="theta_deg",
         grid=thetas_deg,
-        analytic={
-            "born": np.cos(t) ** 2,
-            "p_cond_h": np.array([r.p_cond_h for r in rows]),
-            "p_cond_h_renorm": np.array([r.p_cond_h_renorm for r in rows]),
-            "p0": np.array([r.p0 for r in rows]),
-            "p_h": np.array([r.p_h for r in rows]),
-            "p_v": np.array([r.p_v for r in rows]),
-            "p_hv": np.array([r.p_hv for r in rows]),
-        },
-        meta={"alpha": alpha, "gamma": g, "visibility": rows[0].visibility},
+        analytic={"born": np.cos(t) ** 2, **{k: getattr(r, k) for k in (
+            "p_cond_h", "p_cond_h_renorm", "p0", "p_h", "p_v", "p_hv")}},
+        meta={"alpha": alpha, "gamma": g, "visibility": r.visibility},
     )
 
 
@@ -332,30 +324,28 @@ def dual_mode_scan(alpha: float, th: Threshold | float,
 
 @dataclass(frozen=True)
 class BeamsplitterStats:
-    p0: float
-    p_r: float
-    p_d: float
-    p_rd: float
-    r: float
-    r_d: float
+    p0: float | np.ndarray
+    p_r: float | np.ndarray
+    p_d: float | np.ndarray
+    p_rd: float | np.ndarray
+    r: float | np.ndarray
+    r_d: float | np.ndarray
 
 
-def beamsplitter_coincidence(alpha: float, th: Threshold | float) -> BeamsplitterStats:
+def beamsplitter_coincidence(alpha, th: Threshold | float) -> BeamsplitterStats:
     """Outcome probabilities and coincidence ratios after a 50/50 beam splitter.
 
     Both output modes carry amplitude alpha/sqrt(2), so each detector clicks
     with q = Q1(sqrt(2)|alpha|, 2 gamma). R uses the true trial count and is
     never below one; R_d renormalizes by detected events only and can drop
-    below one, mimicking heralded coincidence analysis.
+    below one, mimicking heralded coincidence analysis. alpha may be an array.
     """
     g = gamma_of(th)
-    q = marcum_q1(math.sqrt(2.0) * abs(alpha), 2.0 * g)
+    q = marcum_q1(math.sqrt(2.0) * np.abs(alpha), 2.0 * g)
     p0 = (1.0 - q) ** 2
     pr = pd = q * (1.0 - q)
     prd = q * q
-    if pr == 0.0 or pd == 0.0:
-        raise UndefinedRatioError("single-click probability vanishes; R undefined")
-    r = prd / (pr * pd)
+    r = _divide(prd, pr * pd, UndefinedRatioError, "single-click probability vanishes; R undefined")
     r_d = prd * (1.0 - p0) / (pr * pd)
     return BeamsplitterStats(p0, pr, pd, prd, r, r_d)
 
@@ -364,17 +354,11 @@ def antibunching_scan(th: Threshold | float,
                       alphas: np.ndarray | None = None) -> ScenarioResult:
     alphas = np.linspace(0.0, 3.0, 301) if alphas is None else np.asarray(alphas, float)
     g = gamma_of(th)
-    rows = [beamsplitter_coincidence(a, g) for a in alphas]
+    r = beamsplitter_coincidence(alphas, g)
     return ScenarioResult(
         grid_name="alpha",
         grid=alphas,
-        analytic={
-            "R": np.array([r.r for r in rows]),
-            "Rd": np.array([r.r_d for r in rows]),
-            "p0": np.array([r.p0 for r in rows]),
-            "p_single": np.array([r.p_r for r in rows]),
-            "p_coinc": np.array([r.p_rd for r in rows]),
-        },
+        analytic={"R": r.r, "Rd": r.r_d, "p0": r.p0, "p_single": r.p_r, "p_coinc": r.p_rd},
         meta={"gamma": g},
     )
 
@@ -385,41 +369,35 @@ def antibunching_scan(th: Threshold | float,
 
 @dataclass(frozen=True)
 class HyperentangledProbs:
-    pr_rh: float
-    pr_rv: float
-    conditional_rh: float
+    pr_rh: float | np.ndarray
+    pr_rv: float | np.ndarray
+    conditional_rh: float | np.ndarray
 
 
-def hyperentangled_probs(alpha: float, th: Threshold | float) -> HyperentangledProbs:
+def hyperentangled_probs(alpha: float, th) -> HyperentangledProbs:
     """Single-click probabilities of the four-mode circuit H(spatial) then CNOT.
 
     The prepared direction is (|R,H> + |D,V>)/sqrt(2); modes RH and DV carry
     amplitude alpha/sqrt(2) while RV and DH are vacuum. conditional_rh is the
-    probability the single click is on RH given exactly one click anywhere.
-    """
+    probability the single click is on RH given exactly one click anywhere;
+    ``th`` may be an array of thresholds."""
     g = gamma_of(th)
     q_sig = marcum_q1(math.sqrt(2.0) * abs(alpha), 2.0 * g)
     q_dark = dark_count_prob(g)
-    q = np.array([q_sig, q_dark, q_dark, q_sig])
-    singles = _singles_from_q(q)
-    pr_rh = float(singles[0])
-    pr_rv = float(singles[1])
-    conditional = pr_rh / (2.0 * pr_rh + 2.0 * pr_rv)
-    return HyperentangledProbs(pr_rh, pr_rv, conditional)
+    singles = _singles_from_q(np.stack([q_sig, q_dark, q_dark, q_sig], axis=-1))
+    pr_rh, pr_rv = singles[..., 0], singles[..., 1]
+    conditional = _divide(pr_rh, 2.0 * pr_rh + 2.0 * pr_rv)
+    return HyperentangledProbs(*(_float_or_array(v) for v in (pr_rh, pr_rv, conditional)))
 
 
 def hyperentanglement_scan(alpha: float,
                            gammas: np.ndarray | None = None) -> ScenarioResult:
     gammas = np.linspace(0.05, 3.0, 60) if gammas is None else np.asarray(gammas, float)
-    rows = [hyperentangled_probs(alpha, g) for g in gammas]
+    r = hyperentangled_probs(alpha, gammas)
     return ScenarioResult(
         grid_name="gamma",
         grid=gammas,
-        analytic={
-            "pr_rh": np.array([r.pr_rh for r in rows]),
-            "pr_rv": np.array([r.pr_rv for r in rows]),
-            "conditional_rh": np.array([r.conditional_rh for r in rows]),
-        },
+        analytic={"pr_rh": r.pr_rh, "pr_rv": r.pr_rv, "conditional_rh": r.conditional_rh},
         meta={"alpha": alpha},
     )
 
@@ -428,8 +406,8 @@ def hyperentanglement_scan(alpha: float,
 # Mach-Zehnder family
 # ---------------------------------------------------------------------------
 
-def _mz_arm_probs(alpha: float, g: float, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Click probabilities of the two interferometer outputs versus phase.
+def _mz_probs(alpha: float, g: float, phis: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Bright-output conditional p_mz and both output click probabilities versus phase.
 
     The bright and dark arms carry |alpha cos(phi/2)| and |alpha sin(phi/2)|;
     the dark arm uses the identity sin(phi/2) = cos((pi - phi)/2) so the two
@@ -439,7 +417,9 @@ def _mz_arm_probs(alpha: float, g: float, phis: np.ndarray) -> tuple[np.ndarray,
     a = abs(alpha)
     q_r = marcum_q1(2.0 * a * np.abs(np.cos(phis / 2.0)), 2.0 * g)
     q_d = marcum_q1(2.0 * a * np.abs(np.cos((np.pi - phis) / 2.0)), 2.0 * g)
-    return np.atleast_1d(q_r), np.atleast_1d(q_d)
+    x = q_r * (1.0 - q_d)
+    y = q_d * (1.0 - q_r)
+    return _divide(x, x + y), q_r, q_d
 
 
 def mach_zehnder(alpha: float, th: Threshold | float,
@@ -455,12 +435,7 @@ def mach_zehnder(alpha: float, th: Threshold | float,
     """
     g = gamma_of(th)
     phis = DEFAULT_PHI_GRID if phis is None else np.asarray(phis, float)
-    q_r, q_d = _mz_arm_probs(alpha, g, phis)
-    x = q_r * (1.0 - q_d)
-    y = q_d * (1.0 - q_r)
-    if np.any(x + y == 0.0):
-        raise UndefinedConditionalError("no single-click events to condition on")
-    p_mz = x / (x + y)
+    p_mz, q_r, q_d = _mz_probs(alpha, g, phis)
 
     q_open = marcum_q1(math.sqrt(2.0) * abs(alpha), 2.0 * g)
     # open interferometer: both arms carry |alpha|/sqrt(2), so the conditional
@@ -525,10 +500,7 @@ def mach_zehnder_fit(
         raise DomainError("need at least 4 phase points to fit")
     g = gamma_of(th)
     phis = 2.0 * np.pi * np.arange(n_points) / n_points
-    q_r, q_d = _mz_arm_probs(alpha, g, phis)
-    x = q_r * (1.0 - q_d)
-    y = q_d * (1.0 - q_r)
-    p = x / (x + y)
+    p = _mz_probs(alpha, g, phis)[0]
     sigma = 1.0 / math.sqrt(sample_size)
     samples = p + sigma * rng.standard_normals(n_points)
 
@@ -541,11 +513,7 @@ def mach_zehnder_fit(
     fitted = basis @ coef
     rmse = float(np.sqrt(np.mean((samples - fitted) ** 2)))
 
-    dense = np.linspace(0.0, 2.0 * np.pi, 721)
-    qr_dense, qd_dense = _mz_arm_probs(alpha, g, dense)
-    xd = qr_dense * (1.0 - qd_dense)
-    yd = qd_dense * (1.0 - qr_dense)
-    p_dense = xd / (xd + yd)
+    p_dense = _mz_probs(alpha, g, np.linspace(0.0, 2.0 * np.pi, 721))[0]
     delta = dark_count_prob(g)
     p_max, p_min = float(p_dense.max()), float(p_dense.min())
     visibility = (p_max - p_min) / (p_max + p_min - 2.0 * delta)

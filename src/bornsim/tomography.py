@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import Threshold, gamma_of, marcum_q1, visibility_single
+from .detection import Threshold, gamma_of, visibility_single
 from .errors import DimensionMismatchError, DomainError, InvalidDimensionError
-from .experiments import ScenarioResult, conditional_mode_probs
+from .experiments import ScenarioResult, _conditional_clicks
 from .field import CoherentVector, RngStream
 from .optics import haar_unitary
 
@@ -143,38 +143,19 @@ def measure_expectations(state: CoherentVector, th: Threshold | float,
 
     For each basis element the mode direction is rotated to U_k^dag psi and
     the exact conditional single-click probabilities p_i weight the
-    eigenvalues beta_ki.
+    eigenvalues beta_ki. This is the one-state case of the batched path.
     """
     if basis.d != state.d:
         raise DimensionMismatchError(f"basis is {basis.d}-mode, state is {state.d}-mode")
-    g = gamma_of(th)
-    m = np.empty(basis.size)
-    for k in range(basis.size):
-        psi_k = basis.diagonalizers[k].conj().T @ state.psi
-        p = conditional_mode_probs(CoherentVector(state.alpha, _renorm(psi_k)), g)
-        m[k] = p @ basis.eigenvalues[k]
-    return m
-
-
-def _renorm(psi: np.ndarray) -> np.ndarray:
-    return psi / np.linalg.norm(psi)
+    return _measure_batch(state.psi[None], state.alpha, gamma_of(th), basis)[0]
 
 
 def _measure_batch(psis: np.ndarray, alpha: float, gamma: float,
                    basis: HermitianBasis) -> np.ndarray:
-    """m vectors for many states at once; one marcum evaluation per grid call."""
+    """m vectors (n, d^2) for n states (n, d); one Marcum evaluation per call."""
     uh = basis.diagonalizers.conj().transpose(0, 2, 1)
     amps = np.abs(alpha) * np.abs(np.einsum("kij,nj->nki", uh, psis))
-    q = marcum_q1(2.0 * amps.ravel(), 2.0 * gamma).reshape(amps.shape)
-    comp = 1.0 - q
-    if np.any(comp <= 0.0):
-        # rare saturated rows: fall back to the scalar path with its limit rule
-        m = np.empty((psis.shape[0], basis.size))
-        for n in range(psis.shape[0]):
-            m[n] = measure_expectations(CoherentVector(alpha, psis[n]), gamma, basis)
-        return m
-    w = q / comp
-    p = w / w.sum(axis=2, keepdims=True)
+    p = _conditional_clicks(amps, gamma)
     return np.einsum("nki,ki->nk", p, basis.eigenvalues)
 
 
@@ -480,11 +461,10 @@ def ensemble_sweep(d: int, alphas: np.ndarray, gammas: np.ndarray, n_states: int
     psis = haar_states(d, n_states, rng)
     basis = build_basis(d)
     ms = np.empty((alphas.size, gammas.size, n_states, basis.size))
-    mean_vis = np.empty((alphas.size, gammas.size))
     for i, a in enumerate(alphas):
         for j, g in enumerate(gammas):
             ms[i, j] = _measure_batch(psis, a, g, basis)
-            mean_vis[i, j] = visibility_single(a, g)
+    mean_vis = visibility_single(alphas[:, None], gammas)
     rho, indefinite = _reconstruct(ms, basis, method)
     per_state = fidelity(psis, rho)
     return SweepResult(

@@ -107,6 +107,45 @@ def test_empty_ensemble_is_scenario_error(tmp_path, capsys, command):
     assert err == ["bornsim: error: n_states must be >= 1"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["hyper", "--gamma-grid", "0:0.5:1"],
+    ["born-again", "--gamma", "0"],
+    ["antibunch", "--gamma", "0"],
+    ["mz", "--gamma", "0"],
+    ["deviation", "--gamma", "0"],
+    ["witness", "--gamma", "0"],
+    ["fidelity-contour", "--fast", "--gamma-grid", "0:0.25:1", "--alpha-grid", "0.5:0.5:1"],
+    # thresholds so high that nothing ever clicks
+    ["visibility-contour", "--gamma-grid", "1:19:20"],
+    ["fidelity-contour", "--fast", "--gamma-grid", "20:1:20", "--alpha-grid", "0.5:0.5:1"],
+], ids=["hyper", "born-again", "antibunch", "mz", "deviation", "witness", "fidelity-contour",
+        "visibility-contour-high", "fidelity-contour-high"])
+def test_degenerate_threshold_is_scenario_error(tmp_path, capsys, argv):
+    assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bornsim: error: ")
+
+
+@pytest.mark.parametrize("command, config, flags, key", [
+    ("deviation", {"gamma": "x"}, [], "gamma"),
+    ("counts", {"n_trials": "many"}, [], "n_trials"),
+    ("visibility", {"alphas": 1.0}, [], "alphas"),
+    ("visibility", None, ["--alphas", "1,x"], "alphas"),
+    ("deviation", {"gamam": 2}, [], "gamam"),
+    ("antibunch", {"alpha_grid": "nan:1:2"}, [], "nan:1:2"),
+], ids=["wrong-float", "wrong-int", "wrong-list", "bad-alphas-flag", "unknown-key", "nan-grid"])
+def test_bad_config_is_one_line_error(tmp_path, capsys, command, config, flags, key):
+    argv = [command, "--out-dir", str(tmp_path), *flags]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bornsim: error: ") and key in err[0]
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -77,9 +77,19 @@ class TestMarcumQ:
             assert np.all(np.diff(vals) <= 1e-14)
 
     def test_vectorized_matches_scalar(self):
-        a = np.array([0.0, 0.5, 1.414, 3.3])
-        vec = marcum_q1(a, 1.7)
-        assert vec == pytest.approx([marcum_q1(x, 1.7) for x in a], rel=1e-14)
+        # a = 0, the series (short and long), and every corner branch: a or b
+        # past the exp underflow with a >> b, b >> a, and both comparable
+        a = np.array([0.0, 0.5, 1.414, 3.3, 8.0, 40.0, 45.0])
+        b = np.array([0.0, 1.7, 2.0, 6.5, 39.0, 41.0])
+        one = np.array([[marcum_q1(x, y) for y in b] for x in a])
+        assert np.array_equal(marcum_q1(a[:, None], b), one)
+        assert np.array_equal(marcum_q1(a, 1.7), one[:, 1])
+        assert np.array_equal(marcum_q1(0.5, b), one[1])
+        aa, bb = np.meshgrid(a, b, indexing="ij")
+        assert np.array_equal(marcum_q1(aa.ravel(), bb.ravel()), one.ravel())
+        assert np.array_equal(marcum_q1(aa[::-1, ::2], bb[::-1, ::2]), one[::-1, ::2])
+        assert marcum_q1(aa, bb).shape == (a.size, b.size)
+        assert isinstance(marcum_q1(1.0, 2.0), float)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -12,7 +12,7 @@ from bornsim import (
     outcome_distribution,
     realize_batch,
 )
-from bornsim.detection import detect_batch
+from bornsim.detection import detect_batch, visibility_single
 from bornsim.errors import SaturatedDetectorError, UndefinedConditionalError
 from bornsim.experiments import (
     antibunching_scan,
@@ -22,6 +22,7 @@ from bornsim.experiments import (
     dual_mode_probs,
     dual_mode_scan,
     hyperentangled_probs,
+    hyperentanglement_scan,
     mach_zehnder,
     mach_zehnder_fit,
     polarization_scan,
@@ -74,6 +75,29 @@ class TestVisibilityScan:
         hi = res.analytic["vis_alpha_1.5"]
         assert np.all(hi >= lo)
         assert np.all(np.diff(res.analytic["vis_alpha_1"]) > 0)
+
+    def test_equals_point_calls(self):
+        res = visibility_scan((0.5, 1.0, 1.5), np.arange(1, 61) * 0.05)
+        for a in (0.5, 1.0, 1.5):
+            expected = [visibility_single(a, g) for g in res.grid]
+            assert np.array_equal(res.analytic[f"vis_alpha_{a:g}"], expected)
+
+
+@pytest.mark.parametrize("scan, point, columns", [
+    (lambda: dual_mode_scan(0.8, 1.1), lambda t: dual_mode_probs(0.8, math.radians(t), 1.1),
+     {"p_cond_h": "p_cond_h", "p_cond_h_renorm": "p_cond_h_renorm", "p0": "p0",
+      "p_h": "p_h", "p_v": "p_v", "p_hv": "p_hv"}),
+    (lambda: antibunching_scan(1.25), lambda a: beamsplitter_coincidence(a, 1.25),
+     {"R": "r", "Rd": "r_d", "p0": "p0", "p_single": "p_r", "p_coinc": "p_rd"}),
+    (lambda: hyperentanglement_scan(1.0, np.arange(1, 61) * 0.05),
+     lambda g: hyperentangled_probs(1.0, g),
+     {"pr_rh": "pr_rh", "pr_rv": "pr_rv", "conditional_rh": "conditional_rh"}),
+], ids=["dual_mode", "antibunching", "hyperentanglement"])
+def test_scan_equals_point_calls(scan, point, columns):
+    res = scan()
+    rows = [point(x) for x in res.grid]
+    for column, field in columns.items():
+        assert np.array_equal(res.analytic[column], [getattr(r, field) for r in rows]), column
 
 
 class TestDualMode:
@@ -148,6 +172,12 @@ class TestHyperentangled:
     def test_vacuum_conditional_is_exactly_quarter(self):
         for g in (0.4, 1.0, 1.7, 2.3):
             assert hyperentangled_probs(0.0, g).conditional_rh == 0.25
+
+    def test_zero_threshold_has_no_single_clicks(self):
+        with pytest.raises(UndefinedConditionalError):
+            hyperentangled_probs(1.0, 0.0)
+        with pytest.raises(UndefinedConditionalError):
+            hyperentanglement_scan(1.0, np.array([0.0, 0.5, 1.0]))
 
     def test_conditional_approaches_half_at_high_threshold(self):
         assert 0.49 <= hyperentangled_probs(1.0, 3.0).conditional_rh <= 0.51

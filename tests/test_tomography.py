@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from bornsim import CoherentVector, RngStream, realize_batch
+from bornsim import CoherentVector, RngStream, marcum_q1, outcome_distribution, realize_batch
 from bornsim.detection import detect_batch
 from bornsim.errors import DimensionMismatchError, InvalidDimensionError
 from bornsim.tomography import (
+    _measure_batch,
     bell_direction,
     bell_witness_scan,
     build_basis,
@@ -130,6 +131,34 @@ class TestMeasurement:
         state = CoherentVector(10.0, np.array([1.0, 0.0]))
         m = measure_expectations(state, 1.0, b)
         assert m[3] == pytest.approx(1.0 / math.sqrt(2.0), abs=0.01)
+
+    @pytest.mark.parametrize("d, alpha, g, seed", [
+        (2, 0.7, 1.0, 1), (3, 1.4, 1.2, 2), (4, 1.0, 1.0, 3), (4, 2.2, 0.8, 4), (4, 0.3, 1.6, 5),
+    ])
+    def test_matches_outcome_table_oracle(self, d, alpha, g, seed):
+        # brute force: the single-click entries of each rotated setting's 2^d table
+        b = build_basis(d)
+        psi = random_direction(d, seed)
+        m = measure_expectations(CoherentVector(alpha, psi), g, b)
+        oracle = np.empty(b.size)
+        for k in range(b.size):
+            psi_k = b.diagonalizers[k].conj().T @ psi
+            state_k = CoherentVector(alpha, psi_k / np.linalg.norm(psi_k))
+            singles = outcome_distribution(state_k, g).single_detection_probs()
+            oracle[k] = singles / singles.sum() @ b.eigenvalues[k]
+        assert np.max(np.abs(m - oracle)) <= 1e-14
+
+    def test_batch_rows_equal_one_state_calls(self):
+        # at alpha = 6, gamma = 0.5 some settings saturate a detector and some
+        # do not, so one batch mixes limit-rule rows with ordinary ones
+        b = build_basis(4)
+        psis = np.array([random_direction(4, s) for s in range(8)])
+        batch = _measure_batch(psis, 6.0, 0.5, b)
+        for psi, row in zip(psis, batch):
+            assert np.array_equal(row, measure_expectations(CoherentVector(6.0, psi), 0.5, b))
+        amps = 6.0 * np.abs(np.einsum("kji,nj->nki", b.diagonalizers.conj(), psis))
+        saturated = (marcum_q1(2.0 * amps, 1.0) == 1.0).any(axis=-1)
+        assert saturated.any() and not saturated.all()
 
     def test_monte_carlo_post_selection_matches(self):
         # estimate the conditional click distribution in one rotated setting
