@@ -9,8 +9,8 @@ from .detection import (
     Threshold,
     born_expansion,
     dark_count_prob,
+    detect_batch,
     detect_prob,
-    detect_sample,
     efficiency,
     marcum_q1,
     mode_crossing_probs,
@@ -21,18 +21,13 @@ from .detection import (
 )
 from .field import (
     HBAR,
-    AmplitudeSample,
     CoherentVector,
-    NoiseRealization,
     RngStream,
     mean_energy_density,
-    realize,
     realize_batch,
-    sample_noise,
 )
 from .optics import (
     apply,
-    apply_to_sample,
     circuit_from_json,
     circuit_unitary,
     gate_cnot,

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__, experiments, tomography
 from .detection import visibility_single
 from .errors import BornsimError
+from .experiments import _write_json
 from .field import RngStream
 from .optics import circuit_from_json
 
@@ -42,6 +43,8 @@ DEFAULTS: dict[str, dict] = {
                          "n_states": 100, "d": 4, "fast": False},
     "visibility-contour": {"alpha_grid": "0.05:0.05:3", "gamma_grid": "0.05:0.05:3"},
 }
+
+FORMATS = ("csv", "json", "both")
 
 GLOBAL_DEFAULTS = {"seed": 42, "out_dir": ".", "format": "both", "threads": 1}
 
@@ -86,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seed", type=int, help="random seed (default 42)")
         p.add_argument("--out-dir", help="output directory (default .)")
-        p.add_argument("--format", choices=["csv", "json", "both"], help="data file format")
+        p.add_argument("--format", choices=FORMATS, help="data file format")
         p.add_argument("--threads", type=int,
                        help="worker threads for counts (default $BORNSIM_THREADS or 1)")
         p.add_argument("--config", help="JSON config file; flags override it")
@@ -215,6 +218,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not _has_default_type(value, defaults[key]):
             expected = _TYPE_NAMES[type(defaults[key])]
             raise BornsimError(f"config key {key!r} must be {expected} (got {value!r})")
+    if params["format"] not in FORMATS:
+        raise BornsimError(f"config key 'format' must be one of {', '.join(FORMATS)} "
+                           f"(got {params['format']!r})")
     return RunConfig(command=command, params=params)
 
 
@@ -299,9 +305,8 @@ def _write_visibility_contour(rows, base: Path, fmt: str) -> list[str]:
         files.append(path.name)
     if fmt in ("json", "both"):
         path = base.with_suffix(".json")
-        path.write_text(json.dumps(
-            {"rows": [{"alpha": a, "gamma": g, "visibility": v} for a, g, v in rows]},
-            indent=2) + "\n")
+        _write_json(path, {"rows": [{"alpha": a, "gamma": g, "visibility": v}
+                                    for a, g, v in rows]}, sort_keys=False)
         files.append(path.name)
     return files
 
@@ -334,7 +339,7 @@ def run(cfg: RunConfig) -> int:
         "files": files,
     }
     manifest_path = base.parent / f"{base.name}.manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(manifest_path, manifest)
     return 0
 
 

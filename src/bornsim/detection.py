@@ -23,7 +23,7 @@ from .errors import (
     UndefinedConditionalError,
     UndefinedRatioError,
 )
-from .field import AmplitudeSample, CoherentVector
+from .field import CoherentVector
 
 __all__ = [
     "Threshold",
@@ -38,7 +38,6 @@ __all__ = [
     "visibility_dual",
     "mode_crossing_probs",
     "outcome_distribution",
-    "detect_sample",
     "detect_batch",
 ]
 
@@ -357,14 +356,11 @@ def outcome_distribution(state: CoherentVector, th) -> OutcomeDistribution:
     return OutcomeDistribution(q=q, table=table)
 
 
-def detect_sample(sample: AmplitudeSample, th) -> np.ndarray:
-    """Click pattern of one realization: bit i is 1 iff |a_i| > gamma_i (strict)."""
-    gammas = _gamma_per_mode(th, sample.d)
-    return (np.abs(sample.a) > gammas).astype(np.int64)
-
-
 def detect_batch(amps: np.ndarray, th) -> np.ndarray:
-    """Click patterns for an (n, d) array of realized amplitudes."""
+    """Click patterns of realized amplitudes, (n, d) or one (d,) sample.
+
+    Bit i is 1 iff |a_i| > gamma_i (strict).
+    """
     amps = np.asarray(amps)
     gammas = _gamma_per_mode(th, amps.shape[-1])
     return (np.abs(amps) > gammas).astype(np.int64)

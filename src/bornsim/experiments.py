@@ -110,7 +110,14 @@ class ScenarioResult:
             "analytic": {k: v.tolist() for k, v in self.analytic.items()},
             "counts": {k: v.tolist() for k, v in self.counts.items()} if self.counts else None,
         }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(path, payload)
+
+
+def _write_json(path: str | Path, payload, sort_keys: bool = True) -> None:
+    """Stream payload to path as indented JSON plus a newline, never as one string."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 def _fmt(x) -> str:
@@ -498,6 +505,8 @@ def mach_zehnder_fit(
     """
     if n_points < 4:
         raise DomainError("need at least 4 phase points to fit")
+    if sample_size < 1:
+        raise DomainError("sample_size must be >= 1")
     g = gamma_of(th)
     phis = 2.0 * np.pi * np.arange(n_points) / n_points
     p = _mz_probs(alpha, g, phis)[0]

@@ -75,7 +75,7 @@ class RngStream:
     def complex_normals(self, shape) -> np.ndarray:
         """Standard complex Gaussians z = (x + iy)/sqrt(2), one Box-Muller pair each."""
         shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         if n == 0:
             return np.empty(shape, dtype=complex)
         u = self._gen.random((n, 2))
@@ -119,62 +119,12 @@ class CoherentVector:
         return self.alpha * self.psi
 
 
-@dataclass(frozen=True)
-class NoiseRealization:
-    """One draw of d iid standard complex Gaussian mode amplitudes."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex).reshape(-1)
-        _require_finite("z", z)
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
-
-    @property
-    def d(self) -> int:
-        return self.z.size
-
-
-@dataclass(frozen=True)
-class AmplitudeSample:
-    """Realized complex amplitudes a = alpha * psi + z / sqrt(2)."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex).reshape(-1)
-        _require_finite("a", a)
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-
-    @property
-    def d(self) -> int:
-        return self.a.size
-
-
-def sample_noise(d: int, rng: RngStream) -> NoiseRealization:
-    """Draw d iid standard complex Gaussians, consuming exactly 2d normal draws."""
-    if int(d) < 1:
-        raise InvalidDimensionError(f"d must be >= 1 (got {d})")
-    return NoiseRealization(rng.complex_normals(int(d)))
-
-
-def realize(state: CoherentVector, rng: RngStream, noise: NoiseRealization | None = None) -> AmplitudeSample:
-    """One field realization a = alpha * psi + z / sqrt(2).
-
-    ``noise`` is a test hook: pass a fixed NoiseRealization instead of
-    drawing from ``rng`` (e.g. all zeros for the noiseless limit).
-    """
-    if noise is None:
-        noise = sample_noise(state.d, rng)
-    elif noise.d != state.d:
-        raise InvalidDimensionError(f"noise has {noise.d} modes, state has {state.d}")
-    return AmplitudeSample(state.mode_amplitudes() + noise.z / np.sqrt(2.0))
-
-
 def realize_batch(state: CoherentVector, n: int, rng: RngStream) -> np.ndarray:
-    """n realizations as an (n, d) array; row i equals the i-th realize() call."""
+    """n realizations a = alpha * psi + z / sqrt(2) as an (n, d) array.
+
+    Rows are drawn in order from ``rng``, so one call of n rows equals n
+    successive one-row calls on the same stream.
+    """
     if int(n) < 0:
         raise DomainError("n must be nonnegative")
     z = rng.complex_normals((int(n), state.d))

@@ -10,12 +10,13 @@ iid standard complex Gaussians. Four-mode circuits order the tensor factors
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CircuitFormatError, DimensionMismatchError, DomainError, InvalidDimensionError
-from .field import AmplitudeSample, CoherentVector, RngStream
+from .field import CoherentVector, RngStream
 
 UNITARITY_TOL = 1e-12
 
@@ -73,7 +74,8 @@ def apply(u: np.ndarray, state: CoherentVector) -> CoherentVector:
     """Transform the state direction, psi' = U psi (renormalized); alpha unchanged.
 
     Noise is not propagated: sampling after apply() draws fresh iid noise,
-    which is distribution-identical to transforming the old noise.
+    which is distribution-identical to transforming the old noise (a
+    realized (n, d) batch a would propagate as a @ U.T).
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape != (state.d, state.d):
@@ -85,32 +87,25 @@ def apply(u: np.ndarray, state: CoherentVector) -> CoherentVector:
     return CoherentVector(state.alpha, psi / nrm)
 
 
-def apply_to_sample(u: np.ndarray, sample: AmplitudeSample) -> AmplitudeSample:
-    """Propagate a realized amplitude vector through the circuit, a' = U a.
-
-    Opt-in alternative to redrawing noise after apply(); exists so the
-    distributional equivalence of the two routes can be tested directly.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (sample.d, sample.d):
-        raise DimensionMismatchError(f"gate shape {u.shape} does not match d = {sample.d}")
-    return AmplitudeSample(u @ sample.a)
-
-
-def haar_unitary(d: int, rng: RngStream) -> np.ndarray:
+def haar_unitary(d: int, rng: RngStream | Sequence[RngStream]) -> np.ndarray:
     """Haar-distributed d x d unitary via QR of a complex Gaussian matrix.
 
     The R diagonal's phases are folded back into Q so the distribution is
-    exactly Haar rather than QR-convention dependent.
+    exactly Haar rather than QR-convention dependent. Given a sequence of
+    streams, returns an (n, d, d) stack with matrix i drawn from stream i;
+    each equals the one-stream call bit for bit.
     """
     d = int(d)
     if d < 1:
         raise InvalidDimensionError("haar_unitary needs d >= 1")
-    z = rng.complex_normals((d, d))
+    single = isinstance(rng, RngStream)
+    streams = [rng] if single else rng
+    z = np.array([s.complex_normals((d, d)) for s in streams], dtype=complex).reshape(-1, d, d)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    u = q * (diag / np.abs(diag))[:, None, :]
+    return u[0] if single else u
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,13 @@ import numpy as np
 
 from .detection import Threshold, gamma_of, visibility_single
 from .errors import DimensionMismatchError, DomainError, InvalidDimensionError
-from .experiments import ScenarioResult, _conditional_clicks
+from .experiments import ScenarioResult, _conditional_clicks, _write_json
 from .field import CoherentVector, RngStream
 from .optics import haar_unitary
 
 __all__ = [
     "HermitianBasis",
     "MLEResult",
-    "TomographyReport",
     "SweepResult",
     "build_basis",
     "measure_expectations",
@@ -38,7 +37,6 @@ __all__ = [
     "fidelity",
     "partial_transpose",
     "ppt_witness",
-    "tomography_report",
     "bell_direction",
     "bell_witness_scan",
     "fidelity_scan",
@@ -163,8 +161,7 @@ def linear_qst(m: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     """Linear inversion rho = sum_k m_k B_k, rescaled to unit trace.
 
     m may stack expectation vectors as (..., d^2); rho is then (..., d, d).
-    Hermitian by construction; eigenvalues may be negative. The trace
-    rescaling deviation is available via tomography_report.
+    Hermitian by construction; eigenvalues may be negative.
     """
     m = np.asarray(m, dtype=float)
     if m.shape[-1:] != (basis.size,):
@@ -174,13 +171,6 @@ def linear_qst(m: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     if np.any(tr <= 0.0):
         raise DomainError("reconstructed matrix has nonpositive trace")
     return rho / tr[..., None, None]
-
-
-def linear_qst_trace(m: np.ndarray, basis: HermitianBasis) -> float:
-    """Trace of the raw linear inversion before rescaling."""
-    m = np.asarray(m, dtype=float)
-    rho = np.einsum("k,kij->ij", m, basis.matrices)
-    return float(np.real(np.trace(rho)))
 
 
 @dataclass(frozen=True)
@@ -276,48 +266,9 @@ def _even_ppt_witness(rho: np.ndarray) -> np.ndarray:
     return ppt_witness(rho, root, root)
 
 
-@dataclass(frozen=True)
-class TomographyReport:
-    rho: np.ndarray
-    fidelity: float
-    min_eigenvalue: float
-    ppt_min_eigenvalue: float | None
-    method: str
-    converged: bool = True
-    trace_deviation: float = 0.0
-    objective: float = 0.0
-
-
 def _check_method(method: str) -> None:
     if method not in ("linear", "mle"):
         raise DomainError(f"method must be 'linear' or 'mle' (got {method!r})")
-
-
-def tomography_report(state: CoherentVector, th: Threshold | float,
-                      basis: HermitianBasis | None = None,
-                      method: str = "mle") -> TomographyReport:
-    """Measure, reconstruct, and summarize one state."""
-    basis = basis or build_basis(state.d)
-    _check_method(method)
-    m = measure_expectations(state, th, basis)
-    trace_dev = abs(linear_qst_trace(m, basis) - 1.0)
-    if method == "linear":
-        rho = linear_qst(m, basis)
-        converged, objective = True, 0.0
-    else:
-        result = mle_qst(m, basis)
-        rho, converged, objective = result.rho, result.converged, result.objective
-    ppt = float(_even_ppt_witness(rho))
-    return TomographyReport(
-        rho=rho,
-        fidelity=float(fidelity(state.psi, rho)),
-        min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
-        ppt_min_eigenvalue=None if math.isnan(ppt) else ppt,
-        method=method,
-        converged=converged,
-        trace_deviation=trace_dev,
-        objective=objective,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +282,7 @@ def bell_direction() -> np.ndarray:
 
 def haar_states(d: int, n_states: int, rng: RngStream) -> np.ndarray:
     """n Haar-random pure directions, one substream per state."""
-    return np.array([haar_unitary(d, rng.substream(s))[:, 0] for s in range(n_states)])
+    return haar_unitary(d, [rng.substream(s) for s in range(n_states)])[:, :, 0]
 
 
 def bell_witness_scan(alphas: np.ndarray, th: Threshold | float,
@@ -343,10 +294,8 @@ def bell_witness_scan(alphas: np.ndarray, th: Threshold | float,
     alphas = np.asarray(alphas, dtype=float)
     psi = bell_direction() if psi is None else np.asarray(psi, dtype=complex)
     basis = build_basis(psi.size)
-    rho = np.empty((alphas.size, psi.size, psi.size), dtype=complex)
-    for i, a in enumerate(alphas):
-        m = _measure_batch(psi[None], a, g, basis)[0]
-        rho[i] = linear_qst(m, basis) if method == "linear" else mle_qst(m, basis).rho
+    ms = np.array([_measure_batch(psi[None], a, g, basis)[0] for a in alphas])
+    rho = _reconstruct(ms, basis, method)[0]
     return ScenarioResult(
         grid_name="alpha",
         grid=alphas,
@@ -426,9 +375,6 @@ class SweepResult:
                 writer.writerow([repr(float(v)) for v in row])
 
     def to_json(self, path) -> None:
-        import json as _json
-        from pathlib import Path as _Path
-
         payload = {
             "meta": self.meta,
             "alphas": self.alphas.tolist(),
@@ -439,7 +385,7 @@ class SweepResult:
             "mean_ppt_witness": self.mean_ppt_witness.tolist(),
             "per_state_fidelity": self.per_state_fidelity.tolist(),
         }
-        _Path(path).write_text(_json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(path, payload)
 
 
 def ensemble_sweep(d: int, alphas: np.ndarray, gammas: np.ndarray, n_states: int,

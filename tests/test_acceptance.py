@@ -20,7 +20,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy import integrate, special, stats
 
 from bornsim import (
@@ -304,7 +303,6 @@ def test_criterion_09_ppt_witness():
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_10_fidelity_contour():
     t0 = time.monotonic()
     grid = np.arange(0.25, 3.001, 0.25)

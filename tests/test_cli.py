@@ -107,6 +107,14 @@ def test_empty_ensemble_is_scenario_error(tmp_path, capsys, command):
     assert err == ["bornsim: error: n_states must be >= 1"]
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_bad_mz_sample_size_is_scenario_error(tmp_path, capsys, size):
+    code = run_cli(["mz", "--sample-size", size, "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["bornsim: error: sample_size must be >= 1"]
+
+
 @pytest.mark.parametrize("argv", [
     ["hyper", "--gamma-grid", "0:0.5:1"],
     ["born-again", "--gamma", "0"],
@@ -133,7 +141,9 @@ def test_degenerate_threshold_is_scenario_error(tmp_path, capsys, argv):
     ("visibility", None, ["--alphas", "1,x"], "alphas"),
     ("deviation", {"gamam": 2}, [], "gamam"),
     ("antibunch", {"alpha_grid": "nan:1:2"}, [], "nan:1:2"),
-], ids=["wrong-float", "wrong-int", "wrong-list", "bad-alphas-flag", "unknown-key", "nan-grid"])
+    ("deviation", {"format": "xml"}, [], "format"),
+], ids=["wrong-float", "wrong-int", "wrong-list", "bad-alphas-flag", "unknown-key", "nan-grid",
+        "bad-format"])
 def test_bad_config_is_one_line_error(tmp_path, capsys, command, config, flags, key):
     argv = [command, "--out-dir", str(tmp_path), *flags]
     if config is not None:

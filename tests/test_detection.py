@@ -12,8 +12,8 @@ from bornsim import (
     Threshold,
     born_expansion,
     dark_count_prob,
+    detect_batch,
     detect_prob,
-    detect_sample,
     efficiency,
     marcum_q1,
     mode_crossing_probs,
@@ -22,7 +22,7 @@ from bornsim import (
     realize_batch,
     visibility_single,
 )
-from bornsim.detection import detect_batch, visibility_dual
+from bornsim.detection import visibility_dual
 from bornsim.errors import (
     DomainError,
     EnumerationLimitError,
@@ -253,15 +253,13 @@ class TestMultiMode:
             assert abs(freq[k] - p) < 5.0 * sigma + 1e-9
 
     def test_detect_sample_basics(self):
-        from bornsim import AmplitudeSample
-
-        assert np.array_equal(detect_sample(AmplitudeSample(np.zeros(3)), 1.0), [0, 0, 0])
-        assert np.array_equal(detect_sample(AmplitudeSample(np.array([2.0, 0.0])), 1.0), [1, 0])
+        # one sample is a (d,) vector; a batch of one is a (1, d) row
+        assert np.array_equal(detect_batch(np.zeros(3), 1.0), [0, 0, 0])
+        assert np.array_equal(detect_batch(np.array([2.0, 0.0]), 1.0), [1, 0])
+        assert np.array_equal(detect_batch(np.array([[2.0j, 0.5]]), 1.0), [[1, 0]])
 
     def test_detect_sample_strict_inequality(self):
-        from bornsim import AmplitudeSample
-
-        assert np.array_equal(detect_sample(AmplitudeSample(np.array([1.0])), 1.0), [0])
+        assert np.array_equal(detect_batch(np.array([1.0]), 1.0), [0])
 
     def test_detect_frequency_matches_analytic(self):
         alpha, g, n = 0.5, 1.0, 1_000_000
@@ -294,9 +292,7 @@ class TestPerDetectorThresholds:
         assert q[1] == pytest.approx(marcum_q1(math.sqrt(2.0), 3.0), abs=1e-14)
 
     def test_detect_sample_with_mixed_thresholds(self):
-        from bornsim import AmplitudeSample
-
-        bits = detect_sample(AmplitudeSample(np.array([1.2, 1.2])), [1.0, 1.5])
+        bits = detect_batch(np.array([1.2, 1.2]), [1.0, 1.5])
         assert list(bits) == [1, 0]
 
     def test_threshold_count_must_match_modes(self):

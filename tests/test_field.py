@@ -5,32 +5,35 @@ from hypothesis import strategies as st
 
 from bornsim import (
     CoherentVector,
-    NoiseRealization,
     RngStream,
     haar_unitary,
     mean_energy_density,
-    realize,
     realize_batch,
-    sample_noise,
 )
 from bornsim.errors import DomainError, InvalidDimensionError
 
+VACUUM_3 = CoherentVector(0.0, np.eye(3)[0])
+
 
 def test_sample_noise_shape():
-    z = sample_noise(3, RngStream(1))
-    assert z.z.shape == (3,)
-    assert z.d == 3
+    a = realize_batch(VACUUM_3, 4, RngStream(1))
+    assert a.shape == (4, 3)
+    assert realize_batch(VACUUM_3, 0, RngStream(1)).shape == (0, 3)
 
 
 def test_sample_noise_rejects_zero_modes():
+    # no state has zero modes, so no zero-mode noise can be drawn
     with pytest.raises(InvalidDimensionError):
-        sample_noise(0, RngStream(1))
+        CoherentVector(0.0, np.zeros(0))
+    with pytest.raises(DomainError):
+        realize_batch(VACUUM_3, -1, RngStream(1))
 
 
 def test_sample_noise_deterministic_bit_exact():
-    z1 = sample_noise(5, RngStream(99, 3))
-    z2 = sample_noise(5, RngStream(99, 3))
-    assert np.array_equal(z1.z, z2.z)
+    state = CoherentVector(0.0, np.eye(5)[0])
+    z1 = realize_batch(state, 1, RngStream(99, 3))
+    z2 = realize_batch(state, 1, RngStream(99, 3))
+    assert np.array_equal(z1, z2)
 
 
 def test_substreams_differ_and_are_stable():
@@ -80,12 +83,6 @@ def test_realize_vacuum_energy_moment():
     assert abs(np.mean(2.0 * np.abs(a) ** 2) - 1.0) < 0.005
 
 
-def test_realize_noiseless_hook():
-    state = CoherentVector(2.0, np.array([1.0]))
-    out = realize(state, RngStream(0), noise=NoiseRealization(np.zeros(1)))
-    assert out.a == pytest.approx([2.0 + 0.0j], abs=0.0)
-
-
 def test_realize_mode_intensity_with_displacement():
     # E|a_1|^2 = |alpha|^2 + 1/2 = 1.5 for alpha = 1 on mode 1 of 2
     n = 1_000_000
@@ -95,11 +92,12 @@ def test_realize_mode_intensity_with_displacement():
 
 
 def test_realize_batch_equals_sequential():
+    # the first k rows of one draw equal k successive one-row draws on one stream
     state = CoherentVector(0.3 + 0.1j, np.array([1.0, 1.0]) / np.sqrt(2.0))
     batch = realize_batch(state, 8, RngStream(77, 2))
     stream = RngStream(77, 2)
-    seq = np.array([realize(state, stream).a for _ in range(8)])
-    assert np.array_equal(batch, seq)
+    seq = np.concatenate([realize_batch(state, 1, stream) for _ in range(5)])
+    assert np.array_equal(batch[:5], seq)
 
 
 def test_unitary_closure_of_noise():
@@ -141,12 +139,6 @@ def test_state_validation_rejects_nan_and_bad_norm():
         CoherentVector(0.0, np.array([1.0, 1.0]))  # norm sqrt(2)
     with pytest.raises(DomainError):
         CoherentVector(0.0, np.array([np.inf, 0.0]))
-
-
-def test_realize_rejects_mismatched_noise():
-    state = CoherentVector(0.0, np.array([1.0, 0.0]))
-    with pytest.raises(InvalidDimensionError):
-        realize(state, RngStream(0), noise=NoiseRealization(np.zeros(3)))
 
 
 @given(n=st.integers(min_value=0, max_value=64))

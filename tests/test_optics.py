@@ -9,7 +9,6 @@ from bornsim import (
     CoherentVector,
     RngStream,
     apply,
-    apply_to_sample,
     circuit_from_json,
     circuit_unitary,
     gate_cnot,
@@ -19,9 +18,9 @@ from bornsim import (
     gate_x,
     haar_unitary,
     kron,
-    realize,
+    realize_batch,
 )
-from bornsim.detection import detect_sample
+from bornsim.detection import detect_batch
 from bornsim.errors import CircuitFormatError, DimensionMismatchError, InvalidDimensionError
 from bornsim.optics import unitarity_defect
 
@@ -105,10 +104,29 @@ def test_haar_rejects_zero_dim():
         haar_unitary(0, RngStream(0))
 
 
+def haar_reference(d, stream):
+    # one matrix at a time: QR, then the R diagonal's phases folded into Q
+    q, r = np.linalg.qr(stream.complex_normals((d, d)))
+    diag = np.diagonal(r).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_haar_stack_equals_per_stream_calls(d):
+    rng = RngStream(8)
+    stack = haar_unitary(d, [rng.substream(i) for i in range(6)])
+    assert stack.shape == (6, d, d)
+    for i in range(6):
+        expected = haar_reference(d, rng.substream(i))
+        assert np.array_equal(stack[i], expected)
+        assert np.array_equal(haar_unitary(d, rng.substream(i)), expected)
+
+
 def test_haar_single_mode_phase_uniform():
     n = 100_000
     rng = RngStream(6)
-    angles = np.array([np.angle(haar_unitary(1, rng.substream(i))[0, 0]) for i in range(n)])
+    angles = np.angle(haar_unitary(1, [rng.substream(i) for i in range(n)])[:, 0, 0])
     # uniform(-pi, pi]: mean 0 with sigma = pi/sqrt(3 n)
     assert abs(angles.mean()) < 5.0 * np.pi / np.sqrt(3.0 * n)
     assert np.histogram(angles, bins=8, range=(-np.pi, np.pi))[0].min() > 0
@@ -118,9 +136,7 @@ def test_haar_eigenvalue_angles_flat():
     # eigenvalue angles of Haar unitaries are uniform on the circle
     n, d, bins = 10_000, 4, 20
     rng = RngStream(7)
-    angles = np.concatenate([
-        np.angle(np.linalg.eigvals(haar_unitary(d, rng.substream(i)))) for i in range(n)
-    ])
+    angles = np.angle(np.linalg.eigvals(haar_unitary(d, [rng.substream(i) for i in range(n)])))
     hist, _ = np.histogram(angles, bins=bins, range=(-np.pi, np.pi))
     expected = angles.size / bins
     chi2 = float(np.sum((hist - expected) ** 2 / expected))
@@ -136,14 +152,11 @@ def test_fresh_noise_equivalent_to_propagated_noise():
     u = gate_hadamard()
     state = CoherentVector(0.9, np.array([1.0, 0.0]))
     transformed = apply(u, state)
-    rng_a, rng_b = RngStream(90), RngStream(91)
-    counts_fresh = np.zeros(4)
-    counts_prop = np.zeros(4)
-    for i in range(n):
-        bits = detect_sample(realize(transformed, rng_a), g)
-        counts_fresh[2 * bits[0] + bits[1]] += 1
-        bits = detect_sample(apply_to_sample(u, realize(state, rng_b)), g)
-        counts_prop[2 * bits[0] + bits[1]] += 1
+    weights = np.array([2, 1])
+    fresh = detect_batch(realize_batch(transformed, n, RngStream(90)), g) @ weights
+    prop = detect_batch(realize_batch(state, n, RngStream(91)) @ u.T, g) @ weights
+    counts_fresh = np.bincount(fresh, minlength=4)
+    counts_prop = np.bincount(prop, minlength=4)
     for k in range(4):
         p = counts_fresh[k] / n
         sigma = math.sqrt(max(2.0 * p * (1 - p) / n, 1e-12))

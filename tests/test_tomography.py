@@ -20,7 +20,6 @@ from bornsim.tomography import (
     mle_qst,
     partial_transpose,
     ppt_witness,
-    tomography_report,
 )
 
 
@@ -312,13 +311,34 @@ class TestFidelityAndWitness:
 
 
 class TestReportsAndSweeps:
-    def test_report_fields(self):
-        rep = tomography_report(CoherentVector(1.0, bell_direction()), 1.0, method="mle")
-        assert rep.method == "mle"
-        assert rep.min_eigenvalue >= -1e-10
-        assert rep.ppt_min_eigenvalue is not None
-        assert 0.0 <= rep.fidelity <= 1.0 + 1e-9
-        assert rep.trace_deviation < 1e-10
+    def test_one_state_reconstruction(self):
+        b = build_basis(4)
+        psi = bell_direction()
+        m = measure_expectations(CoherentVector(1.0, psi), 1.0, b)
+        # the raw linear inversion already has unit trace
+        raw_trace = np.real(np.trace(np.einsum("k,kij->ij", m, b.matrices)))
+        assert abs(raw_trace - 1.0) < 1e-10
+        fit = mle_qst(m, b)
+        assert fit.converged and fit.n_iter == 0
+        assert np.linalg.eigvalsh(fit.rho).min() >= -1e-10
+        assert np.isfinite(ppt_witness(fit.rho, 2, 2))
+        assert 0.0 <= fidelity(psi, fit.rho) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("method", ["linear", "mle"])
+    def test_bell_witness_scan_equals_per_alpha_reconstruction(self, method):
+        alphas = np.round(0.1 * np.arange(31), 12)
+        scan = bell_witness_scan(alphas, 1.0, method=method)
+        b = build_basis(4)
+        psi = bell_direction()
+        cols = {"witness": [], "fidelity": [], "min_eigenvalue": []}
+        for a in alphas:
+            m = measure_expectations(CoherentVector(a, psi), 1.0, b)
+            rho = linear_qst(m, b) if method == "linear" else mle_qst(m, b).rho
+            cols["witness"].append(ppt_witness(rho, 2, 2))
+            cols["fidelity"].append(fidelity(psi, rho))
+            cols["min_eigenvalue"].append(np.linalg.eigvalsh(rho)[0])
+        for name, values in cols.items():
+            assert np.array_equal(scan.analytic[name], values), name
 
     def test_fidelity_scan_shapes_and_vacuum_value(self):
         res = fidelity_scan(np.array([0.0, 1.0]), 1.0, 3, RngStream(50), method="linear")
