@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Regenerate every figure dataset with the default reference parameters.
+# Regenerate every figure dataset with the reference parameters, which are the
+# defaults of the command table in src/bornsim/cli.py (see bornsim <command> --help).
 # Usage: scripts/reproduce_all.sh [OUT_DIR] [SEED]
 #   FAST=1 scripts/reproduce_all.sh     # 20-state contour instead of 100
 set -euo pipefail
@@ -16,16 +17,16 @@ run() {
     python3 -m bornsim.cli "$@" --out-dir "$OUT" --seed "$SEED"
 }
 
-run counts --alpha0 0.707 --gamma 1 --n 10000
-run deviation --alpha0 1 --gamma 1
+run counts
+run deviation
 run visibility
-run born-again --gamma 1
-run antibunch --gamma 1
-run hyper --alpha 1
-run mz --alpha 0.95 --gamma 1.6
-run fidelity --gamma 1 --n-states 30
-run fidelity-mle --gamma 1 --n-states 5
-run witness --gamma 1
+run born-again
+run antibunch
+run hyper
+run mz
+run fidelity
+run fidelity-mle
+run witness
 run visibility-contour
 run fidelity-contour $FAST_FLAG
 

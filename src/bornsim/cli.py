@@ -1,11 +1,14 @@
 """Command-line entry point: every experiment as reproducible CSV/JSON data.
 
-Each subcommand sweeps one scenario, writes <command>-<seed>.csv and/or
-.json into the output directory, and always writes a manifest
-(<command>-<seed>.manifest.json) holding the fully resolved configuration,
-package version, and wall-clock time. Flags override a JSON config file
-(--config), which overrides built-in defaults. Reruns with the same seed
-produce byte-identical CSV output.
+One table, COMMANDS, drives the CLI. Each entry names a subcommand's help
+text, its parameters (key -> default and flag help) and the runner that
+sweeps its scenario; the parser, the config checks and the dispatch are
+all built from it, so a parameter lives in exactly one place. Each run
+writes <command>-<seed>.csv and/or .json into the output directory, and
+always writes a manifest (<command>-<seed>.manifest.json) holding the fully
+resolved configuration, package version, and wall-clock time. Flags
+override a JSON config file (--config), which overrides the table defaults.
+Reruns with the same seed produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -16,51 +19,19 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, experiments, tomography
 from .detection import visibility_single
 from .errors import BornsimError
-from .experiments import _write_json
+from .experiments import _write_csv, _write_json
 from .field import RngStream
 from .optics import circuit_from_json
 
-DEFAULTS: dict[str, dict] = {
-    "counts": {"alpha0": 0.707, "gamma": 1.0, "n_trials": 10_000},
-    "deviation": {"alpha0": 1.0, "gamma": 1.0},
-    "visibility": {"alphas": [0.5, 1.0, 1.5], "gamma_grid": "0.05:0.05:3"},
-    "born-again": {"alpha": math.sqrt(0.5), "gamma": 1.0},
-    "antibunch": {"gamma": 1.0, "alpha_grid": "0:0.01:3"},
-    "hyper": {"alpha": 1.0, "gamma_grid": "0.05:0.05:3"},
-    "mz": {"alpha": 0.95, "gamma": 1.6, "n_points": 25, "sample_size": 2600},
-    "fidelity": {"gamma": 1.0, "alpha_grid": "0:0.1:3", "n_states": 30, "circuit": None},
-    "fidelity-mle": {"gamma": 1.0, "alpha_grid": "0:0.1:3", "n_states": 5, "circuit": None},
-    "witness": {"gamma": 1.0, "alpha_grid": "0:0.1:3", "circuit": None},
-    "fidelity-contour": {"alpha_grid": "0.25:0.25:3", "gamma_grid": "0.25:0.25:3",
-                         "n_states": 100, "d": 4, "fast": False},
-    "visibility-contour": {"alpha_grid": "0.05:0.05:3", "gamma_grid": "0.05:0.05:3"},
-}
-
 FORMATS = ("csv", "json", "both")
-
-GLOBAL_DEFAULTS = {"seed": 42, "out_dir": ".", "format": "both", "threads": 1}
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved run parameters for one subcommand."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-
-    def __getattr__(self, name):
-        try:
-            return self.params[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -79,88 +50,27 @@ def parse_grid(spec: str) -> np.ndarray:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per COMMANDS entry; each flag, type and default comes from the table."""
     parser = argparse.ArgumentParser(
-        prog="bornsim",
-        description="Vacuum-noise threshold-detection experiments as CSV/JSON data.",
-    )
+        prog="bornsim", description="Vacuum-noise threshold-detection experiments as CSV/JSON data.")
     parser.add_argument("--version", action="version", version=f"bornsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--seed", type=int, help="random seed (default 42)")
-        p.add_argument("--out-dir", help="output directory (default .)")
-        p.add_argument("--format", choices=FORMATS, help="data file format")
-        p.add_argument("--threads", type=int,
-                       help="worker threads for counts (default $BORNSIM_THREADS or 1)")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key, (default, text) in {**command.params, **COMMON}.items():
+            if text is None:  # set from a config file only
+                continue
+            shown = ",".join(map(str, default)) if isinstance(default, list) else default
+            kwargs = {"dest": key, "default": None, "help": f"{text} (default {shown})"}
+            if isinstance(default, bool):
+                kwargs["action"] = "store_true"
+            elif key == "format":
+                kwargs["choices"] = FORMATS
+            elif isinstance(default, (int, float)):
+                kwargs["type"] = type(default)
+            flag = "--n" if key == "n_trials" else "--" + key.replace("_", "-")
+            p.add_argument(flag, **kwargs)
         p.add_argument("--config", help="JSON config file; flags override it")
-
-    p = sub.add_parser("counts", help="single-detector counts vs polarizer angle")
-    p.add_argument("--alpha0", type=float, help="peak amplitude (default 0.707)")
-    p.add_argument("--gamma", type=float, help="detection threshold (default 1)")
-    p.add_argument("--n", type=int, dest="n_trials", help="trials per angle (default 10000)")
-    add_common(p)
-
-    p = sub.add_parser("deviation", help="normalized detection curve vs squared-cosine law")
-    p.add_argument("--alpha0", type=float)
-    p.add_argument("--gamma", type=float)
-    add_common(p)
-
-    p = sub.add_parser("visibility", help="fringe visibility vs threshold")
-    p.add_argument("--alphas", help="comma-separated amplitudes (default 0.5,1,1.5)")
-    p.add_argument("--gamma-grid", help="threshold grid min:step:max")
-    add_common(p)
-
-    p = sub.add_parser("born-again", help="dual-mode post-selected polarization test")
-    p.add_argument("--alpha", type=float, help="amplitude (default sqrt(0.5))")
-    p.add_argument("--gamma", type=float)
-    add_common(p)
-
-    p = sub.add_parser("antibunch", help="beam-splitter coincidence ratios vs amplitude")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha-grid", help="amplitude grid min:step:max")
-    add_common(p)
-
-    p = sub.add_parser("hyper", help="four-mode single-click probabilities vs threshold")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma-grid", help="threshold grid min:step:max")
-    add_common(p)
-
-    p = sub.add_parser("mz", help="Mach-Zehnder interference and fringe-fit analysis")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--n-points", type=int, help="fitted sample count (default 25)")
-    p.add_argument("--sample-size", type=int, help="photons per sample (default 2600)")
-    add_common(p)
-
-    for name, helptext in (
-        ("fidelity", "linear-inversion tomography fidelity vs amplitude"),
-        ("fidelity-mle", "constrained tomography fidelity vs amplitude"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--alpha-grid", help="amplitude grid min:step:max")
-        p.add_argument("--n-states", type=int)
-        p.add_argument("--circuit", help="circuit JSON; probe the state it prepares from mode 1")
-        add_common(p)
-
-    p = sub.add_parser("witness", help="PPT witness of the reconstructed Bell state")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha-grid", help="amplitude grid min:step:max")
-    p.add_argument("--circuit", help="circuit JSON preparing the probed state")
-    add_common(p)
-
-    p = sub.add_parser("fidelity-contour", help="mean tomography fidelity over (alpha, gamma)")
-    p.add_argument("--alpha-grid")
-    p.add_argument("--gamma-grid")
-    p.add_argument("--n-states", type=int)
-    p.add_argument("--fast", action="store_true", default=None,
-                   help="reduced ensemble (20 states)")
-    add_common(p)
-
-    p = sub.add_parser("visibility-contour", help="fringe visibility over (alpha, gamma)")
-    p.add_argument("--alpha-grid")
-    p.add_argument("--gamma-grid")
-    add_common(p)
     return parser
 
 
@@ -176,14 +86,15 @@ def _has_default_type(value, default) -> bool:
     return isinstance(value, kinds) and isinstance(value, bool) == isinstance(default, bool)
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """defaults < BORNSIM_THREADS < config file < explicit flags.
+def resolve_config(args: argparse.Namespace) -> dict:
+    """defaults < BORNSIM_THREADS < config file < explicit flags, plus the command name.
 
     Every key must be a parameter of the command and every value must have
-    the type of that parameter's default.
+    the type of that parameter's default. A command whose scenario is
+    undefined at gamma = 0 needs gamma and every gamma_grid point above 0.
     """
     command = args.command
-    defaults = {**GLOBAL_DEFAULTS, **DEFAULTS[command]}
+    defaults = {k: default for k, (default, _) in {**COMMON, **COMMANDS[command].params}.items()}
     params = dict(defaults)
     env = os.environ.get("BORNSIM_THREADS")
     if env:
@@ -221,107 +132,169 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if params["format"] not in FORMATS:
         raise BornsimError(f"config key 'format' must be one of {', '.join(FORMATS)} "
                            f"(got {params['format']!r})")
-    return RunConfig(command=command, params=params)
+    for key in ("gamma", "gamma_grid") if COMMANDS[command].positive_gamma else ():
+        if key in params:
+            points = parse_grid(params[key]) if key == "gamma_grid" else [params[key]]
+            bad = [g for g in points if not g > 0]
+            if bad:
+                raise BornsimError(f"config key {key!r} must be > 0 for {command}, where "
+                                   f"every mode clicks at gamma = 0 (got {bad[0]:g})")
+    return {"command": command, **params}
 
 
 # ---------------------------------------------------------------------------
-# Command implementations
+# The command table
 # ---------------------------------------------------------------------------
 
-def _state_from_circuit(path: str, d: int = 4) -> np.ndarray:
-    u = circuit_from_json(path, d=d)
-    e1 = np.zeros(u.shape[0], dtype=complex)
-    e1[0] = 1.0
-    psi = u @ e1
+def _state_from_circuit(path: str | None) -> np.ndarray | None:
+    """The four-mode state a circuit file prepares from mode 1; None without a circuit."""
+    if not path:
+        return None
+    psi = circuit_from_json(path, d=4)[:, 0]
     return psi / np.linalg.norm(psi)
 
 
-def _run_scenario(cfg: RunConfig):
-    rng = RngStream(cfg.seed)
-    cmd = cfg.command
-    if cmd == "counts":
-        return experiments.polarization_scan(cfg.alpha0, cfg.gamma, n_trials=cfg.n_trials,
-                                             rng=rng, threads=cfg.threads)
-    if cmd == "deviation":
-        return experiments.deviation_scan(cfg.alpha0, cfg.gamma)
-    if cmd == "visibility":
-        return experiments.visibility_scan(tuple(cfg.alphas), parse_grid(cfg.gamma_grid))
-    if cmd == "born-again":
-        return experiments.dual_mode_scan(cfg.alpha, cfg.gamma)
-    if cmd == "antibunch":
-        return experiments.antibunching_scan(cfg.gamma, parse_grid(cfg.alpha_grid))
-    if cmd == "hyper":
-        return experiments.hyperentanglement_scan(cfg.alpha, parse_grid(cfg.gamma_grid))
-    if cmd == "mz":
-        result = experiments.mach_zehnder(cfg.alpha, cfg.gamma)
-        fit = experiments.mach_zehnder_fit(cfg.alpha, cfg.gamma, rng,
-                                           n_points=cfg.n_points, sample_size=cfg.sample_size)
-        result.meta.update({
-            "seed": cfg.seed,
-            "fit": {
-                "visibility": fit.visibility,
-                "r_d": fit.r_d,
-                "rmse": fit.rmse,
-                "amplitude": fit.fit_amplitude,
-                "offset": fit.fit_offset,
-                "phase": fit.fit_phase,
-            },
-            "sample_phis": fit.phis.tolist(),
-            "samples": fit.samples.tolist(),
-        })
-        return result
-    if cmd in ("fidelity", "fidelity-mle"):
-        method = "linear" if cmd == "fidelity" else "mle"
-        psis = None
-        if cfg.circuit:
-            psis = np.array([_state_from_circuit(cfg.circuit)])
-        return tomography.fidelity_scan(parse_grid(cfg.alpha_grid), cfg.gamma,
-                                        cfg.n_states, rng, method=method, psis=psis)
-    if cmd == "witness":
-        psi = _state_from_circuit(cfg.circuit) if cfg.circuit else None
-        return tomography.bell_witness_scan(parse_grid(cfg.alpha_grid), cfg.gamma, psi=psi)
-    if cmd == "fidelity-contour":
-        n_states = 20 if cfg.fast else cfg.n_states
-        return tomography.ensemble_sweep(cfg.d, parse_grid(cfg.alpha_grid),
-                                         parse_grid(cfg.gamma_grid), n_states,
-                                         method="mle", rng=rng)
-    if cmd == "visibility-contour":
-        a, g = np.meshgrid(parse_grid(cfg.alpha_grid), parse_grid(cfg.gamma_grid), indexing="ij")
-        return np.column_stack([a.ravel(), g.ravel(), visibility_single(a, g).ravel()])
-    raise BornsimError(f"unknown command {cfg.command!r}")
+def _fidelity(method: str):
+    def run(p, rng):
+        psi = _state_from_circuit(p["circuit"])
+        return tomography.fidelity_scan(p["alpha_grid"], p["gamma"], p["n_states"], rng,
+                                        method=method, psis=None if psi is None else psi[None])
+    return run
+
+
+def _mach_zehnder(p, rng):
+    result = experiments.mach_zehnder(p["alpha"], p["gamma"])
+    fit = experiments.mach_zehnder_fit(p["alpha"], p["gamma"], rng,
+                                       n_points=p["n_points"], sample_size=p["sample_size"])
+    result.meta.update({
+        "seed": p["seed"],
+        "fit": {"visibility": fit.visibility, "r_d": fit.r_d, "rmse": fit.rmse,
+                "amplitude": fit.fit_amplitude, "offset": fit.fit_offset, "phase": fit.fit_phase},
+        "sample_phis": fit.phis.tolist(), "samples": fit.samples.tolist(),
+    })
+    return result
+
+
+def _visibility_contour(p, rng):
+    a, g = np.meshgrid(p["alpha_grid"], p["gamma_grid"], indexing="ij")
+    return np.column_stack([a.ravel(), g.ravel(), visibility_single(a, g).ravel()])
+
+
+class Command(NamedTuple):
+    """Help, parameters (key -> (default, flag help or None for config-file only)), runner
+    (params with *_grid keys parsed, RngStream), and whether gamma = 0 must be rejected."""
+
+    help: str
+    params: dict
+    run: Callable
+    positive_gamma: bool = True
+
+
+COMMON = {"seed": (42, "random seed"), "out_dir": (".", "output directory"),
+          "format": ("both", "data file format"),
+          "threads": (1, "worker threads for counts (else $BORNSIM_THREADS)")}
+GAMMA = (1.0, "detection threshold")
+ALPHA_GRID = "amplitude grid min:step:max"
+GAMMA_GRID = "threshold grid min:step:max"
+ENSEMBLE = "Haar ensemble size"
+CIRCUIT = (None, "circuit JSON; probe the state it prepares from mode 1")
+
+COMMANDS: dict[str, Command] = {
+    "counts": Command(
+        "single-detector counts vs polarizer angle",
+        {"alpha0": (0.707, "peak amplitude"), "gamma": GAMMA,
+         "n_trials": (10_000, "trials per angle")},
+        lambda p, rng: experiments.polarization_scan(p["alpha0"], p["gamma"], rng=rng,
+                                                     n_trials=p["n_trials"], threads=p["threads"]),
+        positive_gamma=False),
+    "deviation": Command(
+        "normalized detection curve vs squared-cosine law",
+        {"alpha0": (1.0, "peak amplitude"), "gamma": GAMMA},
+        lambda p, rng: experiments.deviation_scan(p["alpha0"], p["gamma"])),
+    "visibility": Command(
+        "fringe visibility vs threshold",
+        {"alphas": ([0.5, 1.0, 1.5], "comma-separated amplitudes"),
+         "gamma_grid": ("0.05:0.05:3", GAMMA_GRID)},
+        lambda p, rng: experiments.visibility_scan(tuple(p["alphas"]), p["gamma_grid"]),
+        positive_gamma=False),
+    "born-again": Command(
+        "dual-mode post-selected polarization test",
+        {"alpha": (math.sqrt(0.5), "amplitude"), "gamma": GAMMA},
+        lambda p, rng: experiments.dual_mode_scan(p["alpha"], p["gamma"])),
+    "antibunch": Command(
+        "beam-splitter coincidence ratios vs amplitude",
+        {"gamma": GAMMA, "alpha_grid": ("0:0.01:3", ALPHA_GRID)},
+        lambda p, rng: experiments.antibunching_scan(p["gamma"], p["alpha_grid"])),
+    "hyper": Command(
+        "four-mode single-click probabilities vs threshold",
+        {"alpha": (1.0, "amplitude"), "gamma_grid": ("0.05:0.05:3", GAMMA_GRID)},
+        lambda p, rng: experiments.hyperentanglement_scan(p["alpha"], p["gamma_grid"])),
+    "mz": Command(
+        "Mach-Zehnder interference and fringe-fit analysis",
+        {"alpha": (0.95, "amplitude"), "gamma": (1.6, GAMMA[1]),
+         "n_points": (25, "fitted sample count"), "sample_size": (2600, "photons per sample")},
+        _mach_zehnder),
+    "fidelity": Command(
+        "linear-inversion tomography fidelity vs amplitude",
+        {"gamma": GAMMA, "alpha_grid": ("0:0.1:3", ALPHA_GRID), "n_states": (30, ENSEMBLE),
+         "circuit": CIRCUIT},
+        _fidelity("linear")),
+    "fidelity-mle": Command(
+        "constrained tomography fidelity vs amplitude",
+        {"gamma": GAMMA, "alpha_grid": ("0:0.1:3", ALPHA_GRID), "n_states": (5, ENSEMBLE),
+         "circuit": CIRCUIT},
+        _fidelity("mle")),
+    "witness": Command(
+        "PPT witness of the reconstructed Bell state",
+        {"gamma": GAMMA, "alpha_grid": ("0:0.1:3", ALPHA_GRID), "circuit": CIRCUIT},
+        lambda p, rng: tomography.bell_witness_scan(p["alpha_grid"], p["gamma"],
+                                                    psi=_state_from_circuit(p["circuit"]))),
+    "fidelity-contour": Command(
+        "mean tomography fidelity over (alpha, gamma)",
+        {"alpha_grid": ("0.25:0.25:3", ALPHA_GRID), "gamma_grid": ("0.25:0.25:3", GAMMA_GRID),
+         "n_states": (100, ENSEMBLE), "d": (4, None),
+         "fast": (False, "reduced ensemble (20 states)")},
+        lambda p, rng: tomography.ensemble_sweep(p["d"], p["alpha_grid"], p["gamma_grid"],
+                                                 20 if p["fast"] else p["n_states"],
+                                                 method="mle", rng=rng)),
+    "visibility-contour": Command(
+        "fringe visibility over (alpha, gamma)",
+        {"alpha_grid": ("0.05:0.05:3", ALPHA_GRID), "gamma_grid": ("0.05:0.05:3", GAMMA_GRID)},
+        _visibility_contour, positive_gamma=False),
+}
+
+
+def _run_scenario(cfg: dict):
+    params = {k: parse_grid(v) if k.endswith("_grid") else v for k, v in cfg.items()}
+    return COMMANDS[cfg["command"]].run(params, RngStream(cfg["seed"]))
 
 
 def _write_visibility_contour(rows, base: Path, fmt: str) -> list[str]:
-    import csv as _csv
-
+    names = ("alpha", "gamma", "visibility")
     files = []
     if fmt in ("csv", "both"):
         path = base.with_suffix(".csv")
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["alpha", "gamma", "visibility"])
-            for a, g, v in rows:
-                writer.writerow([repr(float(a)), repr(float(g)), repr(float(v))])
+        _write_csv(path, dict(zip(names, rows.T)))
         files.append(path.name)
     if fmt in ("json", "both"):
         path = base.with_suffix(".json")
-        _write_json(path, {"rows": [{"alpha": a, "gamma": g, "visibility": v}
-                                    for a, g, v in rows]}, sort_keys=False)
+        _write_json(path, {"rows": [dict(zip(names, row)) for row in rows]},
+                    sort_keys=False)
         files.append(path.name)
     return files
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: dict) -> int:
     """Execute one resolved configuration and write its artifact files."""
     t0 = time.monotonic()
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = out_dir / f"{cfg.command}-{cfg.seed}"
+    base = out_dir / f"{cfg['command']}-{cfg['seed']}"
     result = _run_scenario(cfg)
 
     files: list[str] = []
-    fmt = cfg.format
-    if cfg.command == "visibility-contour":
+    fmt = cfg["format"]
+    if cfg["command"] == "visibility-contour":
         files += _write_visibility_contour(result, base, fmt)
     else:
         if fmt in ("csv", "both"):
@@ -332,8 +305,8 @@ def run(cfg: RunConfig) -> int:
             files.append(base.with_suffix(".json").name)
 
     manifest = {
-        "command": cfg.command,
-        "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.params.items()},
+        "command": cfg["command"],
+        "config": {k: v for k, v in cfg.items() if k != "command"},
         "version": __version__,
         "wall_clock_seconds": time.monotonic() - t0,
         "files": files,
@@ -344,15 +317,10 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        return run(cfg)
-    except BornsimError as exc:
-        print(f"bornsim: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return run(resolve_config(args))
+    except (BornsimError, OSError) as exc:
         print(f"bornsim: error: {exc}", file=sys.stderr)
         return 1
 

@@ -94,13 +94,7 @@ class ScenarioResult:
         return cols
 
     def to_csv(self, path: str | Path) -> None:
-        cols = self.columns()
-        names = list(cols)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for i in range(self.grid.size):
-                writer.writerow([_fmt(cols[n][i]) for n in names])
+        _write_csv(path, self.columns())
 
     def to_json(self, path: str | Path) -> None:
         payload = {
@@ -120,10 +114,13 @@ def _write_json(path: str | Path, payload, sort_keys: bool = True) -> None:
         fh.write("\n")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def _write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
+    """Header, then one row per index: integers as str(int), other values as repr(float)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+                          for v in row] for row in zip(*columns.values()))
 
 
 def _map_indexed(fn, n: int, threads: int = 1) -> list:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .detection import Threshold, gamma_of, visibility_single
 from .errors import DimensionMismatchError, DomainError, InvalidDimensionError
-from .experiments import ScenarioResult, _conditional_clicks, _write_json
+from .experiments import ScenarioResult, _conditional_clicks, _write_csv, _write_json
 from .field import CoherentVector, RngStream
 from .optics import haar_unitary
 
@@ -218,9 +218,19 @@ def mle_qst(m: np.ndarray, basis: HermitianBasis) -> MLEResult:
     return MLEResult(rho=rho, objective=float(objective), converged=True, n_iter=0)
 
 
-def _reconstruct(ms: np.ndarray, basis: HermitianBasis,
-                 method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Scored states and indefinite-linear-inversion flags for stacked m vectors."""
+def _reconstruct_grid(psis: np.ndarray, alphas: np.ndarray, gammas: np.ndarray,
+                      method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Scored states (n_alpha, n_gamma, n, d, d) and indefinite-linear-inversion flags.
+
+    Every state (n, d) is measured at every (alpha, gamma) grid point; the
+    method is checked before any measurement.
+    """
+    _check_method(method)
+    basis = build_basis(psis.shape[-1])
+    ms = np.empty((alphas.size, gammas.size, len(psis), basis.size))
+    for i, a in enumerate(alphas):
+        for j, g in enumerate(gammas):
+            ms[i, j] = _measure_batch(psis, a, g, basis)
     rho_lin = linear_qst(ms, basis)
     indefinite = np.linalg.eigvalsh(rho_lin)[..., 0] < -1e-12
     rho = rho_lin if method == "linear" else _constrained_fit(ms, basis)[0]
@@ -289,13 +299,10 @@ def bell_witness_scan(alphas: np.ndarray, th: Threshold | float,
                       method: str = "mle",
                       psi: np.ndarray | None = None):
     """PPT witness and fidelity of the reconstructed Bell state versus amplitude."""
-    _check_method(method)
     g = gamma_of(th)
     alphas = np.asarray(alphas, dtype=float)
     psi = bell_direction() if psi is None else np.asarray(psi, dtype=complex)
-    basis = build_basis(psi.size)
-    ms = np.array([_measure_batch(psi[None], a, g, basis)[0] for a in alphas])
-    rho = _reconstruct(ms, basis, method)[0]
+    rho = _reconstruct_grid(psi[None], alphas, np.array([g]), method)[0][:, 0, 0]
     return ScenarioResult(
         grid_name="alpha",
         grid=alphas,
@@ -322,11 +329,9 @@ def fidelity_scan(alphas: np.ndarray, th: Threshold | float, n_states: int,
         raise DomainError("n_states must be >= 1")
     if psis is None:
         psis = haar_states(d, n_states, rng)
-    basis = build_basis(d)
-    ms = np.array([_measure_batch(psis, a, g, basis) for a in alphas])
-    rho, indefinite = _reconstruct(ms, basis, method)
-    fids = fidelity(psis, rho)
-    valid = ~indefinite
+    rho, indefinite = _reconstruct_grid(psis, alphas, np.array([g]), method)
+    fids = fidelity(psis, rho[:, 0])
+    valid = ~indefinite[:, 0]
     analytic = {"fid_mean": fids.mean(axis=1), "frac_invalid": 1.0 - valid.mean(axis=1)}
     for s in range(n_states):
         analytic[f"fid_state_{s:02d}"] = fids[:, s]
@@ -358,21 +363,13 @@ class SweepResult:
         i, j = np.unravel_index(int(np.argmax(self.mean_fidelity)), self.mean_fidelity.shape)
         return float(self.alphas[i]), float(self.gammas[j]), float(self.mean_fidelity[i, j])
 
-    def rows(self):
-        for i, a in enumerate(self.alphas):
-            for j, g in enumerate(self.gammas):
-                yield (a, g, self.mean_fidelity[i, j], self.frac_invalid[i, j],
-                       self.mean_visibility[i, j], self.mean_ppt_witness[i, j])
-
     def to_csv(self, path) -> None:
-        import csv as _csv
-
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["alpha", "gamma", "mean_fidelity", "frac_invalid",
-                             "mean_visibility", "mean_ppt_witness"])
-            for row in self.rows():
-                writer.writerow([repr(float(v)) for v in row])
+        a, g = np.meshgrid(self.alphas, self.gammas, indexing="ij")
+        _write_csv(path, {"alpha": a.ravel(), "gamma": g.ravel(),
+                          "mean_fidelity": self.mean_fidelity.ravel(),
+                          "frac_invalid": self.frac_invalid.ravel(),
+                          "mean_visibility": self.mean_visibility.ravel(),
+                          "mean_ppt_witness": self.mean_ppt_witness.ravel()})
 
     def to_json(self, path) -> None:
         payload = {
@@ -405,13 +402,8 @@ def ensemble_sweep(d: int, alphas: np.ndarray, gammas: np.ndarray, n_states: int
     alphas = np.asarray(alphas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     psis = haar_states(d, n_states, rng)
-    basis = build_basis(d)
-    ms = np.empty((alphas.size, gammas.size, n_states, basis.size))
-    for i, a in enumerate(alphas):
-        for j, g in enumerate(gammas):
-            ms[i, j] = _measure_batch(psis, a, g, basis)
+    rho, indefinite = _reconstruct_grid(psis, alphas, gammas, method)
     mean_vis = visibility_single(alphas[:, None], gammas)
-    rho, indefinite = _reconstruct(ms, basis, method)
     per_state = fidelity(psis, rho)
     return SweepResult(
         alphas=alphas, gammas=gammas, mean_fidelity=per_state.mean(axis=-1),

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornsim.cli import main, parse_grid
+from bornsim import cli
+from bornsim.cli import COMMANDS, main, parse_grid
 from bornsim.errors import BornsimError
 
 
@@ -115,23 +117,35 @@ def test_bad_mz_sample_size_is_scenario_error(tmp_path, capsys, size):
     assert err == ["bornsim: error: sample_size must be >= 1"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["hyper", "--gamma-grid", "0:0.5:1"],
-    ["born-again", "--gamma", "0"],
-    ["antibunch", "--gamma", "0"],
-    ["mz", "--gamma", "0"],
-    ["deviation", "--gamma", "0"],
-    ["witness", "--gamma", "0"],
-    ["fidelity-contour", "--fast", "--gamma-grid", "0:0.25:1", "--alpha-grid", "0.5:0.5:1"],
+@pytest.mark.parametrize("argv, named", [
+    (["hyper", "--gamma-grid", "0:0.5:1"], ["'gamma_grid'", "(got 0)"]),
+    (["born-again", "--gamma", "0"], []),
+    (["antibunch", "--gamma", "0"], []),
+    (["mz", "--gamma", "0"], []),
+    (["deviation", "--gamma", "0"], []),
+    (["witness", "--gamma", "0"], []),
+    (["fidelity-contour", "--fast", "--gamma-grid", "0:0.25:1", "--alpha-grid", "0.5:0.5:1"],
+     ["'gamma_grid'", "(got 0)"]),
     # thresholds so high that nothing ever clicks
-    ["visibility-contour", "--gamma-grid", "1:19:20"],
-    ["fidelity-contour", "--fast", "--gamma-grid", "20:1:20", "--alpha-grid", "0.5:0.5:1"],
+    (["visibility-contour", "--gamma-grid", "1:19:20"], []),
+    (["fidelity-contour", "--fast", "--gamma-grid", "20:1:20", "--alpha-grid", "0.5:0.5:1"], []),
 ], ids=["hyper", "born-again", "antibunch", "mz", "deviation", "witness", "fidelity-contour",
         "visibility-contour-high", "fidelity-contour-high"])
-def test_degenerate_threshold_is_scenario_error(tmp_path, capsys, argv):
+def test_degenerate_threshold_is_scenario_error(tmp_path, capsys, argv, named):
     assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("bornsim: error: ")
+    assert all(part in err[0] for part in named), err[0]
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", "--gamma", "0", "--n", "10"],
+    ["visibility", "--gamma-grid", "0:0.5:1"],
+    ["visibility-contour", "--gamma-grid", "0:0.5:1", "--alpha-grid", "0.5:0.5:1"],
+], ids=["counts", "visibility", "visibility-contour"])
+def test_zero_threshold_accepted_where_defined(tmp_path, argv):
+    assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("command, config, flags, key", [
@@ -215,3 +229,37 @@ def test_parse_grid_values_are_clean():
     assert grid.size == 31
     assert grid[3] == 0.3
     assert grid[-1] == 3.0
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_parser_and_manifest_follow_table(tmp_path, capsys, monkeypatch, command):
+    params = {**COMMANDS[command].params, **cli.COMMON}
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    # one entry per option: "--flag METAVAR help (default value)", whatever the line wrapping
+    options = " ".join(capsys.readouterr().out.split("options:")[1].split())
+    entries = {e.split()[0]: e for e in re.split(r" (?=--?[a-z])", options)}
+    for key, (default, text) in params.items():
+        flag = "--n" if key == "n_trials" else "--" + key.replace("_", "-")
+        if text is None:
+            assert flag not in entries
+            continue
+        shown = ",".join(map(str, default)) if isinstance(default, list) else str(default)
+        assert entries[flag].endswith(f"{text} (default {shown})"), entries[flag]
+
+    monkeypatch.delenv("BORNSIM_THREADS", raising=False)
+    monkeypatch.chdir(tmp_path)
+    manifest = tmp_path / f"{command}-42.manifest.json"
+    assert run_cli([command]) == 0
+    plain = json.loads(manifest.read_text())["config"]
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps({key: default for key, (default, _) in params.items()}))
+    assert run_cli([command, "--config", str(cfg)]) == 0
+    assert json.loads(manifest.read_text())["config"] == plain
+
+
+def test_reproduce_script_runs_every_command():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_all.sh"
+    runs = re.findall(r"^run ([a-z-]+)", script.read_text(), flags=re.M)
+    assert sorted(runs) == sorted(COMMANDS)

@@ -6,7 +6,8 @@ from scipy import optimize
 
 from bornsim import CoherentVector, RngStream, marcum_q1, outcome_distribution, realize_batch
 from bornsim.detection import detect_batch
-from bornsim.errors import DimensionMismatchError, InvalidDimensionError
+from bornsim import tomography
+from bornsim.errors import DimensionMismatchError, DomainError, InvalidDimensionError
 from bornsim.tomography import (
     _measure_batch,
     bell_direction,
@@ -358,6 +359,20 @@ class TestReportsAndSweeps:
     def test_sweep_vacuum_column(self):
         res = ensemble_sweep(4, np.array([0.0]), np.array([1.0]), 4, rng=RngStream(61))
         assert res.per_state_fidelity[0, 0] == pytest.approx([0.25] * 4, abs=1e-12)
+
+    @pytest.mark.parametrize("scan", [
+        lambda method: bell_witness_scan(np.array([1.0]), 1.0, method=method),
+        lambda method: fidelity_scan(np.array([1.0]), 1.0, 2, RngStream(1), method=method),
+        lambda method: ensemble_sweep(4, np.array([1.0]), np.array([1.0]), 2, method=method,
+                                      rng=RngStream(1)),
+    ], ids=["bell_witness_scan", "fidelity_scan", "ensemble_sweep"])
+    def test_unknown_method_rejected_before_measurement(self, monkeypatch, scan):
+        def measure(*args):
+            raise AssertionError("measured before the method was checked")
+
+        monkeypatch.setattr(tomography, "_measure_batch", measure)
+        with pytest.raises(DomainError, match="linaer"):
+            scan("linaer")
 
     def test_sweep_csv_schema(self, tmp_path):
         res = ensemble_sweep(4, np.array([0.5]), np.array([1.0]), 2, rng=RngStream(62))
