@@ -32,17 +32,21 @@ from .field import RngStream
 from .optics import circuit_from_json
 
 FORMATS = ("csv", "json", "both")
+MAX_GRID_POINTS = 1_000_000
 
 
 def parse_grid(spec: str) -> np.ndarray:
-    """min:step:max grid specification, endpoints inclusive."""
+    """min:step:max grid specification, endpoints inclusive, at most MAX_GRID_POINTS points."""
     try:
         lo, step, hi = (float(p) for p in str(spec).split(":"))
     except ValueError:
         raise BornsimError(f"bad grid spec {spec!r}; expected min:step:max") from None
     if not all(map(math.isfinite, (lo, step, hi))) or step <= 0 or hi < lo:
         raise BornsimError(f"bad grid spec {spec!r}; need finite values, step > 0 and max >= min")
-    n = int(round((hi - lo) / step))
+    span = (hi - lo) / step  # inf once the quotient overflows
+    if not span < MAX_GRID_POINTS - 0.5:
+        raise BornsimError(f"bad grid spec {spec!r}; more than {MAX_GRID_POINTS:,} points")
+    n = int(round(span))
     # snap away accumulated float dust (0.1 * 3 -> 0.30000000000000004) so
     # grid values round-trip cleanly through the CSV output
     grid = np.round(lo + step * np.arange(n + 1), 12)
@@ -166,12 +170,8 @@ def _mach_zehnder(p, rng):
     result = experiments.mach_zehnder(p["alpha"], p["gamma"])
     fit = experiments.mach_zehnder_fit(p["alpha"], p["gamma"], rng,
                                        n_points=p["n_points"], sample_size=p["sample_size"])
-    result.meta.update({
-        "seed": p["seed"],
-        "fit": {"visibility": fit.visibility, "r_d": fit.r_d, "rmse": fit.rmse,
-                "amplitude": fit.fit_amplitude, "offset": fit.fit_offset, "phase": fit.fit_phase},
-        "sample_phis": fit.phis.tolist(), "samples": fit.samples.tolist(),
-    })
+    result.meta.update({"seed": p["seed"], "fit": fit.meta, "sample_phis": fit.grid.tolist(),
+                        "samples": fit.analytic["sample"].tolist()})
     return result
 
 

@@ -153,7 +153,8 @@ def marcum_q1(a, b):
 
     Evaluates the Poisson-weighted incomplete-gamma series; the truncation
     error is bounded by the unconsumed Poisson tail mass, kept below 5e-16
-    of the result. Q1(a, 0) = 1 and Q1(0, b) = exp(-b^2/2) are exact.
+    of the result. Q1(a, 0) = 1 is exact, and so is Q1(0, b) = exp(-b^2/2):
+    the series stops after its first term.
     ``a`` and ``b`` broadcast against each other; two scalars give a float.
     Every element stops at its own tail bound, so a batched call equals the
     one-element calls bit for bit.
@@ -172,12 +173,10 @@ def marcum_q1(a, b):
 
     out = np.ones_like(m)           # b = 0
     live = xs > 0.0
-    zero = live & (m == 0.0)
-    out[zero] = np.where(xs[zero] <= _EXP_UNDERFLOW, np.exp(-xs[zero]), 0.0)
-    corner = live & ~zero & ((m > _EXP_UNDERFLOW) | (xs > _EXP_UNDERFLOW))
+    corner = live & ((m > _EXP_UNDERFLOW) | (xs > _EXP_UNDERFLOW))
     for i in np.flatnonzero(corner):
         out[i] = _marcum_corner(float(m[i]), float(xs[i]))
-    main = live & ~(zero | corner)
+    main = live & ~corner
     if np.any(main):
         out[main] = _marcum_series(m[main], x if np.ndim(x) == 0 else x[main])
     return float(out[0]) if not shape else out.reshape(shape)

@@ -2,10 +2,11 @@
 
 Each scenario mirrors a bench configuration: a polarizer scan, a dual-mode
 polarization analyzer, a beam splitter with coincidence counting, a
-four-mode entangling circuit, and a Mach-Zehnder interferometer family.
-Scenarios return a ScenarioResult carrying the swept grid, named analytic
-curves, optional Monte Carlo counts, and the run metadata needed to
-reproduce them.
+four-mode entangling circuit, and a Mach-Zehnder interferometer family with
+its fringe fit. Each scenario is one array-valued function that returns a
+ScenarioResult carrying the swept grid, named curves, optional Monte Carlo
+counts, and the run metadata needed to reproduce them; a single point is the
+one-element grid.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 from .detection import (
     Threshold,
     _divide,
-    _float_or_array,
     born_expansion,
     dark_count_prob,
     detect_batch,
@@ -41,19 +41,12 @@ from .field import CoherentVector, RngStream, realize_batch
 
 __all__ = [
     "ScenarioResult",
-    "DualModeProbs",
-    "BeamsplitterStats",
-    "HyperentangledProbs",
-    "MZFitResult",
     "conditional_mode_probs",
     "polarization_scan",
     "deviation_scan",
     "visibility_scan",
-    "dual_mode_probs",
     "dual_mode_scan",
-    "beamsplitter_coincidence",
     "antibunching_scan",
-    "hyperentangled_probs",
     "hyperentanglement_scan",
     "mach_zehnder",
     "mach_zehnder_fit",
@@ -256,6 +249,8 @@ def visibility_scan(
     gammas: np.ndarray | None = None,
 ) -> ScenarioResult:
     """Single-mode fringe visibility versus threshold, one curve per amplitude."""
+    if len(alphas) == 0:
+        raise DomainError("alphas must hold at least one amplitude")
     gammas = np.linspace(0.05, 3.0, 60) if gammas is None else np.asarray(gammas, float)
     vis = visibility_single(np.asarray(alphas, float)[:, None], gammas)
     return ScenarioResult(grid_name="gamma", grid=gammas,
@@ -267,58 +262,38 @@ def visibility_scan(
 # Dual-mode Born test
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DualModeProbs:
-    p0: float | np.ndarray
-    p_h: float | np.ndarray
-    p_v: float | np.ndarray
-    p_hv: float | np.ndarray
-    p_cond_h: float | np.ndarray
-    p_cond_h_renorm: float | np.ndarray
-    visibility: float
+def dual_mode_scan(alpha: float, th: Threshold | float,
+                   thetas_deg: np.ndarray | None = None) -> ScenarioResult:
+    """Joint and post-selected probabilities of a two-polarization detector versus angle.
 
-
-def dual_mode_probs(alpha: float, theta, th: Threshold | float) -> DualModeProbs:
-    """Joint and post-selected probabilities of a two-polarization detector.
-
-    The state puts amplitude alpha cos(theta) on H and alpha sin(theta) on V
-    (theta in radians, a scalar or an array). Post-selecting on exactly one
-    click gives the conditional p_cond_h; rescaling its fringe by the
-    dual-mode visibility gives p_cond_h_renorm, directly comparable to
-    cos^2(theta).
+    The state puts amplitude alpha cos(theta) on H and alpha sin(theta) on V.
+    Post-selecting on exactly one click gives the conditional p_cond_h;
+    rescaling its fringe by the dual-mode visibility (meta["visibility"])
+    gives p_cond_h_renorm, directly comparable to born = cos^2(theta).
 
     The renormalized curve is not cos^2(theta) itself: its deviation is an
     exact property of the model, 0.0158 at |alpha|^2 = 0.5 and gamma = 1, and
     it vanishes as |alpha|^4 in the weak-signal limit (1.3e-5 at
     |alpha|^2 = 0.01), where the Born rule emerges.
     """
+    thetas_deg = DEFAULT_THETA_GRID_DEG if thetas_deg is None else np.asarray(thetas_deg, float)
     g = gamma_of(th)
-    qh = detect_prob(np.abs(alpha * np.cos(theta)), g)
-    qv = detect_prob(np.abs(alpha * np.sin(theta)), g)
-    p0 = (1.0 - qh) * (1.0 - qv)
+    t = np.deg2rad(thetas_deg)
+    qh = detect_prob(np.abs(alpha * np.cos(t)), g)
+    qv = detect_prob(np.abs(alpha * np.sin(t)), g)
     ph = qh * (1.0 - qv)
     pv = (1.0 - qh) * qv
-    phv = qh * qv
     p_cond = _divide(ph, ph + pv)
     vis = visibility_dual(abs(alpha), g)
     # zero amplitude has a flat fringe (vis = 0, p_cond = 1/2 identically);
     # the rescaled curve degenerates to the conditional itself
     p_renorm = p_cond if vis == 0.0 else (p_cond - 0.5) / vis + 0.5
-    return DualModeProbs(p0, ph, pv, phv, p_cond, p_renorm, vis)
-
-
-def dual_mode_scan(alpha: float, th: Threshold | float,
-                   thetas_deg: np.ndarray | None = None) -> ScenarioResult:
-    thetas_deg = DEFAULT_THETA_GRID_DEG if thetas_deg is None else np.asarray(thetas_deg, float)
-    g = gamma_of(th)
-    t = np.deg2rad(thetas_deg)
-    r = dual_mode_probs(alpha, t, g)
     return ScenarioResult(
         grid_name="theta_deg",
         grid=thetas_deg,
-        analytic={"born": np.cos(t) ** 2, **{k: getattr(r, k) for k in (
-            "p_cond_h", "p_cond_h_renorm", "p0", "p_h", "p_v", "p_hv")}},
-        meta={"alpha": alpha, "gamma": g, "visibility": r.visibility},
+        analytic={"born": np.cos(t) ** 2, "p_cond_h": p_cond, "p_cond_h_renorm": p_renorm,
+                  "p0": (1.0 - qh) * (1.0 - qv), "p_h": ph, "p_v": pv, "p_hv": qh * qv},
+        meta={"alpha": alpha, "gamma": g, "visibility": vis},
     )
 
 
@@ -326,43 +301,28 @@ def dual_mode_scan(alpha: float, th: Threshold | float,
 # Beam splitter coincidences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BeamsplitterStats:
-    p0: float | np.ndarray
-    p_r: float | np.ndarray
-    p_d: float | np.ndarray
-    p_rd: float | np.ndarray
-    r: float | np.ndarray
-    r_d: float | np.ndarray
-
-
-def beamsplitter_coincidence(alpha, th: Threshold | float) -> BeamsplitterStats:
+def antibunching_scan(th: Threshold | float,
+                      alphas: np.ndarray | None = None) -> ScenarioResult:
     """Outcome probabilities and coincidence ratios after a 50/50 beam splitter.
 
     Both output modes carry amplitude alpha/sqrt(2), so each detector clicks
     with q = Q1(sqrt(2)|alpha|, 2 gamma). R uses the true trial count and is
-    never below one; R_d renormalizes by detected events only and can drop
-    below one, mimicking heralded coincidence analysis. alpha may be an array.
+    never below one; Rd renormalizes by detected events only and can drop
+    below one, mimicking heralded coincidence analysis.
     """
-    g = gamma_of(th)
-    q = marcum_q1(math.sqrt(2.0) * np.abs(alpha), 2.0 * g)
-    p0 = (1.0 - q) ** 2
-    pr = pd = q * (1.0 - q)
-    prd = q * q
-    r = _divide(prd, pr * pd, UndefinedRatioError, "single-click probability vanishes; R undefined")
-    r_d = prd * (1.0 - p0) / (pr * pd)
-    return BeamsplitterStats(p0, pr, pd, prd, r, r_d)
-
-
-def antibunching_scan(th: Threshold | float,
-                      alphas: np.ndarray | None = None) -> ScenarioResult:
     alphas = np.linspace(0.0, 3.0, 301) if alphas is None else np.asarray(alphas, float)
     g = gamma_of(th)
-    r = beamsplitter_coincidence(alphas, g)
+    q = marcum_q1(math.sqrt(2.0) * np.abs(alphas), 2.0 * g)
+    p0 = (1.0 - q) ** 2
+    p_single = q * (1.0 - q)
+    p_coinc = q * q
+    r = _divide(p_coinc, p_single * p_single, UndefinedRatioError,
+                "single-click probability vanishes; R undefined")
+    r_d = p_coinc * (1.0 - p0) / (p_single * p_single)
     return ScenarioResult(
         grid_name="alpha",
         grid=alphas,
-        analytic={"R": r.r, "Rd": r.r_d, "p0": r.p0, "p_single": r.p_r, "p_coinc": r.p_rd},
+        analytic={"R": r, "Rd": r_d, "p0": p0, "p_single": p_single, "p_coinc": p_coinc},
         meta={"gamma": g},
     )
 
@@ -371,37 +331,25 @@ def antibunching_scan(th: Threshold | float,
 # Four-mode single-photon entanglement
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HyperentangledProbs:
-    pr_rh: float | np.ndarray
-    pr_rv: float | np.ndarray
-    conditional_rh: float | np.ndarray
-
-
-def hyperentangled_probs(alpha: float, th) -> HyperentangledProbs:
-    """Single-click probabilities of the four-mode circuit H(spatial) then CNOT.
+def hyperentanglement_scan(alpha: float,
+                           gammas: np.ndarray | None = None) -> ScenarioResult:
+    """Single-click probabilities of the four-mode circuit H(spatial) then CNOT, versus threshold.
 
     The prepared direction is (|R,H> + |D,V>)/sqrt(2); modes RH and DV carry
     amplitude alpha/sqrt(2) while RV and DH are vacuum. conditional_rh is the
-    probability the single click is on RH given exactly one click anywhere;
-    ``th`` may be an array of thresholds."""
-    g = gamma_of(th)
+    probability the single click is on RH given exactly one click anywhere.
+    """
+    gammas = np.linspace(0.05, 3.0, 60) if gammas is None else np.asarray(gammas, float)
+    g = gamma_of(gammas)
     q_sig = marcum_q1(math.sqrt(2.0) * abs(alpha), 2.0 * g)
     q_dark = dark_count_prob(g)
     singles = _singles_from_q(np.stack([q_sig, q_dark, q_dark, q_sig], axis=-1))
     pr_rh, pr_rv = singles[..., 0], singles[..., 1]
-    conditional = _divide(pr_rh, 2.0 * pr_rh + 2.0 * pr_rv)
-    return HyperentangledProbs(*(_float_or_array(v) for v in (pr_rh, pr_rv, conditional)))
-
-
-def hyperentanglement_scan(alpha: float,
-                           gammas: np.ndarray | None = None) -> ScenarioResult:
-    gammas = np.linspace(0.05, 3.0, 60) if gammas is None else np.asarray(gammas, float)
-    r = hyperentangled_probs(alpha, gammas)
     return ScenarioResult(
         grid_name="gamma",
         grid=gammas,
-        analytic={"pr_rh": r.pr_rh, "pr_rv": r.pr_rv, "conditional_rh": r.conditional_rh},
+        analytic={"pr_rh": pr_rh, "pr_rv": pr_rv,
+                  "conditional_rh": _divide(pr_rh, 2.0 * pr_rh + 2.0 * pr_rv)},
         meta={"alpha": alpha},
     )
 
@@ -465,40 +413,24 @@ def mach_zehnder(alpha: float, th: Threshold | float,
     )
 
 
-@dataclass(frozen=True)
-class MZFitResult:
-    """Fringe analysis of noisy interferometer samples.
-
-    visibility: dark-corrected fringe visibility
-    (p_max - p_min) / (p_max + p_min - 2 delta) of the conditional curve.
-    r_d: detected-events coincidence ratio of the open interferometer.
-    rmse: root-mean-square residual of the fitted cosine against the samples.
-    """
-
-    visibility: float
-    r_d: float
-    rmse: float
-    fit_amplitude: float
-    fit_offset: float
-    fit_phase: float
-    phis: np.ndarray
-    samples: np.ndarray
-    fitted: np.ndarray
-
-
 def mach_zehnder_fit(
     alpha: float,
     th: Threshold | float,
     rng: RngStream,
     n_points: int = 25,
     sample_size: int = 2600,
-) -> MZFitResult:
+) -> ScenarioResult:
     """Sample the interference fringe and fit A cos^2(phi/2 + phi0) + B.
 
     Each sample is the conditional probability p_mz at one phase plus
     Gaussian noise of standard deviation 1/sqrt(sample_size), mimicking a
     finite photon budget per phase setting. The fit is linear least squares
-    on [1, cos, sin]; the period is fixed at 2 pi.
+    on [1, cos, sin]; the period is fixed at 2 pi. The curves are the samples
+    and the fitted cosine over the sample phases; meta holds the
+    dark-corrected fringe visibility (p_max - p_min) / (p_max + p_min - 2 delta)
+    of the conditional curve, the detected-events coincidence ratio r_d of the
+    open interferometer, the fit's root-mean-square residual rmse, and the
+    fitted amplitude A, offset B and phase phi0.
     """
     if n_points < 4:
         raise DomainError("need at least 4 phase points to fit")
@@ -523,15 +455,11 @@ def mach_zehnder_fit(
     delta = dark_count_prob(g)
     p_max, p_min = float(p_dense.max()), float(p_dense.min())
     visibility = (p_max - p_min) / (p_max + p_min - 2.0 * delta)
-    r_d = beamsplitter_coincidence(alpha, g).r_d
-    return MZFitResult(
-        visibility=visibility,
-        r_d=r_d,
-        rmse=rmse,
-        fit_amplitude=fit_a,
-        fit_offset=fit_b,
-        fit_phase=phi0,
-        phis=phis,
-        samples=samples,
-        fitted=fitted,
+    r_d = float(antibunching_scan(g, [abs(alpha)]).analytic["Rd"][0])
+    return ScenarioResult(
+        grid_name="phi",
+        grid=phis,
+        analytic={"sample": samples, "fitted": fitted},
+        meta={"visibility": visibility, "r_d": r_d, "rmse": rmse,
+              "amplitude": fit_a, "offset": fit_b, "phase": phi0},
     )

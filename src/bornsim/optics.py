@@ -18,19 +18,6 @@ import numpy as np
 from .errors import CircuitFormatError, DimensionMismatchError, DomainError, InvalidDimensionError
 from .field import CoherentVector, RngStream
 
-UNITARITY_TOL = 1e-12
-
-
-def assert_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {u.shape}")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if not dev <= tol:
-        raise DomainError(f"matrix is not unitary (max |U^dag U - I| = {dev:.3g})")
-    return u
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     u = np.asarray(u, dtype=complex)
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))

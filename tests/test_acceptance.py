@@ -32,11 +32,9 @@ from bornsim import (
 from bornsim.detection import detect_batch
 from bornsim.experiments import (
     antibunching_scan,
-    beamsplitter_coincidence,
     conditional_mode_probs,
-    dual_mode_probs,
     dual_mode_scan,
-    hyperentangled_probs,
+    hyperentanglement_scan,
     mach_zehnder,
     mach_zehnder_fit,
     polarization_scan,
@@ -155,8 +153,8 @@ def test_criterion_03_dual_mode_born_test():
     # it vanishes in the weak-signal limit, where the Born rule emerges.
     intensities = (0.5, 0.25, 0.1, 0.01)
     scans = [dual_mode_scan(math.sqrt(a2), 1.0) for a2 in intensities]
-    dm = dual_mode_probs(math.sqrt(intensities[0]), 0.4, 1.0)
-    ok_vis = abs(dm.visibility - 0.61) <= 0.005
+    visibility = scans[0].meta["visibility"]
+    ok_vis = abs(visibility - 0.61) <= 0.005
     ph = scans[0].analytic["p_cond_h"]
     ok_range = abs(ph.min() - 0.19) <= 0.005 and abs(ph.max() - 0.81) <= 0.005
     devs = [float(np.max(np.abs(s.analytic["p_cond_h_renorm"] - s.analytic["born"]))) for s in scans]
@@ -165,7 +163,7 @@ def test_criterion_03_dual_mode_born_test():
     ok_oracle = oracle_diff <= 1e-12
     ok_vanish = bool(np.all(np.diff(devs) < 0.0))
     ok = ok_vis and ok_range and ok_oracle and ok_vanish
-    report(3, ok, f"visibility {dm.visibility:.4f} (0.61±0.005), "
+    report(3, ok, f"visibility {visibility:.4f} (0.61±0.005), "
                   f"range [{ph.min():.4f}, {ph.max():.4f}] ([0.19, 0.81]±0.005), "
                   f"max renormalized deviation {devs[0]:.5f} (reference target <=0.01), "
                   f"ncx2 oracle diff {oracle_diff:.1e} (<=1e-12), deviation at |alpha|^2 = "
@@ -177,12 +175,12 @@ def test_criterion_03_dual_mode_born_test():
 def test_criterion_04_antibunching():
     alphas = np.linspace(0.0, 2.0, 20)
     gammas = np.linspace(0.1, 2.0, 20)
-    min_r = min(beamsplitter_coincidence(a, g).r for a in alphas for g in gammas)
+    min_r = min(antibunching_scan(g, alphas).analytic["R"].min() for g in gammas)
     ok_r = min_r >= 1.0 - 1e-12
     scan = antibunching_scan(1.0, np.linspace(0.0, 3.0, 301))
     rd_min = scan.analytic["Rd"].min()
     ok_min = abs(rd_min - 0.34) <= 0.01
-    rd_ref = beamsplitter_coincidence(0.3, 1.6).r_d
+    rd_ref = antibunching_scan(1.6, [0.3]).analytic["Rd"][0]
     ok_ref = abs(rd_ref - 0.018) <= 0.002
     ok = ok_r and ok_min and ok_ref
     report(4, ok, f"min R {min_r:.6f} (>=1), min Rd {rd_min:.4f} (0.34±0.01), "
@@ -191,9 +189,9 @@ def test_criterion_04_antibunching():
 
 
 def test_criterion_05_hyperentanglement():
-    cond = hyperentangled_probs(1.0, 3.0).conditional_rh
+    cond = hyperentanglement_scan(1.0, [3.0]).analytic["conditional_rh"][0]
     ok_limit = 0.49 <= cond <= 0.51
-    exact = [hyperentangled_probs(0.0, g).conditional_rh for g in (0.5, 1.0, 1.8, 2.7)]
+    exact = hyperentanglement_scan(0.0, [0.5, 1.0, 1.8, 2.7]).analytic["conditional_rh"]
     ok_exact = all(c == 0.25 for c in exact)
     ok = ok_limit and ok_exact
     report(5, ok, f"conditional(1, 3) = {cond:.4f} ([0.49, 0.51]), "
@@ -209,15 +207,15 @@ def test_criterion_06_mach_zehnder():
     b = mach_zehnder(0.95, 1.6, phis + np.pi).analytic["p_mz"]
     comp_dev = float(np.max(np.abs(a + b - 1.0)))
     ok_comp = comp_dev <= 1e-12
-    fit = mach_zehnder_fit(0.95, 1.6, RngStream(2))
-    ok_fit = (abs(fit.visibility - 0.94) <= 0.02 and abs(fit.r_d - 0.12) <= 0.02
-              and abs(fit.rmse - 0.04) <= 0.02)
+    fit = mach_zehnder_fit(0.95, 1.6, RngStream(2)).meta
+    ok_fit = (abs(fit["visibility"] - 0.94) <= 0.02 and abs(fit["r_d"] - 0.12) <= 0.02
+              and abs(fit["rmse"] - 0.04) <= 0.02)
     res = mach_zehnder(1e-3, 1.0)
     ratio_dev = float(np.max(np.abs(res.analytic["p_total_mz"] / res.analytic["p_total_dc"] - 1.0)))
     ok_ratio = ratio_dev <= 1e-4
     ok = ok_half and ok_comp and ok_fit and ok_ratio
     report(6, ok, f"p(pi/2) = {half} (exactly 0.5), complement dev {comp_dev:.1e} (<=1e-12), "
-                  f"fit (V, Rd, RMSE) = ({fit.visibility:.3f}, {fit.r_d:.3f}, {fit.rmse:.3f}) "
+                  f"fit (V, Rd, RMSE) = ({fit['visibility']:.3f}, {fit['r_d']:.3f}, {fit['rmse']:.3f}) "
                   f"(0.94/0.12/0.04 ± 0.02), total-rate ratio dev {ratio_dev:.1e} (<=1e-4)")
     assert ok
 
@@ -351,23 +349,23 @@ def test_criterion_11_cross_oracle_suite():
     # analytic laws against brute-force outcome enumeration
     alpha, g = 0.9, 1.1
     theta = 0.6
-    dm = dual_mode_probs(alpha, theta, g)
+    dm = dual_mode_scan(alpha, g, [math.degrees(theta)]).analytic
     dist = outcome_distribution(CoherentVector(alpha, np.array([math.cos(theta), math.sin(theta)])), g)
-    checks += [("dual p0", abs(dm.p0 - dist.prob((0, 0)))),
-               ("dual pH", abs(dm.p_h - dist.prob((1, 0)))),
-               ("dual cond", abs(dm.p_cond_h - dist.prob((1, 0)) / (dist.prob((1, 0)) + dist.prob((0, 1)))))]
+    checks += [("dual p0", abs(dm["p0"][0] - dist.prob((0, 0)))),
+               ("dual pH", abs(dm["p_h"][0] - dist.prob((1, 0)))),
+               ("dual cond", abs(dm["p_cond_h"][0] - dist.prob((1, 0)) / (dist.prob((1, 0)) + dist.prob((0, 1)))))]
 
-    bsres = beamsplitter_coincidence(alpha, g)
+    bsres = antibunching_scan(g, [alpha]).analytic
     bsdist = outcome_distribution(CoherentVector(alpha, np.array([1.0, 1.0]) / np.sqrt(2.0)), g)
-    checks += [("bs p0", abs(bsres.p0 - bsdist.prob((0, 0)))),
-               ("bs prd", abs(bsres.p_rd - bsdist.prob((1, 1)))),
-               ("bs R", abs(bsres.r - bsdist.prob((1, 1)) / (bsdist.prob((1, 0)) * bsdist.prob((0, 1)))))]
+    checks += [("bs p0", abs(bsres["p0"][0] - bsdist.prob((0, 0)))),
+               ("bs prd", abs(bsres["p_coinc"][0] - bsdist.prob((1, 1)))),
+               ("bs R", abs(bsres["R"][0] - bsdist.prob((1, 1)) / (bsdist.prob((1, 0)) * bsdist.prob((0, 1)))))]
 
-    hp = hyperentangled_probs(alpha, g)
+    hp = hyperentanglement_scan(alpha, [g]).analytic
     hdist = outcome_distribution(CoherentVector(alpha, BELL), g)
     singles = hdist.single_detection_probs()
-    checks += [("hyper rh", abs(hp.pr_rh - singles[0])),
-               ("hyper cond", abs(hp.conditional_rh - singles[0] / singles.sum()))]
+    checks += [("hyper rh", abs(hp["pr_rh"][0] - singles[0])),
+               ("hyper cond", abs(hp["conditional_rh"][0] - singles[0] / singles.sum()))]
 
     phi = 0.9
     mz = mach_zehnder(alpha, g, np.array([phi]))
@@ -404,15 +402,15 @@ def test_criterion_11_cross_oracle_suite():
 
     a2 = realize_batch(CoherentVector(alpha, np.array([math.cos(theta), math.sin(theta)])), n, RngStream(9))
     bits2 = detect_batch(a2, g)
-    mc_pulls.append(("dual pH", pull(np.mean((bits2[:, 0] == 1) & (bits2[:, 1] == 0)), dm.p_h)))
+    mc_pulls.append(("dual pH", pull(np.mean((bits2[:, 0] == 1) & (bits2[:, 1] == 0)), dm["p_h"][0])))
 
     a3 = realize_batch(CoherentVector(alpha, np.array([1.0, 1.0]) / np.sqrt(2.0)), n, RngStream(10))
     bits3 = detect_batch(a3, g)
-    mc_pulls.append(("bs coincidence", pull(np.mean(bits3.sum(axis=1) == 2), bsres.p_rd)))
+    mc_pulls.append(("bs coincidence", pull(np.mean(bits3.sum(axis=1) == 2), bsres["p_coinc"][0])))
 
     a4 = realize_batch(CoherentVector(alpha, BELL), n, RngStream(11))
     bits4 = detect_batch(a4, g)
-    mc_pulls.append(("hyper rh", pull(np.mean((bits4.sum(axis=1) == 1) & (bits4[:, 0] == 1)), hp.pr_rh)))
+    mc_pulls.append(("hyper rh", pull(np.mean((bits4.sum(axis=1) == 1) & (bits4[:, 0] == 1)), hp["pr_rh"][0])))
 
     a5 = realize_batch(CoherentVector(alpha, psi_mz), n, RngStream(12))
     bits5 = detect_batch(a5, g)

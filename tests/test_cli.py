@@ -26,6 +26,9 @@ def test_parse_grid():
         parse_grid("0:-1:2")
     with pytest.raises(BornsimError):
         parse_grid("nope")
+    # 1e300 points: rejected before any array is built
+    with pytest.raises(BornsimError, match="'0:1e-300:1'"):
+        parse_grid("0:1e-300:1")
 
 
 def test_counts_outputs_and_determinism(tmp_path):
@@ -156,8 +159,10 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
     ("deviation", {"gamam": 2}, [], "gamam"),
     ("antibunch", {"alpha_grid": "nan:1:2"}, [], "nan:1:2"),
     ("deviation", {"format": "xml"}, [], "format"),
+    ("visibility", {"alphas": []}, [], "alphas"),
+    ("antibunch", None, ["--alpha-grid", "0:1e-300:1"], "0:1e-300:1"),
 ], ids=["wrong-float", "wrong-int", "wrong-list", "bad-alphas-flag", "unknown-key", "nan-grid",
-        "bad-format"])
+        "bad-format", "empty-alphas", "huge-grid"])
 def test_bad_config_is_one_line_error(tmp_path, capsys, command, config, flags, key):
     argv = [command, "--out-dir", str(tmp_path), *flags]
     if config is not None:

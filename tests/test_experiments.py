@@ -16,12 +16,9 @@ from bornsim.detection import detect_batch, visibility_single
 from bornsim.errors import SaturatedDetectorError, UndefinedConditionalError
 from bornsim.experiments import (
     antibunching_scan,
-    beamsplitter_coincidence,
     conditional_mode_probs,
     deviation_scan,
-    dual_mode_probs,
     dual_mode_scan,
-    hyperentangled_probs,
     hyperentanglement_scan,
     mach_zehnder,
     mach_zehnder_fit,
@@ -30,6 +27,20 @@ from bornsim.experiments import (
 )
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+
+
+def dual_mode_point(alpha, theta, g):
+    """Every curve of the dual-mode scan at one angle theta (radians)."""
+    res = dual_mode_scan(alpha, g, np.array([math.degrees(theta)]))
+    return {k: v[0] for k, v in res.analytic.items()}, res.meta["visibility"]
+
+
+def beamsplitter_point(alpha, g):
+    return {k: v[0] for k, v in antibunching_scan(g, np.array([alpha])).analytic.items()}
+
+
+def hyper_point(alpha, g):
+    return {k: v[0] for k, v in hyperentanglement_scan(alpha, np.array([g])).analytic.items()}
 
 
 class TestPolarizationScan:
@@ -83,121 +94,116 @@ class TestVisibilityScan:
             assert np.array_equal(res.analytic[f"vis_alpha_{a:g}"], expected)
 
 
-@pytest.mark.parametrize("scan, point, columns", [
-    (lambda: dual_mode_scan(0.8, 1.1), lambda t: dual_mode_probs(0.8, math.radians(t), 1.1),
-     {"p_cond_h": "p_cond_h", "p_cond_h_renorm": "p_cond_h_renorm", "p0": "p0",
-      "p_h": "p_h", "p_v": "p_v", "p_hv": "p_hv"}),
-    (lambda: antibunching_scan(1.25), lambda a: beamsplitter_coincidence(a, 1.25),
-     {"R": "r", "Rd": "r_d", "p0": "p0", "p_single": "p_r", "p_coinc": "p_rd"}),
-    (lambda: hyperentanglement_scan(1.0, np.arange(1, 61) * 0.05),
-     lambda g: hyperentangled_probs(1.0, g),
-     {"pr_rh": "pr_rh", "pr_rv": "pr_rv", "conditional_rh": "conditional_rh"}),
+@pytest.mark.parametrize("scan, grid", [
+    (lambda grid: dual_mode_scan(0.8, 1.1, grid), None),
+    (lambda grid: antibunching_scan(1.25, grid), None),
+    (lambda grid: hyperentanglement_scan(1.0, grid), np.arange(1, 61) * 0.05),
 ], ids=["dual_mode", "antibunching", "hyperentanglement"])
-def test_scan_equals_point_calls(scan, point, columns):
-    res = scan()
-    rows = [point(x) for x in res.grid]
-    for column, field in columns.items():
-        assert np.array_equal(res.analytic[column], [getattr(r, field) for r in rows]), column
+def test_scan_equals_point_calls(scan, grid):
+    res = scan(grid)
+    rows = [scan(np.array([x])) for x in res.grid]
+    for column, curve in res.analytic.items():
+        assert np.array_equal(curve, [r.analytic[column][0] for r in rows]), column
 
 
 class TestDualMode:
     def test_balanced_angle_gives_half(self):
-        dm = dual_mode_probs(math.sqrt(0.5), math.radians(45.0), 1.0)
-        assert dm.p_cond_h == pytest.approx(0.5, abs=1e-14)
+        dm, _ = dual_mode_point(math.sqrt(0.5), math.radians(45.0), 1.0)
+        assert dm["p_cond_h"] == pytest.approx(0.5, abs=1e-14)
 
     def test_quoted_visibility_and_range(self):
-        dm = dual_mode_probs(math.sqrt(0.5), 0.3, 1.0)
-        assert dm.visibility == pytest.approx(0.612336082444, abs=1e-9)
+        _, visibility = dual_mode_point(math.sqrt(0.5), 0.3, 1.0)
+        assert visibility == pytest.approx(0.612336082444, abs=1e-9)
         scan = dual_mode_scan(math.sqrt(0.5), 1.0)
         ph = scan.analytic["p_cond_h"]
-        assert ph.min() == pytest.approx(0.5 * (1 - dm.visibility), abs=1e-9)
-        assert ph.max() == pytest.approx(0.5 * (1 + dm.visibility), abs=1e-9)
+        assert ph.min() == pytest.approx(0.5 * (1 - visibility), abs=1e-9)
+        assert ph.max() == pytest.approx(0.5 * (1 + visibility), abs=1e-9)
 
     def test_renormalized_endpoints(self):
         for theta, target in ((0.0, 1.0), (math.pi / 4, 0.5), (math.pi / 2, 0.0)):
-            dm = dual_mode_probs(math.sqrt(0.5), theta, 1.0)
-            assert dm.p_cond_h_renorm == pytest.approx(target, abs=1e-9)
+            dm, _ = dual_mode_point(math.sqrt(0.5), theta, 1.0)
+            assert dm["p_cond_h_renorm"] == pytest.approx(target, abs=1e-9)
 
     def test_probabilities_sum_to_one(self):
-        dm = dual_mode_probs(0.9, 0.7, 1.2)
-        assert dm.p0 + dm.p_h + dm.p_v + dm.p_hv == pytest.approx(1.0, abs=1e-12)
+        dm, _ = dual_mode_point(0.9, 0.7, 1.2)
+        assert dm["p0"] + dm["p_h"] + dm["p_v"] + dm["p_hv"] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_threshold_has_no_single_clicks(self):
         with pytest.raises(UndefinedConditionalError):
-            dual_mode_probs(1.0, 0.3, 0.0)
+            dual_mode_point(1.0, 0.3, 0.0)
 
     def test_matches_outcome_distribution(self):
         alpha, theta, g = 0.77, 0.6, 1.1
-        dm = dual_mode_probs(alpha, theta, g)
+        dm, _ = dual_mode_point(alpha, theta, g)
         psi = np.array([math.cos(theta), math.sin(theta)])
         dist = outcome_distribution(CoherentVector(alpha, psi), g)
-        assert dm.p0 == pytest.approx(dist.prob((0, 0)), abs=1e-14)
-        assert dm.p_h == pytest.approx(dist.prob((1, 0)), abs=1e-14)
-        assert dm.p_v == pytest.approx(dist.prob((0, 1)), abs=1e-14)
-        assert dm.p_hv == pytest.approx(dist.prob((1, 1)), abs=1e-14)
+        assert dm["p0"] == pytest.approx(dist.prob((0, 0)), abs=1e-14)
+        assert dm["p_h"] == pytest.approx(dist.prob((1, 0)), abs=1e-14)
+        assert dm["p_v"] == pytest.approx(dist.prob((0, 1)), abs=1e-14)
+        assert dm["p_hv"] == pytest.approx(dist.prob((1, 1)), abs=1e-14)
 
     @given(alpha=st.floats(0.0, 2.5), theta=st.floats(0.0, math.pi),
            gamma=st.floats(0.1, 2.5))
     @settings(max_examples=80, deadline=None)
     def test_sum_rule_property(self, alpha, theta, gamma):
-        dm = dual_mode_probs(alpha, theta, gamma)
-        assert dm.p0 + dm.p_h + dm.p_v + dm.p_hv == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 <= dm.p_cond_h <= 1.0
+        dm, _ = dual_mode_point(alpha, theta, gamma)
+        assert dm["p0"] + dm["p_h"] + dm["p_v"] + dm["p_hv"] == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= dm["p_cond_h"] <= 1.0
 
 
 class TestBeamsplitter:
     def test_ratio_never_below_one(self):
-        for alpha in np.linspace(0.0, 2.0, 20):
-            for g in np.linspace(0.1, 2.0, 20):
-                assert beamsplitter_coincidence(alpha, g).r >= 1.0 - 1e-12
+        for g in np.linspace(0.1, 2.0, 20):
+            assert np.all(antibunching_scan(g, np.linspace(0.0, 2.0, 20)).analytic["R"]
+                          >= 1.0 - 1e-12)
 
     def test_detected_ratio_minimum(self):
         scan = antibunching_scan(1.0, np.linspace(0.0, 3.0, 301))
         assert scan.analytic["Rd"].min() == pytest.approx(0.3375330579912432, abs=1e-9)
 
     def test_heralded_reference_point(self):
-        assert beamsplitter_coincidence(0.3, 1.6).r_d == pytest.approx(0.018, abs=0.002)
+        assert beamsplitter_point(0.3, 1.6)["Rd"] == pytest.approx(0.018, abs=0.002)
 
     def test_matches_outcome_distribution(self):
         alpha, g = 0.8, 1.0
-        bsres = beamsplitter_coincidence(alpha, g)
+        bsres = beamsplitter_point(alpha, g)
         psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
         dist = outcome_distribution(CoherentVector(alpha, psi), g)
-        assert bsres.p0 == pytest.approx(dist.prob((0, 0)), abs=1e-13)
-        assert bsres.p_rd == pytest.approx(dist.prob((1, 1)), abs=1e-13)
-        assert bsres.p_r == pytest.approx(dist.prob((1, 0)), abs=1e-13)
+        assert bsres["p0"] == pytest.approx(dist.prob((0, 0)), abs=1e-13)
+        assert bsres["p_coinc"] == pytest.approx(dist.prob((1, 1)), abs=1e-13)
+        assert bsres["p_single"] == pytest.approx(dist.prob((1, 0)), abs=1e-13)
 
 
 class TestHyperentangled:
     def test_vacuum_conditional_is_exactly_quarter(self):
         for g in (0.4, 1.0, 1.7, 2.3):
-            assert hyperentangled_probs(0.0, g).conditional_rh == 0.25
+            assert hyper_point(0.0, g)["conditional_rh"] == 0.25
 
     def test_zero_threshold_has_no_single_clicks(self):
         with pytest.raises(UndefinedConditionalError):
-            hyperentangled_probs(1.0, 0.0)
+            hyper_point(1.0, 0.0)
         with pytest.raises(UndefinedConditionalError):
             hyperentanglement_scan(1.0, np.array([0.0, 0.5, 1.0]))
 
     def test_conditional_approaches_half_at_high_threshold(self):
-        assert 0.49 <= hyperentangled_probs(1.0, 3.0).conditional_rh <= 0.51
+        assert 0.49 <= hyper_point(1.0, 3.0)["conditional_rh"] <= 0.51
 
     def test_matches_outcome_distribution(self):
         alpha, g = 1.0, 1.2
-        hp = hyperentangled_probs(alpha, g)
+        hp = hyper_point(alpha, g)
         dist = outcome_distribution(CoherentVector(alpha, BELL), g)
         singles = dist.single_detection_probs()
-        assert hp.pr_rh == pytest.approx(singles[0], abs=1e-14)
-        assert hp.pr_rv == pytest.approx(singles[1], abs=1e-14)
+        assert hp["pr_rh"] == pytest.approx(singles[0], abs=1e-14)
+        assert hp["pr_rv"] == pytest.approx(singles[1], abs=1e-14)
         assert singles[0] == pytest.approx(singles[3], rel=1e-12)
 
     def test_monte_carlo_frequencies(self):
         alpha, g, n = 1.0, 1.2, 1_000_000
-        hp = hyperentangled_probs(alpha, g)
+        hp = hyper_point(alpha, g)
         a = realize_batch(CoherentVector(alpha, BELL), n, RngStream(30))
         bits = detect_batch(a, g)
         ones = bits.sum(axis=1) == 1
-        for mode, p in ((0, hp.pr_rh), (1, hp.pr_rv)):
+        for mode, p in ((0, hp["pr_rh"]), (1, hp["pr_rv"])):
             freq = np.mean(ones & (bits[:, mode] == 1))
             assert abs(freq - p) < 5.0 * math.sqrt(p * (1 - p) / n)
 
@@ -263,13 +269,21 @@ class TestMachZehnder:
         assert res.analytic["p_total_mz"][0] == pytest.approx(1.0 - dist.prob((0, 0)), abs=1e-12)
 
     def test_fit_analysis_reference_point(self):
-        fit = mach_zehnder_fit(0.95, 1.6, RngStream(40))
-        assert fit.visibility == pytest.approx(0.94, abs=0.02)
-        assert fit.r_d == pytest.approx(0.12, abs=0.02)
-        assert fit.rmse == pytest.approx(0.04, abs=0.02)
+        fit = mach_zehnder_fit(0.95, 1.6, RngStream(40)).meta
+        assert fit["visibility"] == pytest.approx(0.94, abs=0.02)
+        assert fit["r_d"] == pytest.approx(0.12, abs=0.02)
+        assert fit["rmse"] == pytest.approx(0.04, abs=0.02)
+
+    def test_fit_result_holds_samples_and_summary(self):
+        fit = mach_zehnder_fit(0.95, 1.6, RngStream(40), n_points=8)
+        assert fit.grid_name == "phi"
+        assert np.array_equal(fit.grid, 2.0 * np.pi * np.arange(8) / 8)
+        assert list(fit.analytic) == ["sample", "fitted"]
+        assert sorted(fit.meta) == ["amplitude", "offset", "phase", "r_d", "rmse", "visibility"]
+        assert fit.meta["r_d"] == antibunching_scan(1.6, [0.95]).analytic["Rd"][0]
 
     def test_fit_rmse_stable_across_seeds(self):
-        rmses = [mach_zehnder_fit(0.95, 1.6, RngStream(s)).rmse for s in range(10)]
+        rmses = [mach_zehnder_fit(0.95, 1.6, RngStream(s)).meta["rmse"] for s in range(10)]
         assert all(0.02 <= r <= 0.06 for r in rmses)
 
     @given(phi=st.floats(0.0, 2.0 * math.pi), alpha=st.floats(0.05, 2.0),
