@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -91,7 +90,7 @@ def _has_default_type(value, default) -> bool:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < BORNSIM_THREADS < config file < explicit flags, plus the command name.
+    """defaults < config file < explicit flags, plus the command name.
 
     Every key must be a parameter of the command and every value must have
     the type of that parameter's default. A command whose scenario is
@@ -100,12 +99,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
     command = args.command
     defaults = {k: default for k, (default, _) in {**COMMON, **COMMANDS[command].params}.items()}
     params = dict(defaults)
-    env = os.environ.get("BORNSIM_THREADS")
-    if env:
-        try:
-            params["threads"] = int(env)
-        except ValueError:
-            raise BornsimError(f"BORNSIM_THREADS must be an integer (got {env!r})") from None
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         try:
@@ -191,8 +184,7 @@ class Command(NamedTuple):
 
 
 COMMON = {"seed": (42, "random seed"), "out_dir": (".", "output directory"),
-          "format": ("both", "data file format"),
-          "threads": (1, "worker threads for counts (else $BORNSIM_THREADS)")}
+          "format": ("both", "data file format")}
 GAMMA = (1.0, "detection threshold")
 ALPHA_GRID = "amplitude grid min:step:max"
 GAMMA_GRID = "threshold grid min:step:max"
@@ -205,7 +197,7 @@ COMMANDS: dict[str, Command] = {
         {"alpha0": (0.707, "peak amplitude"), "gamma": GAMMA,
          "n_trials": (10_000, "trials per angle")},
         lambda p, rng: experiments.polarization_scan(p["alpha0"], p["gamma"], rng=rng,
-                                                     n_trials=p["n_trials"], threads=p["threads"]),
+                                                     n_trials=p["n_trials"]),
         positive_gamma=False),
     "deviation": Command(
         "normalized detection curve vs squared-cosine law",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +24,6 @@ from .detection import (
     _divide,
     born_expansion,
     dark_count_prob,
-    detect_batch,
     detect_prob,
     gamma_of,
     marcum_q1,
@@ -37,7 +35,7 @@ from .errors import (
     SaturatedDetectorError,
     UndefinedRatioError,
 )
-from .field import CoherentVector, RngStream, realize_batch
+from .field import CoherentVector, RngStream, threshold_clicks
 
 __all__ = [
     "ScenarioResult",
@@ -116,14 +114,6 @@ def _write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
                           for v in row] for row in zip(*columns.values()))
 
 
-def _map_indexed(fn, n: int, threads: int = 1) -> list:
-    """fn(i) for i in range(n), optionally on a thread pool; order preserved."""
-    if threads <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 # ---------------------------------------------------------------------------
 # Post-selected conditionals
 # ---------------------------------------------------------------------------
@@ -180,31 +170,27 @@ def polarization_scan(
     thetas_deg: np.ndarray | None = None,
     n_trials: int = 10_000,
     rng: RngStream | None = None,
-    threads: int = 1,
 ) -> ScenarioResult:
     """Single-detector counts versus polarizer angle, alpha(theta) = alpha0 cos(theta).
 
     Analytic curve N * Q1(2|alpha0 cos t|, 2 gamma), its fourth-order
     expansion, and Monte Carlo threshold-crossing counts (one independent
-    substream per grid point).
+    substream per grid point). alpha0 must be a finite real number; its sign
+    carries into the sampled amplitude alpha0 cos(theta).
     """
+    if np.iscomplexobj(alpha0) or not math.isfinite(alpha0):
+        raise DomainError(f"alpha0 must be a finite real amplitude (got {alpha0!r})")
     if n_trials < 1:
         raise DomainError("n_trials must be >= 1")
     g = gamma_of(th)
     thetas_deg = DEFAULT_THETA_GRID_DEG if thetas_deg is None else np.asarray(thetas_deg, float)
     rng = RngStream(0) if rng is None else rng
-    t = np.deg2rad(thetas_deg)
-    amps = np.abs(alpha0 * np.cos(t))
+    signed = alpha0 * np.cos(np.deg2rad(thetas_deg))
+    amps = np.abs(signed)
     analytic = n_trials * marcum_q1(2.0 * amps, 2.0 * g)
     expansion = n_trials * born_expansion(amps, g)
-
-    def run_point(i: int) -> int:
-        stream = rng.substream(i)
-        state = CoherentVector(alpha0 * np.cos(t[i]), np.array([1.0]))
-        a = realize_batch(state, n_trials, stream)
-        return int(detect_batch(a, g).sum())
-
-    counts = np.array(_map_indexed(run_point, t.size, threads))
+    counts = np.array([threshold_clicks(a, g, n_trials, rng.substream(i))
+                       for i, a in enumerate(signed)])
     return ScenarioResult(
         grid_name="theta_deg",
         grid=thetas_deg,
@@ -251,10 +237,14 @@ def visibility_scan(
     """Single-mode fringe visibility versus threshold, one curve per amplitude."""
     if len(alphas) == 0:
         raise DomainError("alphas must hold at least one amplitude")
+    names = [f"vis_alpha_{a:g}" for a in alphas]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise DomainError(f"amplitudes {alphas[names.index(name)]!r} and {alphas[i]!r} "
+                              f"share the column label {name!r}")
     gammas = np.linspace(0.05, 3.0, 60) if gammas is None else np.asarray(gammas, float)
     vis = visibility_single(np.asarray(alphas, float)[:, None], gammas)
-    return ScenarioResult(grid_name="gamma", grid=gammas,
-                          analytic={f"vis_alpha_{a:g}": v for a, v in zip(alphas, vis)},
+    return ScenarioResult(grid_name="gamma", grid=gammas, analytic=dict(zip(names, vis)),
                           meta={"alphas": list(alphas)})
 
 

@@ -20,6 +20,7 @@ from .errors import DomainError, InvalidDimensionError
 HBAR = 1.0
 
 _NORM_TOL = 1e-12
+CLICK_BLOCK = 1 << 14  # trials per uniform draw in threshold_clicks; bounds memory
 
 
 class RngStream:
@@ -28,9 +29,9 @@ class RngStream:
     Uniforms come from PCG64 seeded with SeedSequence(seed, spawn_key).
     Normal variates use the Box-Muller transform, so each pair of real
     normals consumes exactly two uniforms and each standard complex Gaussian
-    consumes exactly one such pair (radius draw, angle draw). Identical
-    (seed, stream_id) therefore reproduces identical output bit for bit,
-    independent of how work is split across workers.
+    consumes exactly one such pair (radius draw, angle draw), so
+    uniforms(2m) holds the m pairs complex_normals(m) would transform. Identical
+    (seed, stream_id) therefore reproduces identical output bit for bit.
 
     ``substream(i)`` derives an independent child stream; sweeps give one
     child per grid point so results do not depend on scheduling order.
@@ -61,8 +62,6 @@ class RngStream:
         n = int(n)
         if n < 0:
             raise DomainError("n must be nonnegative")
-        if n == 0:
-            return np.empty(0)
         pairs = (n + 1) // 2
         u = self._gen.random((pairs, 2))
         r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
@@ -75,10 +74,7 @@ class RngStream:
     def complex_normals(self, shape) -> np.ndarray:
         """Standard complex Gaussians z = (x + iy)/sqrt(2), one Box-Muller pair each."""
         shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
-        n = math.prod(shape)
-        if n == 0:
-            return np.empty(shape, dtype=complex)
-        u = self._gen.random((n, 2))
+        u = self._gen.random((math.prod(shape), 2))
         r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
         theta = (2.0 * np.pi) * u[:, 1]
         z = (r * np.cos(theta) + 1j * (r * np.sin(theta))) / np.sqrt(2.0)
@@ -129,6 +125,27 @@ def realize_batch(state: CoherentVector, n: int, rng: RngStream) -> np.ndarray:
         raise DomainError("n must be nonnegative")
     z = rng.complex_normals((int(n), state.d))
     return state.mode_amplitudes()[None, :] + z / np.sqrt(2.0)
+
+
+def threshold_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
+    """Clicks |a + z/sqrt(2)| > gamma among n single-mode trials of real amplitude a.
+
+    Draws the uniforms of realize_batch(CoherentVector(a, [1.0]), n, rng) in
+    blocks of CLICK_BLOCK trials and tests a^2 + r^2/4 + a r cos(theta) > gamma^2,
+    r^2 = -2 log(1 - u0), theta = 2 pi u1: one cos per trial, no complex array.
+    Equals detect_batch on those realizations unless some |a_i| rounds to gamma.
+    """
+    n = int(n)
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    clicks = 0
+    for start in range(0, n, CLICK_BLOCK):
+        m = min(CLICK_BLOCK, n - start)
+        u = rng.uniforms(2 * m).reshape(m, 2)
+        r2 = -2.0 * np.log1p(-u[:, 0])
+        cos = np.cos((2.0 * np.pi) * u[:, 1])
+        clicks += int(np.count_nonzero(a * a + 0.25 * r2 + a * np.sqrt(r2) * cos > gamma * gamma))
+    return clicks
 
 
 def mean_energy_density(state: CoherentVector, omega: float, volume: float, hbar: float = HBAR) -> float:

@@ -87,15 +87,43 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert manifest["config"]["gamma"] == 0.8
 
 
-def test_threads_environment_fallback(tmp_path, monkeypatch):
+def test_threads_flag_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["counts", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_threads_config_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    assert run_cli(["counts", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bornsim: error: unknown config key 'threads'")
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+def test_threads_environment_is_ignored(tmp_path, monkeypatch):
+    argv = ["counts", "--n", "300", "--seed", "6"]
+    assert run_cli(argv + ["--out-dir", str(tmp_path / "plain")]) == 0
     monkeypatch.setenv("BORNSIM_THREADS", "3")
-    assert run_cli(["deviation", "--seed", "6", "--out-dir", str(tmp_path)]) == 0
-    manifest = json.loads((tmp_path / "deviation-6.manifest.json").read_text())
-    assert manifest["config"]["threads"] == 3
-    assert run_cli(["deviation", "--threads", "2", "--seed", "8",
-                    "--out-dir", str(tmp_path)]) == 0
-    manifest = json.loads((tmp_path / "deviation-8.manifest.json").read_text())
-    assert manifest["config"]["threads"] == 2
+    assert run_cli(argv + ["--out-dir", str(tmp_path / "env")]) == 0
+    for name in ("counts-6.csv", "counts-6.json"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "env" / name).read_bytes()
+    manifest = json.loads((tmp_path / "env" / "counts-6.manifest.json").read_text())
+    assert "threads" not in manifest["config"]
+
+
+@pytest.mark.parametrize("alphas, label", [("0.5,0.5000001", "vis_alpha_0.5"),
+                                           ("1,1", "vis_alpha_1")])
+def test_visibility_amplitudes_sharing_a_label_are_scenario_error(tmp_path, capsys, alphas,
+                                                                   label):
+    argv = ["visibility", "--alphas", alphas, "--format", "csv", "--out-dir", str(tmp_path)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    first, second = (repr(float(a)) for a in alphas.split(","))
+    assert len(err) == 1 and err[0].startswith("bornsim: error: ")
+    assert all(part in err[0] for part in (first, second, repr(label))), err[0]
+    assert not list(tmp_path.glob("*"))
 
 
 def test_bad_grid_is_scenario_error(tmp_path, capsys):
@@ -184,6 +212,15 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_does_not_load_thread_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, bornsim.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
 def test_unknown_flag_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["counts", "--bogus", "1"])
@@ -253,7 +290,6 @@ def test_parser_and_manifest_follow_table(tmp_path, capsys, monkeypatch, command
         shown = ",".join(map(str, default)) if isinstance(default, list) else str(default)
         assert entries[flag].endswith(f"{text} (default {shown})"), entries[flag]
 
-    monkeypatch.delenv("BORNSIM_THREADS", raising=False)
     monkeypatch.chdir(tmp_path)
     manifest = tmp_path / f"{command}-42.manifest.json"
     assert run_cli([command]) == 0

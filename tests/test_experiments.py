@@ -13,7 +13,7 @@ from bornsim import (
     realize_batch,
 )
 from bornsim.detection import detect_batch, visibility_single
-from bornsim.errors import SaturatedDetectorError, UndefinedConditionalError
+from bornsim.errors import DomainError, SaturatedDetectorError, UndefinedConditionalError
 from bornsim.experiments import (
     antibunching_scan,
     conditional_mode_probs,
@@ -25,6 +25,7 @@ from bornsim.experiments import (
     polarization_scan,
     visibility_scan,
 )
+from bornsim.field import CLICK_BLOCK, threshold_clicks
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 
@@ -57,10 +58,33 @@ class TestPolarizationScan:
         sigma = np.sqrt(p * (1 - p) * n)
         assert np.all(np.abs(res.counts["counts"] - res.analytic["analytic"]) < 5 * sigma)
 
-    def test_deterministic_across_thread_counts(self):
-        a = polarization_scan(0.5, 1.0, n_trials=500, rng=RngStream(7), threads=1)
-        b = polarization_scan(0.5, 1.0, n_trials=500, rng=RngStream(7), threads=4)
-        assert np.array_equal(a.counts["counts"], b.counts["counts"])
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    def test_threshold_clicks_equal_detect_batch(self, seed):
+        # block edges: one trial, one short of a block, one block, two blocks and a tail
+        for n in (1, CLICK_BLOCK - 1, CLICK_BLOCK, 2 * CLICK_BLOCK + 7):
+            for a in (-0.707, 0.0, 1e-3, 0.999, 20.0):
+                for g in (0.0, 1e-3, 1.0, 20.0):
+                    key = (seed, 0, (n,))
+                    old = detect_batch(realize_batch(CoherentVector(a, [1.0]), n,
+                                                     RngStream(*key)), g).sum()
+                    assert threshold_clicks(a, g, n, RngStream(*key)) == old, (n, a, g)
+
+    def test_counts_equal_per_angle_realizations(self):
+        rng = RngStream(42)
+        res = polarization_scan(0.707, 1.0, n_trials=20_000, rng=rng)
+        t = np.deg2rad(res.grid)
+        old = [detect_batch(realize_batch(CoherentVector(0.707 * np.cos(t[i]), np.array([1.0])),
+                                          20_000, rng.substream(i)), 1.0).sum()
+               for i in range(t.size)]
+        assert res.counts["counts"].tolist() == old
+
+    @pytest.mark.parametrize("alpha0", [0.707 + 0j, 1j, math.nan, math.inf])
+    def test_rejects_non_real_or_non_finite_alpha0(self, alpha0, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before checking alpha0")
+        monkeypatch.setattr(RngStream, "uniforms", no_draws)
+        with pytest.raises(DomainError, match="alpha0"):
+            polarization_scan(alpha0, 1.0, n_trials=10, rng=RngStream(1))
 
 
 class TestDeviationScan:

@@ -11,6 +11,7 @@ from bornsim import (
     realize_batch,
 )
 from bornsim.errors import DomainError, InvalidDimensionError
+from bornsim.field import threshold_clicks
 
 VACUUM_3 = CoherentVector(0.0, np.eye(3)[0])
 
@@ -50,6 +51,17 @@ def test_complex_normals_match_interleaved_real_normals():
     z = RngStream(5).complex_normals(6)
     xy = RngStream(5).standard_normals(12)
     assert np.array_equal(z, (xy[0::2] + 1j * xy[1::2]) / np.sqrt(2.0))
+
+
+def test_empty_draws_consume_nothing():
+    rng = RngStream(8)
+    assert rng.standard_normals(0).shape == (0,)
+    z = rng.complex_normals((0, 3))
+    assert z.shape == (0, 3) and z.dtype == complex
+    assert threshold_clicks(0.5, 1.0, 0, rng) == 0
+    assert np.array_equal(rng.uniforms(4), RngStream(8).uniforms(4))
+    with pytest.raises(DomainError):
+        threshold_clicks(0.5, 1.0, -1, rng)
 
 
 def test_noise_second_moment_monte_carlo():
