@@ -221,11 +221,18 @@ def born_expansion(alpha_abs, th):
     """Fourth-order small-amplitude expansion of the click probability.
 
     exp(-2 g^2) * (1 + 4 g^2 |a|^2 + 4 g^2 (g^2 - 1) |a|^4), broadcast over
-    alpha and gamma; accurate for |alpha|^2 << 1/(4 gamma^2).
+    alpha and gamma; accurate for |alpha|^2 << 1/(4 gamma^2). Raises
+    DomainError where the polynomial overflows to inf or NaN.
     """
-    a2 = _alpha_abs(alpha_abs) ** 2
-    g2 = gamma_of(th) ** 2
-    return dark_count_prob(th) * (1.0 + 4.0 * g2 * a2 + 4.0 * g2 * (g2 - 1.0) * a2 * a2)
+    a, g = _alpha_abs(alpha_abs), gamma_of(th)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # np.float64 squares as ** on a float or an array does, but overflows to inf
+        a2, g2 = np.float64(a) ** 2, np.float64(g) ** 2
+        p = dark_count_prob(th) * (1.0 + 4.0 * g2 * a2 + 4.0 * g2 * (g2 - 1.0) * a2 * a2)
+    if not np.all(np.isfinite(p)):
+        a_bad, g_bad = (float(np.broadcast_to(v, p.shape)[~np.isfinite(p)][0]) for v in (a, g))
+        raise DomainError(f"Born expansion is not finite at |alpha| = {a_bad:g}, gamma = {g_bad:g}")
+    return _float_or_array(p)
 
 
 def efficiency(th: Threshold | float) -> float:

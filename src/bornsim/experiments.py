@@ -187,8 +187,9 @@ def polarization_scan(
     rng = RngStream(0) if rng is None else rng
     signed = alpha0 * np.cos(np.deg2rad(thetas_deg))
     amps = np.abs(signed)
-    analytic = n_trials * marcum_q1(2.0 * amps, 2.0 * g)
+    # the expansion overflows first, so it is checked before any Marcum call or draw
     expansion = n_trials * born_expansion(amps, g)
+    analytic = n_trials * marcum_q1(2.0 * amps, 2.0 * g)
     counts = np.array([threshold_clicks(a, g, n_trials, rng.substream(i))
                        for i, a in enumerate(signed)])
     return ScenarioResult(
@@ -441,9 +442,9 @@ def mach_zehnder_fit(
     fitted = basis @ coef
     rmse = float(np.sqrt(np.mean((samples - fitted) ** 2)))
 
-    p_dense = _mz_probs(alpha, g, np.linspace(0.0, 2.0 * np.pi, 721))[0]
+    # the conditional fringe peaks at phi = 0 (dark arm in vacuum) and is lowest at pi
+    p_max, p_min = map(float, _mz_probs(alpha, g, np.array([0.0, np.pi]))[0])
     delta = dark_count_prob(g)
-    p_max, p_min = float(p_dense.max()), float(p_dense.min())
     visibility = (p_max - p_min) / (p_max + p_min - 2.0 * delta)
     r_d = float(antibunching_scan(g, [abs(alpha)]).analytic["Rd"][0])
     return ScenarioResult(

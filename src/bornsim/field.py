@@ -23,6 +23,11 @@ _NORM_TOL = 1e-12
 CLICK_BLOCK = 1 << 14  # trials per uniform draw in threshold_clicks; bounds memory
 
 
+def _box_muller(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared radius r^2 = -2 log(1 - u0) and angle theta = 2 pi u1 of (m, 2) uniform pairs."""
+    return -2.0 * np.log1p(-u[:, 0]), (2.0 * np.pi) * u[:, 1]
+
+
 class RngStream:
     """Deterministic random stream keyed by (seed, stream_id).
 
@@ -63,9 +68,8 @@ class RngStream:
         if n < 0:
             raise DomainError("n must be nonnegative")
         pairs = (n + 1) // 2
-        u = self._gen.random((pairs, 2))
-        r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        theta = (2.0 * np.pi) * u[:, 1]
+        r2, theta = _box_muller(self._gen.random((pairs, 2)))
+        r = np.sqrt(r2)
         out = np.empty(2 * pairs)
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)
@@ -74,9 +78,8 @@ class RngStream:
     def complex_normals(self, shape) -> np.ndarray:
         """Standard complex Gaussians z = (x + iy)/sqrt(2), one Box-Muller pair each."""
         shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
-        u = self._gen.random((math.prod(shape), 2))
-        r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        theta = (2.0 * np.pi) * u[:, 1]
+        r2, theta = _box_muller(self._gen.random((math.prod(shape), 2)))
+        r = np.sqrt(r2)
         z = (r * np.cos(theta) + 1j * (r * np.sin(theta))) / np.sqrt(2.0)
         return z.reshape(shape)
 
@@ -141,10 +144,9 @@ def threshold_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
     clicks = 0
     for start in range(0, n, CLICK_BLOCK):
         m = min(CLICK_BLOCK, n - start)
-        u = rng.uniforms(2 * m).reshape(m, 2)
-        r2 = -2.0 * np.log1p(-u[:, 0])
-        cos = np.cos((2.0 * np.pi) * u[:, 1])
-        clicks += int(np.count_nonzero(a * a + 0.25 * r2 + a * np.sqrt(r2) * cos > gamma * gamma))
+        r2, theta = _box_muller(rng.uniforms(2 * m).reshape(m, 2))
+        clicks += int(np.count_nonzero(a * a + 0.25 * r2 + a * np.sqrt(r2) * np.cos(theta)
+                                       > gamma * gamma))
     return clicks
 
 

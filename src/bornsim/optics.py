@@ -10,6 +10,7 @@ iid standard complex Gaussians. Four-mode circuits order the tensor factors
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -99,50 +100,51 @@ def haar_unitary(d: int, rng: RngStream | Sequence[RngStream]) -> np.ndarray:
 # Circuit description files
 # ---------------------------------------------------------------------------
 
-_GATE_BUILDERS = {
-    "hadamard": (2, lambda params: gate_hadamard()),
-    "x": (2, lambda params: gate_x()),
-    "phase": (None, None),  # special-cased: 1 or 2 wires
-    "cnot": (4, lambda params: gate_cnot()),
-    "identity": (0, None),
+# name -> (wire counts it allows, None for any; builder (phi, n_wires) -> matrix)
+_GATES = {
+    "hadamard": ((2,), lambda phi, k: gate_hadamard()),
+    "x": ((2,), lambda phi, k: gate_x()),
+    "phase": ((1, 2), lambda phi, k: np.diag(np.r_[np.ones(k - 1), np.exp(1j * phi)])),
+    "cnot": ((4,), lambda phi, k: gate_cnot()),
+    "identity": (None, lambda phi, k: np.eye(k, dtype=complex)),
 }
 
 
-def _embed(gate: np.ndarray, wires: list[int], d: int) -> np.ndarray:
-    res = np.eye(d, dtype=complex)
-    for wr in wires:
-        res[wr, wr] = 0.0
-    for r, wr in enumerate(wires):
-        for c, wc in enumerate(wires):
-            res[wr, wc] = gate[r, c]
-    return res
+def _gate_entry(n: int, entry) -> tuple[np.ndarray, list[int]]:
+    """Check entry n of a circuit description; return its gate matrix and wires."""
+    if not isinstance(entry, dict) or "gate" not in entry:
+        raise CircuitFormatError(f"entry {n} must be an object with a 'gate' field")
+    name, wires, params = entry["gate"], entry.get("wires", []), entry.get("params", {})
+    if not isinstance(name, str) or name not in _GATES:
+        raise CircuitFormatError(f"entry {n}: unknown gate {name!r}")
+    # exactly int or float, so no bool; a JSON integer beyond every float fails the comparison
+    if (not isinstance(wires, list) or any(type(w) is not int or w < 0 for w in wires)
+            or len(set(wires)) != len(wires)):
+        raise CircuitFormatError(f"entry {n}: wires must be a list of distinct nonnegative "
+                                 f"integers (got {wires!r})")
+    counts, build = _GATES[name]
+    if counts is not None and len(wires) not in counts:
+        raise CircuitFormatError(f"entry {n}: {name} takes {' or '.join(map(str, counts))} "
+                                 f"wires, got {len(wires)}")
+    phi = params.get("phi", 0.0) if isinstance(params, dict) else None
+    if type(phi) not in (int, float) or not abs(phi) <= sys.float_info.max:
+        raise CircuitFormatError(f"entry {n}: params must be an object whose phi is a finite "
+                                 f"number (got {params!r})")
+    return build(float(phi), len(wires)), wires
 
 
 def circuit_unitary(spec: list[dict], d: int | None = None) -> np.ndarray:
     """Compose an ordered gate list [{gate, params, wires}, ...] into one unitary.
 
-    Gates apply in list order (first entry acts first). ``wires`` are mode
-    indices; a phase gate takes one wire (phase on that mode) or two wires
-    (diag(1, e^{i phi}) across the pair). ``d`` defaults to max wire + 1.
+    Gates apply in list order (first entry acts first), each on its distinct
+    mode indices ``wires`` in the order given, as many as ``_GATES`` allows.
+    ``phase`` puts e^{i phi} on its last wire (``params`` key ``phi``, default
+    0). ``d`` defaults to max wire + 1. A malformed entry raises CircuitFormatError.
     """
     if not isinstance(spec, list):
         raise CircuitFormatError("circuit description must be a list of gate entries")
-    entries = []
-    max_wire = -1
-    for n, entry in enumerate(spec):
-        if not isinstance(entry, dict) or "gate" not in entry:
-            raise CircuitFormatError(f"entry {n} must be an object with a 'gate' field")
-        name = entry["gate"]
-        wires = [int(w) for w in entry.get("wires", [])]
-        params = entry.get("params", {})
-        if name not in _GATE_BUILDERS:
-            raise CircuitFormatError(f"entry {n}: unknown gate {name!r}")
-        if any(w < 0 for w in wires):
-            raise CircuitFormatError(f"entry {n}: negative wire index")
-        if len(set(wires)) != len(wires):
-            raise CircuitFormatError(f"entry {n}: repeated wire index")
-        max_wire = max(max_wire, *wires) if wires else max_wire
-        entries.append((n, name, wires, params))
+    gates = [_gate_entry(n, entry) for n, entry in enumerate(spec)]
+    max_wire = max((w for _, wires in gates for w in wires), default=-1)
     if d is None:
         if max_wire < 0:
             raise CircuitFormatError("cannot infer mode count from an empty wire set")
@@ -151,23 +153,10 @@ def circuit_unitary(spec: list[dict], d: int | None = None) -> np.ndarray:
         raise CircuitFormatError(f"wire {max_wire} out of range for d = {d}")
 
     total = np.eye(d, dtype=complex)
-    for n, name, wires, params in entries:
-        if name == "identity":
-            continue
-        if name == "phase":
-            phi = float(params.get("phi", 0.0))
-            if len(wires) == 1:
-                gate = np.array([[np.exp(1j * phi)]], dtype=complex)
-            elif len(wires) == 2:
-                gate = gate_phase(phi)
-            else:
-                raise CircuitFormatError(f"entry {n}: phase takes 1 or 2 wires")
-        else:
-            arity, builder = _GATE_BUILDERS[name]
-            if len(wires) != arity:
-                raise CircuitFormatError(f"entry {n}: {name} takes {arity} wires, got {len(wires)}")
-            gate = builder(params)
-        total = _embed(gate, wires, d) @ total
+    for gate, wires in gates:
+        step = np.eye(d, dtype=complex)
+        step[np.ix_(wires, wires)] = gate
+        total = step @ total
     return total
 
 

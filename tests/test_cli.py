@@ -189,8 +189,10 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
     ("deviation", {"format": "xml"}, [], "format"),
     ("visibility", {"alphas": []}, [], "alphas"),
     ("antibunch", None, ["--alpha-grid", "0:1e-300:1"], "0:1e-300:1"),
+    ("counts", None, ["--alpha0", "1e200", "--n", "10"], "|alpha| = 1e+200, gamma = 1"),
+    ("counts", None, ["--gamma", "1e100", "--n", "10"], "|alpha| = 0.707, gamma = 1e+100"),
 ], ids=["wrong-float", "wrong-int", "wrong-list", "bad-alphas-flag", "unknown-key", "nan-grid",
-        "bad-format", "empty-alphas", "huge-grid"])
+        "bad-format", "empty-alphas", "huge-grid", "expansion-alpha0", "expansion-gamma"])
 def test_bad_config_is_one_line_error(tmp_path, capsys, command, config, flags, key):
     argv = [command, "--out-dir", str(tmp_path), *flags]
     if config is not None:
@@ -246,6 +248,17 @@ def test_witness_with_circuit_file_matches_default(tmp_path):
     a = rows(tmp_path / "default" / "witness-9.csv")
     b = rows(tmp_path / "circ" / "witness-9.csv")
     assert np.allclose(a, b, atol=1e-9)
+
+
+def test_malformed_circuit_is_one_line_error(tmp_path, capsys):
+    circuit = tmp_path / "bad.json"
+    # 1e400 parses to inf: one line, no NaN gate and no RuntimeWarning
+    circuit.write_text('[{"gate": "phase", "wires": [1], "params": {"phi": 1e400}}]')
+    assert run_cli(["witness", "--circuit", str(circuit), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["bornsim: error: entry 0: params must be an object whose phi is a finite "
+                   "number (got {'phi': inf})"]
+    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 def test_mz_manifest_holds_fit_summary(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from bornsim import (
     outcome_distribution,
     realize_batch,
 )
-from bornsim.detection import detect_batch, visibility_single
+from bornsim import experiments
+from bornsim.detection import dark_count_prob, detect_batch, visibility_single
 from bornsim.errors import DomainError, SaturatedDetectorError, UndefinedConditionalError
 from bornsim.experiments import (
     antibunching_scan,
@@ -78,13 +80,20 @@ class TestPolarizationScan:
                for i in range(t.size)]
         assert res.counts["counts"].tolist() == old
 
-    @pytest.mark.parametrize("alpha0", [0.707 + 0j, 1j, math.nan, math.inf])
-    def test_rejects_non_real_or_non_finite_alpha0(self, alpha0, monkeypatch):
+    @pytest.mark.parametrize("alpha0, gamma, named", [
+        (0.707 + 0j, 1.0, "alpha0"), (1j, 1.0, "alpha0"), (math.nan, 1.0, "alpha0"),
+        (math.inf, 1.0, "alpha0"),
+        # the Born expansion overflows: rejected before it becomes NaN
+        (1e200, 1.0, r"\|alpha\| = 1e\+200, gamma = 1$"),
+        (0.707, 1e100, r"\|alpha\| = 0.707, gamma = 1e\+100$"),
+    ], ids=["(0.707+0j)", "1j", "nan", "inf", "1e+200", "gamma=1e+100"])
+    def test_rejects_non_real_or_non_finite_alpha0(self, alpha0, gamma, named, monkeypatch):
         def no_draws(*args):
-            raise AssertionError("drew before checking alpha0")
+            raise AssertionError("drew or evaluated Q1 before checking the input")
         monkeypatch.setattr(RngStream, "uniforms", no_draws)
-        with pytest.raises(DomainError, match="alpha0"):
-            polarization_scan(alpha0, 1.0, n_trials=10, rng=RngStream(1))
+        monkeypatch.setattr(experiments, "marcum_q1", no_draws)
+        with pytest.raises(DomainError, match=named):
+            polarization_scan(alpha0, gamma, n_trials=10, rng=RngStream(1))
 
 
 class TestDeviationScan:
@@ -309,6 +318,16 @@ class TestMachZehnder:
     def test_fit_rmse_stable_across_seeds(self):
         rmses = [mach_zehnder_fit(0.95, 1.6, RngStream(s)).meta["rmse"] for s in range(10)]
         assert all(0.02 <= r <= 0.06 for r in rmses)
+
+    def test_fit_visibility_equals_dense_grid_extrema(self):
+        # reference: the extrema of the 721-point phase grid the fit once searched
+        for alpha, g in itertools.product([0.0, 0.1, 0.5, 0.95, 1.3, 2.0, 3.0, 5.0],
+                                          [0.05, 0.5, 1.0, 1.6, 2.5]):
+            p = mach_zehnder(alpha, g, np.linspace(0.0, 2.0 * np.pi, 721)).analytic["p_mz"]
+            delta = dark_count_prob(g)
+            dense = (p.max() - p.min()) / (p.max() + p.min() - 2.0 * delta)
+            fit = mach_zehnder_fit(alpha, g, RngStream(1), n_points=4).meta
+            assert fit["visibility"] == dense, (alpha, g)
 
     @given(phi=st.floats(0.0, 2.0 * math.pi), alpha=st.floats(0.05, 2.0),
            gamma=st.floats(0.3, 2.5))

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from bornsim import (
 )
 from bornsim.detection import detect_batch
 from bornsim.errors import CircuitFormatError, DimensionMismatchError, InvalidDimensionError
-from bornsim.optics import unitarity_defect
+from bornsim.optics import _GATES, unitarity_defect
 
 E1_4 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
@@ -194,13 +196,56 @@ def test_circuit_from_json_roundtrip(tmp_path):
     assert np.allclose(u, expected, atol=1e-15)
 
 
+def test_circuit_every_gate():
+    phi, psi = 0.9, -2.3
+    spec = [
+        {"gate": "hadamard", "wires": [0, 2]},
+        {"gate": "phase", "wires": [1], "params": {"phi": phi}},
+        {"gate": "phase", "wires": [3, 0], "params": {"phi": psi}},
+        {"gate": "identity", "wires": [1, 3]},
+        {"gate": "identity"},
+        {"gate": "cnot", "wires": [0, 1, 2, 3]},
+        {"gate": "x", "wires": [3, 1]},
+    ]
+    h02 = kron(gate_hadamard(), np.diag([1, 0])) + kron(gate_identity(2), np.diag([0, 1]))
+    swap13 = np.eye(4)[[0, 3, 2, 1]]
+    expected = (swap13 @ gate_cnot() @ np.diag([np.exp(1j * psi), 1, 1, 1])
+                @ np.diag([1, np.exp(1j * phi), 1, 1]) @ h02)
+    assert np.allclose(circuit_unitary(spec), expected, atol=1e-15)
+    assert np.array_equal(circuit_unitary([{"gate": "identity", "wires": [2]}]), np.eye(3))
+    assert np.array_equal(circuit_unitary([{"gate": "identity"}], d=2), np.eye(2))
+
+
+def test_readme_gate_list_follows_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"Gates: (.*?)\.\s", readme, flags=re.S).group(1)
+    documented = dict(re.findall(r"`([a-z]+)` \(([^;)]*)", sentence))
+    expected = {name: "any number of wires" if counts is None
+                else " or ".join(map(str, counts)) + (" wire" if counts == (1,) else " wires")
+                for name, (counts, _) in _GATES.items()}
+    assert documented == expected
+
+
 def test_circuit_format_errors(tmp_path):
-    with pytest.raises(CircuitFormatError):
-        circuit_unitary([{"gate": "bogus", "wires": [0, 1]}])
-    with pytest.raises(CircuitFormatError):
-        circuit_unitary([{"gate": "hadamard", "wires": [0]}])
-    with pytest.raises(CircuitFormatError):
-        circuit_unitary([{"gate": "hadamard", "wires": [0, 0]}])
+    bad_entries = [
+        {"gate": "bogus", "wires": [0, 1]},
+        {"gate": "hadamard", "wires": [0]},
+        {"gate": "hadamard", "wires": [0, 0]},
+        {"gate": "x", "wires": [0, 1], "params": 5},
+        {"gate": "phase", "wires": [0], "params": {"phi": "abc"}},
+        {"gate": "phase", "wires": [0], "params": {"phi": math.inf}},
+        {"gate": "phase", "wires": [0], "params": {"phi": 10**400}},
+        {"gate": "phase", "wires": [0], "params": {"phi": True}},
+        {"gate": "x", "wires": ["a", 1]},
+        {"gate": "x", "wires": 5},
+        {"gate": "x", "wires": [1.5, 2]},
+        {"gate": "x", "wires": [True, 2]},
+        {"gate": "x", "wires": [-1, 2]},
+        {"gate": ["x"], "wires": [0, 1]},
+    ]
+    for entry in bad_entries:
+        with pytest.raises(CircuitFormatError, match="entry 1"):
+            circuit_unitary([{"gate": "x", "wires": [0, 1]}, entry])
     with pytest.raises(CircuitFormatError):
         circuit_unitary({"gate": "hadamard"})
     bad = tmp_path / "bad.json"
