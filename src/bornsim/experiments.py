@@ -35,11 +35,10 @@ from .errors import (
     SaturatedDetectorError,
     UndefinedRatioError,
 )
-from .field import CoherentVector, RngStream, threshold_clicks
+from .field import RngStream, threshold_clicks
 
 __all__ = [
     "ScenarioResult",
-    "conditional_mode_probs",
     "polarization_scan",
     "deviation_scan",
     "visibility_scan",
@@ -146,18 +145,6 @@ def _conditional_clicks(amps: np.ndarray, gamma: float) -> np.ndarray:
     winners = s & (a >= np.max(np.where(s, a, 0.0), axis=-1, keepdims=True) * (1.0 - 1e-12))
     p[rows] = winners / winners.sum(axis=-1, keepdims=True)
     return p
-
-
-def conditional_mode_probs(state: CoherentVector, th: Threshold | float) -> np.ndarray:
-    """Probability that the single click lands on mode i, given exactly one click.
-
-    p_i = (q_i / (1 - q_i)) / sum_k (q_k / (1 - q_k)). Requires gamma > 0;
-    at gamma = 0 every detector fires with certainty and the weights diverge.
-    If a q_i rounds to 1 in floating point (amplitude far above threshold),
-    the limit is taken instead: the mass concentrates on the largest
-    saturated amplitudes.
-    """
-    return _conditional_clicks(np.abs(state.mode_amplitudes()), gamma_of(th))
 
 
 # ---------------------------------------------------------------------------

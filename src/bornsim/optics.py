@@ -75,38 +75,33 @@ def apply(u: np.ndarray, state: CoherentVector) -> CoherentVector:
     return CoherentVector(state.alpha, psi / nrm)
 
 
-def haar_unitary(d: int, rng: RngStream | Sequence[RngStream]) -> np.ndarray:
-    """Haar-distributed d x d unitary via QR of a complex Gaussian matrix.
+def haar_unitary(d: int, streams: Sequence[RngStream]) -> np.ndarray:
+    """Stack (n, d, d) of Haar-distributed unitaries, matrix i drawn from stream i.
 
-    The R diagonal's phases are folded back into Q so the distribution is
-    exactly Haar rather than QR-convention dependent. Given a sequence of
-    streams, returns an (n, d, d) stack with matrix i drawn from stream i;
-    each equals the one-stream call bit for bit.
+    Each is Q from the QR of a complex Gaussian matrix, with R's diagonal phases
+    folded back in so the law is exactly Haar. One is haar_unitary(d, [rng])[0].
     """
     d = int(d)
     if d < 1:
         raise InvalidDimensionError("haar_unitary needs d >= 1")
-    single = isinstance(rng, RngStream)
-    streams = [rng] if single else rng
     z = np.array([s.complex_normals((d, d)) for s in streams], dtype=complex).reshape(-1, d, d)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
-    u = q * (diag / np.abs(diag))[:, None, :]
-    return u[0] if single else u
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 # ---------------------------------------------------------------------------
 # Circuit description files
 # ---------------------------------------------------------------------------
 
-# name -> (wire counts it allows, None for any; builder (phi, n_wires) -> matrix)
+# name -> (wire counts it allows, None for any; params keys; builder (phi, n_wires) -> matrix)
 _GATES = {
-    "hadamard": ((2,), lambda phi, k: gate_hadamard()),
-    "x": ((2,), lambda phi, k: gate_x()),
-    "phase": ((1, 2), lambda phi, k: np.diag(np.r_[np.ones(k - 1), np.exp(1j * phi)])),
-    "cnot": ((4,), lambda phi, k: gate_cnot()),
-    "identity": (None, lambda phi, k: np.eye(k, dtype=complex)),
+    "hadamard": ((2,), (), lambda phi, k: gate_hadamard()),
+    "x": ((2,), (), lambda phi, k: gate_x()),
+    "phase": ((1, 2), ("phi",), lambda phi, k: np.diag(np.r_[np.ones(k - 1), np.exp(1j * phi)])),
+    "cnot": ((4,), (), lambda phi, k: gate_cnot()),
+    "identity": (None, (), lambda phi, k: np.eye(k, dtype=complex)),
 }
 
 
@@ -117,12 +112,15 @@ def _gate_entry(n: int, entry) -> tuple[np.ndarray, list[int]]:
     name, wires, params = entry["gate"], entry.get("wires", []), entry.get("params", {})
     if not isinstance(name, str) or name not in _GATES:
         raise CircuitFormatError(f"entry {n}: unknown gate {name!r}")
+    unknown = [k for k in entry if k not in ("gate", "wires", "params")]
+    if unknown:
+        raise CircuitFormatError(f"entry {n}: unknown key {unknown[0]!r}")
     # exactly int or float, so no bool; a JSON integer beyond every float fails the comparison
     if (not isinstance(wires, list) or any(type(w) is not int or w < 0 for w in wires)
             or len(set(wires)) != len(wires)):
         raise CircuitFormatError(f"entry {n}: wires must be a list of distinct nonnegative "
                                  f"integers (got {wires!r})")
-    counts, build = _GATES[name]
+    counts, takes, build = _GATES[name]
     if counts is not None and len(wires) not in counts:
         raise CircuitFormatError(f"entry {n}: {name} takes {' or '.join(map(str, counts))} "
                                  f"wires, got {len(wires)}")
@@ -130,6 +128,9 @@ def _gate_entry(n: int, entry) -> tuple[np.ndarray, list[int]]:
     if type(phi) not in (int, float) or not abs(phi) <= sys.float_info.max:
         raise CircuitFormatError(f"entry {n}: params must be an object whose phi is a finite "
                                  f"number (got {params!r})")
+    unknown = [k for k in params if k not in takes]
+    if unknown:
+        raise CircuitFormatError(f"entry {n}: {name} takes no parameter {unknown[0]!r}")
     return build(float(phi), len(wires)), wires
 
 
@@ -138,8 +139,9 @@ def circuit_unitary(spec: list[dict], d: int | None = None) -> np.ndarray:
 
     Gates apply in list order (first entry acts first), each on its distinct
     mode indices ``wires`` in the order given, as many as ``_GATES`` allows.
-    ``phase`` puts e^{i phi} on its last wire (``params`` key ``phi``, default
-    0). ``d`` defaults to max wire + 1. A malformed entry raises CircuitFormatError.
+    Only ``phase`` takes ``params``: ``phi`` (default 0), put as e^{i phi} on its
+    last wire. ``d`` defaults to max wire + 1. An unknown key or a malformed
+    entry raises CircuitFormatError.
     """
     if not isinstance(spec, list):
         raise CircuitFormatError("circuit description must be a list of gate entries")

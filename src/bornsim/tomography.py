@@ -9,8 +9,8 @@ squared expectation residuals over density matrices; because the basis is
 Hilbert-Schmidt orthonormal and complete, its exact minimizer keeps the
 eigenvectors of sum_k m_k B_k and projects the eigenvalues onto the
 probability simplex (Smolin, Gambetta & Smith, PRL 108, 070502, 2012; the
-projection of Duchi et al., ICML 2008). Reconstruction, fidelity and the
-PPT witness all act on stacks of states, so scans run as array operations.
+projection of Duchi et al., ICML 2008), exactly. Measurement, reconstruction,
+fidelity and the PPT witness act on stacks of states; one state is one row.
 """
 
 from __future__ import annotations
@@ -23,17 +23,14 @@ import numpy as np
 from .detection import Threshold, gamma_of, visibility_single
 from .errors import DimensionMismatchError, DomainError, InvalidDimensionError
 from .experiments import ScenarioResult, _conditional_clicks, _write_csv, _write_json
-from .field import CoherentVector, RngStream
+from .field import RngStream
 from .optics import haar_unitary
 
 __all__ = [
     "HermitianBasis",
-    "MLEResult",
     "SweepResult",
     "build_basis",
-    "measure_expectations",
     "linear_qst",
-    "mle_qst",
     "fidelity",
     "partial_transpose",
     "ppt_witness",
@@ -135,19 +132,6 @@ def build_basis(d: int) -> HermitianBasis:
 # Measurement and reconstruction
 # ---------------------------------------------------------------------------
 
-def measure_expectations(state: CoherentVector, th: Threshold | float,
-                         basis: HermitianBasis) -> np.ndarray:
-    """Expectation estimate m_k = sum_i p_i beta_ki from post-selected clicks.
-
-    For each basis element the mode direction is rotated to U_k^dag psi and
-    the exact conditional single-click probabilities p_i weight the
-    eigenvalues beta_ki. This is the one-state case of the batched path.
-    """
-    if basis.d != state.d:
-        raise DimensionMismatchError(f"basis is {basis.d}-mode, state is {state.d}-mode")
-    return _measure_batch(state.psi[None], state.alpha, gamma_of(th), basis)[0]
-
-
 def _measure_batch(psis: np.ndarray, alpha: float, gamma: float,
                    basis: HermitianBasis) -> np.ndarray:
     """m vectors (n, d^2) for n states (n, d); one Marcum evaluation per call."""
@@ -173,14 +157,6 @@ def linear_qst(m: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     return rho / tr[..., None, None]
 
 
-@dataclass(frozen=True)
-class MLEResult:
-    rho: np.ndarray
-    objective: float
-    converged: bool
-    n_iter: int
-
-
 def _constrained_fit(m: np.ndarray, basis: HermitianBasis) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form constrained fit of expectation vectors stacked as (..., d^2).
 
@@ -198,24 +174,6 @@ def _constrained_fit(m: np.ndarray, basis: HermitianBasis) -> tuple[np.ndarray, 
     rho = (v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2)
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     return rho, np.sum((lam - w) ** 2, axis=-1)
-
-
-def mle_qst(m: np.ndarray, basis: HermitianBasis) -> MLEResult:
-    """Positive-semidefinite least-squares fit of the expectation vector.
-
-    Minimizes sum_k (Tr[rho B_k] - m_k)^2 over unit-trace positive
-    semidefinite rho. The basis is Hilbert-Schmidt orthonormal and complete,
-    so the objective equals ||rho - sum_k m_k B_k||_F^2, and its exact
-    minimizer keeps the eigenvectors of sum_k m_k B_k and replaces the
-    eigenvalues by their Euclidean projection onto the probability simplex
-    (Smolin, Gambetta & Smith, PRL 108, 070502, 2012; Duchi et al., ICML
-    2008). The solution is exact, so converged is always True and n_iter 0.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (basis.size,):
-        raise DimensionMismatchError(f"need {basis.size} expectation values, got shape {m.shape}")
-    rho, objective = _constrained_fit(m, basis)
-    return MLEResult(rho=rho, objective=float(objective), converged=True, n_iter=0)
 
 
 def _reconstruct_grid(psis: np.ndarray, alphas: np.ndarray, gammas: np.ndarray,

@@ -29,6 +29,10 @@ def test_parse_grid():
     # 1e300 points: rejected before any array is built
     with pytest.raises(BornsimError, match="'0:1e-300:1'"):
         parse_grid("0:1e-300:1")
+    # rounding to 12 decimals would overflow to an empty grid, or merge points
+    for spec in ("1e300:1:1e300", "0:1e-13:1e-12", "0.5:4e-13:0.5000000000012"):
+        with pytest.raises(BornsimError, match=f"'{spec}'"):
+            parse_grid(spec)
 
 
 def test_counts_outputs_and_determinism(tmp_path):

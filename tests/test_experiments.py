@@ -17,8 +17,8 @@ from bornsim import experiments
 from bornsim.detection import dark_count_prob, detect_batch, visibility_single
 from bornsim.errors import DomainError, SaturatedDetectorError, UndefinedConditionalError
 from bornsim.experiments import (
+    _conditional_clicks,
     antibunching_scan,
-    conditional_mode_probs,
     deviation_scan,
     dual_mode_scan,
     hyperentanglement_scan,
@@ -245,28 +245,28 @@ class TestConditionalModeProbs:
     def test_vacuum_is_uniform(self):
         psi = RngStream(1).complex_normals(4)
         psi /= np.linalg.norm(psi)
-        p = conditional_mode_probs(CoherentVector(0.0, psi), 1.0)
+        p = _conditional_clicks(np.abs(CoherentVector(0.0, psi).mode_amplitudes()), 1.0)
         assert np.all(p == p[0])
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_direction_any_amplitude(self):
         psi = np.full(4, 0.5)
-        p = conditional_mode_probs(CoherentVector(2.2, psi), 0.9)
+        p = _conditional_clicks(np.abs(CoherentVector(2.2, psi).mode_amplitudes()), 0.9)
         assert np.all(p == p[0])
 
     def test_bright_classical_state_concentrates(self):
-        p = conditional_mode_probs(CoherentVector(10.0, np.eye(3)[0].astype(complex)), 1.0)
+        p = _conditional_clicks(np.array([10.0, 0.0, 0.0]), 1.0)
         assert p[0] > 0.999
 
     def test_zero_threshold_raises(self):
         with pytest.raises(SaturatedDetectorError):
-            conditional_mode_probs(CoherentVector(1.0, np.eye(2)[0].astype(complex)), 0.0)
+            _conditional_clicks(np.array([1.0, 0.0]), 0.0)
 
     def test_matches_outcome_distribution(self):
         psi = RngStream(2).complex_normals(4)
         psi /= np.linalg.norm(psi)
         state = CoherentVector(1.3, psi)
-        p = conditional_mode_probs(state, 0.8)
+        p = _conditional_clicks(np.abs(state.mode_amplitudes()), 0.8)
         singles = outcome_distribution(state, 0.8).single_detection_probs()
         assert p == pytest.approx(singles / singles.sum(), abs=1e-12)
 

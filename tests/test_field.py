@@ -116,7 +116,7 @@ def test_unitary_closure_of_noise():
     # transformed noise stays iid standard complex Gaussian
     n = 100_000
     d = 3
-    u = haar_unitary(d, RngStream(41))
+    u = haar_unitary(d, [RngStream(41)])[0]
     z = RngStream(42).complex_normals((n, d)) @ u.T
     inten = np.mean(np.abs(z) ** 2, axis=0)
     assert np.all(np.abs(inten - 1.0) < 5.0 / np.sqrt(n))

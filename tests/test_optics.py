@@ -82,7 +82,7 @@ def test_apply_identity_is_noop():
 
 def test_apply_preserves_norm_and_alpha():
     rng = RngStream(1)
-    u = haar_unitary(6, rng)
+    u = haar_unitary(6, [rng])[0]
     psi = rng.complex_normals(6)
     psi /= np.linalg.norm(psi)
     out = apply(u, CoherentVector(2.0 - 1.0j, psi))
@@ -97,13 +97,13 @@ def test_apply_dimension_mismatch():
 
 def test_haar_unitarity():
     for seed in range(5):
-        u = haar_unitary(4, RngStream(seed))
+        u = haar_unitary(4, [RngStream(seed)])[0]
         assert unitarity_defect(u) <= 1e-10
 
 
 def test_haar_rejects_zero_dim():
     with pytest.raises(InvalidDimensionError):
-        haar_unitary(0, RngStream(0))
+        haar_unitary(0, [RngStream(0)])
 
 
 def haar_reference(d, stream):
@@ -122,7 +122,7 @@ def test_haar_stack_equals_per_stream_calls(d):
     for i in range(6):
         expected = haar_reference(d, rng.substream(i))
         assert np.array_equal(stack[i], expected)
-        assert np.array_equal(haar_unitary(d, rng.substream(i)), expected)
+        assert np.array_equal(haar_unitary(d, [rng.substream(i)])[0], expected)
 
 
 def test_haar_single_mode_phase_uniform():
@@ -222,7 +222,7 @@ def test_readme_gate_list_follows_table():
     documented = dict(re.findall(r"`([a-z]+)` \(([^;)]*)", sentence))
     expected = {name: "any number of wires" if counts is None
                 else " or ".join(map(str, counts)) + (" wire" if counts == (1,) else " wires")
-                for name, (counts, _) in _GATES.items()}
+                for name, (counts, *_) in _GATES.items()}
     assert documented == expected
 
 
@@ -245,6 +245,16 @@ def test_circuit_format_errors(tmp_path):
     ]
     for entry in bad_entries:
         with pytest.raises(CircuitFormatError, match="entry 1"):
+            circuit_unitary([{"gate": "x", "wires": [0, 1]}, entry])
+    # keys that neither an entry nor its gate takes
+    unknown_keys = [
+        ({"gate": "phase", "wires": [2], "params": {"Phi": 3.0}}, "Phi"),
+        ({"gate": "identity", "wire": [5]}, "wire"),
+        ({"gate": "hadamard", "wires": [0, 1], "params": {"phi": 0.3}}, "phi"),
+        ({"gate": "cnot", "wires": [0, 1, 2, 3], "param": {}}, "param"),
+    ]
+    for entry, key in unknown_keys:
+        with pytest.raises(CircuitFormatError, match=f"entry 1: .*'{key}'"):
             circuit_unitary([{"gate": "x", "wires": [0, 1]}, entry])
     with pytest.raises(CircuitFormatError):
         circuit_unitary({"gate": "hadamard"})

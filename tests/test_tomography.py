@@ -8,7 +8,9 @@ from bornsim import CoherentVector, RngStream, marcum_q1, outcome_distribution, 
 from bornsim.detection import detect_batch
 from bornsim import tomography
 from bornsim.errors import DimensionMismatchError, DomainError, InvalidDimensionError
+from bornsim.experiments import _conditional_clicks
 from bornsim.tomography import (
+    _constrained_fit,
     _measure_batch,
     bell_direction,
     bell_witness_scan,
@@ -17,8 +19,6 @@ from bornsim.tomography import (
     fidelity,
     fidelity_scan,
     linear_qst,
-    measure_expectations,
-    mle_qst,
     partial_transpose,
     ppt_witness,
 )
@@ -65,7 +65,7 @@ def lbfgs_objective(x: np.ndarray, m: np.ndarray, basis) -> tuple[float, np.ndar
 def lbfgs_fit(m: np.ndarray, basis) -> tuple[np.ndarray, float]:
     """Reference constrained fit by L-BFGS over the Cholesky-like factor T.
 
-    An iterative route to the minimum that mle_qst reaches in closed form,
+    An iterative route to the minimum that _constrained_fit reaches in closed form,
     started from the linear inversion with negative eigenvalues clipped.
     """
     d = basis.d
@@ -120,16 +120,14 @@ class TestBasis:
 class TestMeasurement:
     def test_vacuum_gives_uniform_trace_moments(self):
         b = build_basis(4)
-        state = CoherentVector(0.0, np.eye(4)[0].astype(complex))
-        m = measure_expectations(state, 1.0, b)
+        m = _measure_batch(np.eye(4)[:1].astype(complex), 0.0, 1.0, b)[0]
         expected = np.array([np.real(np.trace(bk)) / 4 for bk in b.matrices])
         assert m == pytest.approx(expected, abs=1e-14)
 
     def test_bright_state_pins_population_moment(self):
         # the diag(1,-1)-like element reads +1/sqrt(2) when mode 1 dominates
         b = build_basis(2)
-        state = CoherentVector(10.0, np.array([1.0, 0.0]))
-        m = measure_expectations(state, 1.0, b)
+        m = _measure_batch(np.array([[1.0 + 0.0j, 0.0j]]), 10.0, 1.0, b)[0]
         assert m[3] == pytest.approx(1.0 / math.sqrt(2.0), abs=0.01)
 
     @pytest.mark.parametrize("d, alpha, g, seed", [
@@ -139,7 +137,7 @@ class TestMeasurement:
         # brute force: the single-click entries of each rotated setting's 2^d table
         b = build_basis(d)
         psi = random_direction(d, seed)
-        m = measure_expectations(CoherentVector(alpha, psi), g, b)
+        m = _measure_batch(psi[None], alpha, g, b)[0]
         oracle = np.empty(b.size)
         for k in range(b.size):
             psi_k = b.diagonalizers[k].conj().T @ psi
@@ -155,7 +153,7 @@ class TestMeasurement:
         psis = np.array([random_direction(4, s) for s in range(8)])
         batch = _measure_batch(psis, 6.0, 0.5, b)
         for psi, row in zip(psis, batch):
-            assert np.array_equal(row, measure_expectations(CoherentVector(6.0, psi), 0.5, b))
+            assert np.array_equal(row, _measure_batch(psi[None], 6.0, 0.5, b)[0])
         amps = 6.0 * np.abs(np.einsum("kji,nj->nki", b.diagonalizers.conj(), psis))
         saturated = (marcum_q1(2.0 * amps, 1.0) == 1.0).any(axis=-1)
         assert saturated.any() and not saturated.all()
@@ -168,9 +166,7 @@ class TestMeasurement:
         psi_k = b.diagonalizers[k].conj().T @ psi
         psi_k /= np.linalg.norm(psi_k)
         state = CoherentVector(alpha, psi_k)
-        from bornsim.experiments import conditional_mode_probs
-
-        p = conditional_mode_probs(state, g)
+        p = _conditional_clicks(np.abs(state.mode_amplitudes()), g)
         a = realize_batch(state, n, RngStream(70))
         bits = detect_batch(a, g)
         singles = bits.sum(axis=1) == 1
@@ -191,14 +187,13 @@ class TestLinearInversion:
 
     def test_vacuum_reconstructs_maximally_mixed(self):
         b = build_basis(4)
-        state = CoherentVector(0.0, np.eye(4)[0].astype(complex))
-        rho = linear_qst(measure_expectations(state, 1.0, b), b)
+        rho = linear_qst(_measure_batch(np.eye(4)[:1].astype(complex), 0.0, 1.0, b)[0], b)
         assert np.array_equal(rho, np.eye(4) / 4)
 
     def test_large_amplitude_goes_indefinite(self):
         b = build_basis(4)
         psi = random_direction(4, 11)
-        m = measure_expectations(CoherentVector(3.0, psi), 1.0, b)
+        m = _measure_batch(psi[None], 3.0, 1.0, b)[0]
         rho = linear_qst(m, b)
         assert np.linalg.eigvalsh(rho).min() < -1e-6
 
@@ -212,10 +207,9 @@ class TestConstrainedFit:
         b = build_basis(4)
         rho = random_density(4, 42)
         m = np.real(np.einsum("ij,kji->k", rho, b.matrices))
-        res = mle_qst(m, b)
-        assert res.objective <= 1e-12
-        assert np.max(np.abs(res.rho - rho)) < 1e-5
-        assert res.converged
+        fit, objective = _constrained_fit(m, b)
+        assert objective <= 1e-12
+        assert np.max(np.abs(fit - rho)) < 1e-5
 
     def test_output_always_psd_unit_trace_hermitian(self):
         b = build_basis(4)
@@ -223,11 +217,11 @@ class TestConstrainedFit:
         for _ in range(20):
             m = rng.normal(scale=0.3, size=16)
             m[0] = 0.5  # identity component fixes the trace
-            res = mle_qst(m, b)
-            w = np.linalg.eigvalsh(res.rho)
+            fit = _constrained_fit(m, b)[0]
+            w = np.linalg.eigvalsh(fit)
             assert w.min() >= -1e-10
-            assert np.real(np.trace(res.rho)) == pytest.approx(1.0, abs=1e-10)
-            assert np.max(np.abs(res.rho - res.rho.conj().T)) < 1e-10
+            assert np.real(np.trace(fit)) == pytest.approx(1.0, abs=1e-10)
+            assert np.max(np.abs(fit - fit.conj().T)) < 1e-10
 
     def test_gradient_matches_finite_differences(self):
         # the L-BFGS reference fit is only as good as its analytic gradient
@@ -241,10 +235,8 @@ class TestConstrainedFit:
 
     def test_deterministic(self):
         b = build_basis(4)
-        m = measure_expectations(CoherentVector(1.0, bell_direction()), 1.0, b)
-        r1 = mle_qst(m, b)
-        r2 = mle_qst(m, b)
-        assert np.array_equal(r1.rho, r2.rho)
+        m = _measure_batch(bell_direction()[None], 1.0, 1.0, b)[0]
+        assert np.array_equal(_constrained_fit(m, b)[0], _constrained_fit(m, b)[0])
 
     def test_objective_never_above_lbfgs(self):
         b = build_basis(4)
@@ -258,15 +250,14 @@ class TestConstrainedFit:
             rho = random_density(4, seed)
             cases.append(np.real(np.einsum("ij,kji->k", rho, b.matrices)))
             psi = random_direction(4, 20 + seed)
-            cases.append(measure_expectations(CoherentVector(3.0, psi), 1.0, b))
+            cases.append(_measure_batch(psi[None], 3.0, 1.0, b)[0])
         indefinite = 0
         for m in cases:
             indefinite += np.linalg.eigvalsh(linear_qst(m, b)).min() < -1e-12
-            res = mle_qst(m, b)
-            assert res.objective <= lbfgs_fit(m, b)[1] + 1e-12
-            assert np.linalg.eigvalsh(res.rho).min() >= -1e-12
-            assert np.real(np.trace(res.rho)) == pytest.approx(1.0, abs=1e-12)
-            assert res.converged and res.n_iter == 0
+            fit, objective = _constrained_fit(m, b)
+            assert objective <= lbfgs_fit(m, b)[1] + 1e-12
+            assert np.linalg.eigvalsh(fit).min() >= -1e-12
+            assert np.real(np.trace(fit)) == pytest.approx(1.0, abs=1e-12)
         assert indefinite >= 10
 
 
@@ -315,15 +306,14 @@ class TestReportsAndSweeps:
     def test_one_state_reconstruction(self):
         b = build_basis(4)
         psi = bell_direction()
-        m = measure_expectations(CoherentVector(1.0, psi), 1.0, b)
+        m = _measure_batch(psi[None], 1.0, 1.0, b)[0]
         # the raw linear inversion already has unit trace
         raw_trace = np.real(np.trace(np.einsum("k,kij->ij", m, b.matrices)))
         assert abs(raw_trace - 1.0) < 1e-10
-        fit = mle_qst(m, b)
-        assert fit.converged and fit.n_iter == 0
-        assert np.linalg.eigvalsh(fit.rho).min() >= -1e-10
-        assert np.isfinite(ppt_witness(fit.rho, 2, 2))
-        assert 0.0 <= fidelity(psi, fit.rho) <= 1.0 + 1e-9
+        fit = _constrained_fit(m, b)[0]
+        assert np.linalg.eigvalsh(fit).min() >= -1e-10
+        assert np.isfinite(ppt_witness(fit, 2, 2))
+        assert 0.0 <= fidelity(psi, fit) <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("method", ["linear", "mle"])
     def test_bell_witness_scan_equals_per_alpha_reconstruction(self, method):
@@ -333,8 +323,8 @@ class TestReportsAndSweeps:
         psi = bell_direction()
         cols = {"witness": [], "fidelity": [], "min_eigenvalue": []}
         for a in alphas:
-            m = measure_expectations(CoherentVector(a, psi), 1.0, b)
-            rho = linear_qst(m, b) if method == "linear" else mle_qst(m, b).rho
+            m = _measure_batch(psi[None], a, 1.0, b)[0]
+            rho = linear_qst(m, b) if method == "linear" else _constrained_fit(m, b)[0]
             cols["witness"].append(ppt_witness(rho, 2, 2))
             cols["fidelity"].append(fidelity(psi, rho))
             cols["min_eigenvalue"].append(np.linalg.eigvalsh(rho)[0])
@@ -386,7 +376,7 @@ def test_measurement_survives_saturated_detectors():
     # far above threshold one mode clicks with certainty at float precision;
     # the conditional limit concentrates there and the moment stays finite
     b = build_basis(2)
-    m = measure_expectations(CoherentVector(30.0, np.array([1.0, 0.0])), 0.5, b)
+    m = _measure_batch(np.array([[1.0 + 0.0j, 0.0j]]), 30.0, 0.5, b)[0]
     assert m[3] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
     res = fidelity_scan(np.array([30.0]), 0.5, 2, RngStream(90), method="linear",
                         psis=np.array([[1.0 + 0.0j, 0.0j], [0.0j, 1.0 + 0.0j]]))
