@@ -6,7 +6,6 @@ from . import detection, experiments, field, optics, tomography  # noqa: F401
 
 from .detection import (
     OutcomeDistribution,
-    Threshold,
     born_expansion,
     dark_count_prob,
     detect_batch,
@@ -36,5 +35,4 @@ from .optics import (
     gate_phase,
     gate_x,
     haar_unitary,
-    kron,
 )

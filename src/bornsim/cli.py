@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for key, (default, text) in {**command.params, **COMMON}.items():
-            if text is None:  # set from a config file only
-                continue
             shown = ",".join(map(str, default)) if isinstance(default, list) else default
             kwargs = {"dest": key, "default": None, "help": f"{text} (default {shown})"}
             if isinstance(default, bool):
@@ -176,8 +174,8 @@ def _visibility_contour(p, rng):
 
 
 class Command(NamedTuple):
-    """Help, parameters (key -> (default, flag help or None for config-file only)), runner
-    (params with *_grid keys parsed, RngStream), and whether gamma = 0 must be rejected."""
+    """Help, parameters (key -> (default, flag help)), runner (params with *_grid keys
+    parsed, RngStream), and whether gamma = 0 must be rejected."""
 
     help: str
     params: dict
@@ -246,9 +244,8 @@ COMMANDS: dict[str, Command] = {
     "fidelity-contour": Command(
         "mean tomography fidelity over (alpha, gamma)",
         {"alpha_grid": ("0.25:0.25:3", ALPHA_GRID), "gamma_grid": ("0.25:0.25:3", GAMMA_GRID),
-         "n_states": (100, ENSEMBLE), "d": (4, None),
-         "fast": (False, "reduced ensemble (20 states)")},
-        lambda p, rng: tomography.ensemble_sweep(p["d"], p["alpha_grid"], p["gamma_grid"],
+         "n_states": (100, ENSEMBLE), "fast": (False, "reduced ensemble (20 states)")},
+        lambda p, rng: tomography.ensemble_sweep(4, p["alpha_grid"], p["gamma_grid"],
                                                  20 if p["fast"] else p["n_states"],
                                                  method="mle", rng=rng)),
     "visibility-contour": Command(
@@ -259,7 +256,13 @@ COMMANDS: dict[str, Command] = {
 
 
 def _run_scenario(cfg: dict):
+    """Parse the grids, check the run's total size against MAX_GRID_POINTS, run the scenario."""
     params = {k: parse_grid(v) if k.endswith("_grid") else v for k, v in cfg.items()}
+    points = math.prod(len(v) for k, v in params.items() if k.endswith("_grid") or k == "alphas")
+    points *= params.get("n_states", 1)
+    if points > MAX_GRID_POINTS:
+        raise BornsimError(f"{cfg['command']} would evaluate {points:,} grid points x states; "
+                           f"the limit is {MAX_GRID_POINTS:,}")
     return COMMANDS[cfg["command"]].run(params, RngStream(cfg["seed"]))
 
 

@@ -1,4 +1,4 @@
-"""Threshold photodetection statistics in the single-mode limit.
+"""Photodetection statistics of amplitude-threshold detectors in the single-mode limit.
 
 A detector clicks when a realized mode amplitude exceeds the dimensionless
 threshold gamma, |a_i| > gamma. For a mode carrying coherent amplitude alpha
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .errors import (
 from .field import CoherentVector
 
 __all__ = [
-    "Threshold",
     "OutcomeDistribution",
     "marcum_q1",
     "detect_prob",
@@ -42,39 +40,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Threshold:
-    """Dimensionless detection threshold; a click requires |a| > gamma."""
-
-    gamma: float
-
-    def __post_init__(self):
-        g = float(self.gamma)
-        if not (math.isfinite(g) and g >= 0.0):
-            raise DomainError(f"gamma must be finite and >= 0 (got {self.gamma!r})")
-        object.__setattr__(self, "gamma", g)
+def _float_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def gamma_of(th: "Threshold | float | np.ndarray") -> "float | np.ndarray":
-    """Accept a Threshold, a bare gamma value, or an array of gamma values."""
-    if isinstance(th, Threshold):
-        return th.gamma
-    g = np.asarray(th, dtype=float)
-    if g.ndim == 0:
-        return Threshold(float(g)).gamma
-    if not np.all(np.isfinite(g)) or np.any(g < 0.0):
-        raise DomainError("gamma must be finite and >= 0")
-    return g
+def _nonnegative(name: str, value) -> "float | np.ndarray":
+    """value as a float (scalar) or a float array, raising DomainError unless finite and >= 0."""
+    v = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(v)) or np.any(v < 0.0):
+        raise DomainError(f"{name} must be finite and >= 0")
+    return _float_or_array(v)
 
 
-def _gamma_per_mode(th, d: int) -> np.ndarray:
-    """Per-mode thresholds: a shared scalar by default, or one value per mode."""
-    if isinstance(th, (Threshold, float, int)):
-        return np.full(d, gamma_of(th))
-    arr = np.array([gamma_of(t) for t in th], dtype=float)
-    if arr.size != d:
-        raise InvalidDimensionError(f"got {arr.size} thresholds for {d} modes")
-    return arr
+def gamma_of(th) -> "float | np.ndarray":
+    """A threshold is one gamma, or an array of them that broadcasts against the amplitudes."""
+    return _nonnegative("gamma", th)
+
+
+def _broadcast_shape(amps, gamma) -> tuple[int, ...]:
+    """Shape amplitude and threshold broadcast to; InvalidDimensionError where they do not."""
+    try:
+        return np.broadcast_shapes(np.shape(amps), np.shape(gamma))
+    except ValueError:
+        raise InvalidDimensionError(f"amplitude shape {np.shape(amps)} does not broadcast "
+                                    f"against threshold shape {np.shape(gamma)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -155,20 +144,17 @@ def marcum_q1(a, b):
     error is bounded by the unconsumed Poisson tail mass, kept below 5e-16
     of the result. Q1(a, 0) = 1 is exact, and so is Q1(0, b) = exp(-b^2/2):
     the series stops after its first term.
-    ``a`` and ``b`` broadcast against each other; two scalars give a float.
+    ``a`` and ``b`` broadcast against each other (InvalidDimensionError where
+    they do not); two scalars give a float.
     Every element stops at its own tail bound, so a batched call equals the
     one-element calls bit for bit.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    for name, v in (("a", a), ("b", b)):
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-            raise DomainError(f"{name} must be finite and >= 0")
-    shape = np.broadcast_shapes(a.shape, b.shape)
+    a, b = _nonnegative("a", a), _nonnegative("b", b)
+    shape = _broadcast_shape(a, b)
     m = np.broadcast_to(0.5 * a * a, shape).ravel()
     x = 0.5 * b * b
     # a shared threshold stays scalar through the series
-    x = float(x) if x.ndim == 0 else np.broadcast_to(x, shape).ravel()
+    x = x if np.ndim(x) == 0 else np.broadcast_to(x, shape).ravel()
     xs = np.broadcast_to(x, m.shape)
 
     out = np.ones_like(m)           # b = 0
@@ -183,13 +169,11 @@ def marcum_q1(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Single-mode probabilities: all but efficiency and poisson_detection_prob
-# broadcast amplitude against threshold, and a scalar pair gives a float
+# Single-mode probabilities. A threshold is one gamma or an array of them;
+# all but efficiency and poisson_detection_prob broadcast amplitude against
+# threshold (shapes that do not broadcast are an InvalidDimensionError), and a
+# scalar pair gives a float
 # ---------------------------------------------------------------------------
-
-def _float_or_array(x):
-    return float(x) if np.ndim(x) == 0 else x
-
 
 def _divide(num, den, error=UndefinedConditionalError,
             message="no single-click events to condition on"):
@@ -199,16 +183,9 @@ def _divide(num, den, error=UndefinedConditionalError,
     return num / den
 
 
-def _alpha_abs(alpha_abs):
-    a = np.asarray(alpha_abs, dtype=float)
-    if not np.all(np.isfinite(a)) or np.any(a < 0.0):
-        raise DomainError("alpha_abs must be finite and >= 0")
-    return _float_or_array(a)
-
-
 def detect_prob(alpha_abs, th):
     """Click probability Q1(2|alpha|, 2*gamma) for one mode, broadcast over alpha and gamma."""
-    return marcum_q1(2.0 * _alpha_abs(alpha_abs), 2.0 * gamma_of(th))
+    return marcum_q1(2.0 * _nonnegative("alpha_abs", alpha_abs), 2.0 * gamma_of(th))
 
 
 def dark_count_prob(th):
@@ -224,18 +201,19 @@ def born_expansion(alpha_abs, th):
     alpha and gamma; accurate for |alpha|^2 << 1/(4 gamma^2). Raises
     DomainError where the polynomial overflows to inf or NaN.
     """
-    a, g = _alpha_abs(alpha_abs), gamma_of(th)
+    a, g = _nonnegative("alpha_abs", alpha_abs), gamma_of(th)
+    _broadcast_shape(a, g)
     with np.errstate(over="ignore", invalid="ignore"):
         # np.float64 squares as ** on a float or an array does, but overflows to inf
         a2, g2 = np.float64(a) ** 2, np.float64(g) ** 2
-        p = dark_count_prob(th) * (1.0 + 4.0 * g2 * a2 + 4.0 * g2 * (g2 - 1.0) * a2 * a2)
+        p = dark_count_prob(g) * (1.0 + 4.0 * g2 * a2 + 4.0 * g2 * (g2 - 1.0) * a2 * a2)
     if not np.all(np.isfinite(p)):
         a_bad, g_bad = (float(np.broadcast_to(v, p.shape)[~np.isfinite(p)][0]) for v in (a, g))
         raise DomainError(f"Born expansion is not finite at |alpha| = {a_bad:g}, gamma = {g_bad:g}")
     return _float_or_array(p)
 
 
-def efficiency(th: Threshold | float) -> float:
+def efficiency(th: float) -> float:
     """Effective detection efficiency 4 g^2 e^{-2g^2} / (1 - e^{-2g^2}).
 
     Only meaningful as an efficiency for gamma >~ 0.8; below that it exceeds
@@ -248,9 +226,9 @@ def efficiency(th: Threshold | float) -> float:
     return 4.0 * g * g * delta / (1.0 - delta)
 
 
-def poisson_detection_prob(alpha_abs: float, th: Threshold | float) -> float:
+def poisson_detection_prob(alpha_abs: float, th: float) -> float:
     """Parametric count model p = 1 - (1 - delta) exp(-eta |alpha|^2)."""
-    a2 = _alpha_abs(alpha_abs) ** 2
+    a2 = _nonnegative("alpha_abs", alpha_abs) ** 2
     g = gamma_of(th)
     delta = math.exp(-2.0 * g * g)
     if delta == 1.0:
@@ -288,11 +266,10 @@ def visibility_dual(alpha_abs, th):
 def mode_crossing_probs(state: CoherentVector, th) -> np.ndarray:
     """Per-mode click probabilities q_i = Q1(2|alpha psi_i|, 2*gamma_i).
 
-    ``th`` is normally one shared threshold; a sequence of d thresholds is
-    accepted for detectors with unequal settings.
+    ``th`` is one shared threshold, or a (d,) array for detectors with
+    unequal settings; it broadcasts against the d mode amplitudes.
     """
-    gammas = _gamma_per_mode(th, state.d)
-    return marcum_q1(2.0 * np.abs(state.mode_amplitudes()), 2.0 * gammas)
+    return marcum_q1(2.0 * np.abs(state.mode_amplitudes()), 2.0 * gamma_of(th))
 
 
 _ENUMERATION_CAP = 20
@@ -320,20 +297,10 @@ class OutcomeDistribution:
             idx = (idx << 1) | int(bit)
         return idx
 
-    def outcome_of(self, index: int) -> tuple[int, ...]:
-        return tuple((int(index) >> (self.d - 1 - i)) & 1 for i in range(self.d))
-
     def prob(self, outcome) -> float:
         if len(outcome) != self.d:
             raise InvalidDimensionError(f"outcome has {len(outcome)} bits, expected {self.d}")
         return float(self.table[self.index_of(outcome)])
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], float]]:
-        for idx in range(self.table.size):
-            yield self.outcome_of(idx), float(self.table[idx])
-
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        return dict(self.items())
 
     def total(self) -> float:
         return float(self.table.sum())
@@ -356,6 +323,9 @@ def outcome_distribution(state: CoherentVector, th) -> OutcomeDistribution:
             f"outcome enumeration capped at d = {_ENUMERATION_CAP} (got {state.d}); sample instead"
         )
     q = mode_crossing_probs(state, th)
+    if q.shape != (state.d,):
+        raise InvalidDimensionError(f"an outcome table takes one threshold or one per mode "
+                                    f"(got shape {np.shape(th)} for {state.d} modes)")
     table = np.array([1.0])
     for qi in q:
         table = np.outer(table, np.array([1.0 - qi, qi])).ravel()
@@ -365,8 +335,9 @@ def outcome_distribution(state: CoherentVector, th) -> OutcomeDistribution:
 def detect_batch(amps: np.ndarray, th) -> np.ndarray:
     """Click patterns of realized amplitudes, (n, d) or one (d,) sample.
 
-    Bit i is 1 iff |a_i| > gamma_i (strict).
+    Bit i is 1 iff |a_i| > gamma_i (strict). ``th`` is one shared threshold,
+    or an array that broadcasts against the amplitudes, such as one per mode.
     """
-    amps = np.asarray(amps)
-    gammas = _gamma_per_mode(th, amps.shape[-1])
-    return (np.abs(amps) > gammas).astype(np.int64)
+    amps, g = np.abs(np.asarray(amps)), gamma_of(th)
+    _broadcast_shape(amps, g)
+    return (amps > g).astype(np.int64)

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .detection import (
-    Threshold,
     _divide,
     born_expansion,
     dark_count_prob,
@@ -153,7 +152,7 @@ def _conditional_clicks(amps: np.ndarray, gamma: float) -> np.ndarray:
 
 def polarization_scan(
     alpha0: float,
-    th: Threshold | float,
+    th: float,
     thetas_deg: np.ndarray | None = None,
     n_trials: int = 10_000,
     rng: RngStream | None = None,
@@ -191,7 +190,7 @@ def polarization_scan(
 
 def deviation_scan(
     alpha0: float = 1.0,
-    th: Threshold | float = 1.0,
+    th: float = 1.0,
     thetas_deg: np.ndarray | None = None,
 ) -> ScenarioResult:
     """Normalized detection-probability curve against the squared-cosine law.
@@ -240,7 +239,7 @@ def visibility_scan(
 # Dual-mode Born test
 # ---------------------------------------------------------------------------
 
-def dual_mode_scan(alpha: float, th: Threshold | float,
+def dual_mode_scan(alpha: float, th: float,
                    thetas_deg: np.ndarray | None = None) -> ScenarioResult:
     """Joint and post-selected probabilities of a two-polarization detector versus angle.
 
@@ -279,7 +278,7 @@ def dual_mode_scan(alpha: float, th: Threshold | float,
 # Beam splitter coincidences
 # ---------------------------------------------------------------------------
 
-def antibunching_scan(th: Threshold | float,
+def antibunching_scan(th: float,
                       alphas: np.ndarray | None = None) -> ScenarioResult:
     """Outcome probabilities and coincidence ratios after a 50/50 beam splitter.
 
@@ -352,7 +351,7 @@ def _mz_probs(alpha: float, g: float, phis: np.ndarray) -> tuple[np.ndarray, ...
     return _divide(x, x + y), q_r, q_d
 
 
-def mach_zehnder(alpha: float, th: Threshold | float,
+def mach_zehnder(alpha: float, th: float,
                  phis: np.ndarray | None = None) -> ScenarioResult:
     """Interferometer curves versus phase: closed, open, and which-way marked.
 
@@ -393,7 +392,7 @@ def mach_zehnder(alpha: float, th: Threshold | float,
 
 def mach_zehnder_fit(
     alpha: float,
-    th: Threshold | float,
+    th: float,
     rng: RngStream,
     n_points: int = 25,
     sample_size: int = 2600,

@@ -76,11 +76,9 @@ class RngStream:
         return out[:n]
 
     def complex_normals(self, shape) -> np.ndarray:
-        """Standard complex Gaussians z = (x + iy)/sqrt(2), one Box-Muller pair each."""
+        """Standard complex Gaussians z = (x + iy)/sqrt(2), one Box-Muller pair (x, y) each."""
         shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
-        r2, theta = _box_muller(self._gen.random((math.prod(shape), 2)))
-        r = np.sqrt(r2)
-        z = (r * np.cos(theta) + 1j * (r * np.sin(theta))) / np.sqrt(2.0)
+        z = self.standard_normals(2 * math.prod(shape)).view(complex) / np.sqrt(2.0)
         return z.reshape(shape)
 
 

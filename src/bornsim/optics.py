@@ -54,10 +54,6 @@ def gate_cnot() -> np.ndarray:
     return c
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def apply(u: np.ndarray, state: CoherentVector) -> CoherentVector:
     """Transform the state direction, psi' = U psi (renormalized); alpha unchanged.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import Threshold, gamma_of, visibility_single
+from .detection import gamma_of, visibility_single
 from .errors import DimensionMismatchError, DomainError, InvalidDimensionError
 from .experiments import ScenarioResult, _conditional_clicks, _write_csv, _write_json
 from .field import RngStream
@@ -253,7 +253,7 @@ def haar_states(d: int, n_states: int, rng: RngStream) -> np.ndarray:
     return haar_unitary(d, [rng.substream(s) for s in range(n_states)])[:, :, 0]
 
 
-def bell_witness_scan(alphas: np.ndarray, th: Threshold | float,
+def bell_witness_scan(alphas: np.ndarray, th: float,
                       method: str = "mle",
                       psi: np.ndarray | None = None):
     """PPT witness and fidelity of the reconstructed Bell state versus amplitude."""
@@ -270,7 +270,7 @@ def bell_witness_scan(alphas: np.ndarray, th: Threshold | float,
     )
 
 
-def fidelity_scan(alphas: np.ndarray, th: Threshold | float, n_states: int,
+def fidelity_scan(alphas: np.ndarray, th: float, n_states: int,
                   rng: RngStream, d: int = 4, method: str = "linear",
                   psis: np.ndarray | None = None):
     """Reconstruction fidelity of an ensemble of pure states versus amplitude.

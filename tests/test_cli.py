@@ -209,6 +209,23 @@ def test_bad_config_is_one_line_error(tmp_path, capsys, command, config, flags, 
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
+def test_total_size_is_capped_before_any_work(tmp_path, capsys):
+    # about 8.1e11 (alpha, gamma) points x 100 states: the run must stop before it allocates
+    argv = ["fidelity-contour", "--alpha-grid", "0:1e-6:0.9", "--gamma-grid", "1e-6:1e-6:0.9"]
+    assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bornsim: error: fidelity-contour ")
+    assert f"{cli.MAX_GRID_POINTS:,}" in err[0]
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+def test_fidelity_contour_dimension_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 4}))
+    assert run_cli(["fidelity-contour", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    assert "unknown config key 'd'" in capsys.readouterr().err
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -301,9 +318,6 @@ def test_parser_and_manifest_follow_table(tmp_path, capsys, monkeypatch, command
     entries = {e.split()[0]: e for e in re.split(r" (?=--?[a-z])", options)}
     for key, (default, text) in params.items():
         flag = "--n" if key == "n_trials" else "--" + key.replace("_", "-")
-        if text is None:
-            assert flag not in entries
-            continue
         shown = ",".join(map(str, default)) if isinstance(default, list) else str(default)
         assert entries[flag].endswith(f"{text} (default {shown})"), entries[flag]
 

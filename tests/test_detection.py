@@ -9,7 +9,6 @@ from scipy import integrate, special, stats
 from bornsim import (
     CoherentVector,
     RngStream,
-    Threshold,
     born_expansion,
     dark_count_prob,
     detect_batch,
@@ -120,10 +119,10 @@ class TestMarcumQ:
 
 class TestSingleModeProbs:
     def test_detect_prob_dark_limit(self):
-        assert detect_prob(0.0, Threshold(1.0)) == pytest.approx(math.exp(-2.0), rel=1e-14)
+        assert detect_prob(0.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
 
     def test_detect_prob_zero_threshold(self):
-        assert detect_prob(1.23, Threshold(0.0)) == 1.0
+        assert detect_prob(1.23, 0.0) == 1.0
 
     def test_detect_prob_half_amplitude(self):
         assert detect_prob(0.707, 1.0) == pytest.approx(Q1_1414_2, rel=1e-10)
@@ -155,7 +154,7 @@ class TestSingleModeProbs:
 
     def test_efficiency_rejects_zero_threshold(self):
         with pytest.raises(SingularThresholdError):
-            efficiency(Threshold(0.0))
+            efficiency(0.0)
 
     def test_poisson_model_dark_limit(self):
         assert poisson_detection_prob(0.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
@@ -282,6 +281,29 @@ class TestMultiMode:
         dist = outcome_distribution(CoherentVector(alpha, psi), gamma)
         assert dist.total() == pytest.approx(1.0, abs=1e-10)
         assert np.all(dist.table >= 0.0)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("fn", [marcum_q1, detect_prob, born_expansion, visibility_single,
+                                    visibility_dual, detect_batch],
+                             ids=lambda fn: fn.__name__)
+    def test_shapes_that_do_not_broadcast(self, fn):
+        with pytest.raises(InvalidDimensionError, match=r"\(2,\) .* \(3,\)"):
+            fn(np.ones(2), np.ones(3))
+
+    @pytest.mark.parametrize("alpha, gamma, named", [
+        (-0.1, 1.0, "alpha_abs"), (np.nan, 1.0, "alpha_abs"), ([0.5, -1.0], 1.0, "alpha_abs"),
+        (0.5, -1.0, "gamma"), (0.5, np.inf, "gamma"), (0.5, [1.0, np.nan], "gamma"),
+    ])
+    def test_negative_or_non_finite_input_is_named(self, alpha, gamma, named):
+        with pytest.raises(DomainError, match=f"^{named} must be finite and >= 0"):
+            detect_prob(alpha, gamma)
+
+    def test_outcome_table_takes_one_threshold_per_mode(self):
+        # a (1, d) threshold broadcasts to a (1, d) row of q, which is no (d,) table
+        state = CoherentVector(0.5, np.array([1.0, 0.0]))
+        with pytest.raises(InvalidDimensionError):
+            outcome_distribution(state, [[1.0, 1.5]])
 
 
 class TestPerDetectorThresholds:
