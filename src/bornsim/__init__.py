@@ -19,7 +19,6 @@ from .detection import (
     visibility_single,
 )
 from .field import (
-    HBAR,
     CoherentVector,
     RngStream,
     mean_energy_density,

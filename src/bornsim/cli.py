@@ -245,9 +245,8 @@ COMMANDS: dict[str, Command] = {
         "mean tomography fidelity over (alpha, gamma)",
         {"alpha_grid": ("0.25:0.25:3", ALPHA_GRID), "gamma_grid": ("0.25:0.25:3", GAMMA_GRID),
          "n_states": (100, ENSEMBLE), "fast": (False, "reduced ensemble (20 states)")},
-        lambda p, rng: tomography.ensemble_sweep(4, p["alpha_grid"], p["gamma_grid"],
-                                                 20 if p["fast"] else p["n_states"],
-                                                 method="mle", rng=rng)),
+        lambda p, rng: tomography.ensemble_sweep(p["alpha_grid"], p["gamma_grid"],
+                                                 20 if p["fast"] else p["n_states"], rng)),
     "visibility-contour": Command(
         "fringe visibility over (alpha, gamma)",
         {"alpha_grid": ("0.05:0.05:3", ALPHA_GRID), "gamma_grid": ("0.05:0.05:3", GAMMA_GRID)},

@@ -18,6 +18,7 @@ from .errors import (
     DomainError,
     EnumerationLimitError,
     InvalidDimensionError,
+    SaturatedDetectorError,
     SingularThresholdError,
     UndefinedConditionalError,
     UndefinedRatioError,
@@ -78,23 +79,25 @@ def _broadcast_shape(amps, gamma) -> tuple[int, ...]:
 _RTOL = 5e-16
 _MAX_TERMS = 200_000
 # exp(-t) underflows past ~745.1; beyond that the series cannot start and the
-# far-tail clamps / normal approximation below take over. No simulation
-# scenario in this package reaches that regime.
+# far-tail clamps / normal approximation below take over. The default
+# parameters of every command stay below it; `counts --alpha0 20 --gamma 20`
+# does not.
 _EXP_UNDERFLOW = 745.0
 
 
-def _marcum_corner(m: float, x: float) -> float:
-    a = math.sqrt(2.0 * m)
-    b = math.sqrt(2.0 * x)
-    if a >= b + 12.0:
+def _marcum_corner(a: float, b: float) -> float:
+    """Q1(a, b) where a^2/2 or b^2/2 exceeds _EXP_UNDERFLOW. Nothing squares a or b, so
+    no finite argument overflows, and the clamps test a - b, in which no 12 is absorbed."""
+    if a - b >= 12.0:
         # 1 - Q1 <= (b/a) exp(-(a-b)^2/2) <= e^-72
         return 1.0
-    if b >= a + 12.0:
+    if b - a >= 12.0:
         # Q1 <= exp(-(b-a)^2/2) <= e^-72
         return 0.0
     # Both arguments huge and comparable: central-limit approximation to the
-    # noncentral chi-square survival function (relative error O(1/a)).
-    arg = (x - 1.0 - m) / (math.sqrt(2.0) * math.sqrt(1.0 + 2.0 * m))
+    # noncentral chi-square survival function (relative error O(1/a)), with
+    # (b^2 - a^2)/2 - 1 over sqrt(2 (1 + a^2)); (a + b)/2 halves before adding
+    arg = ((b - a) * (0.5 * a + 0.5 * b) - 1.0) / (math.sqrt(2.0) * math.hypot(1.0, a))
     return 0.5 * math.erfc(arg)
 
 
@@ -151,8 +154,9 @@ def marcum_q1(a, b):
     """
     a, b = _nonnegative("a", a), _nonnegative("b", b)
     shape = _broadcast_shape(a, b)
-    m = np.broadcast_to(0.5 * a * a, shape).ravel()
-    x = 0.5 * b * b
+    with np.errstate(over="ignore"):  # an overflowed square is inf, and inf is a corner
+        m = np.broadcast_to(0.5 * a * a, shape).ravel()
+        x = 0.5 * b * b
     # a shared threshold stays scalar through the series
     x = x if np.ndim(x) == 0 else np.broadcast_to(x, shape).ravel()
     xs = np.broadcast_to(x, m.shape)
@@ -160,8 +164,10 @@ def marcum_q1(a, b):
     out = np.ones_like(m)           # b = 0
     live = xs > 0.0
     corner = live & ((m > _EXP_UNDERFLOW) | (xs > _EXP_UNDERFLOW))
-    for i in np.flatnonzero(corner):
-        out[i] = _marcum_corner(float(m[i]), float(xs[i]))
+    if np.any(corner):
+        a_flat, b_flat = (np.broadcast_to(v, shape).ravel() for v in (a, b))
+        for i in np.flatnonzero(corner):
+            out[i] = _marcum_corner(float(a_flat[i]), float(b_flat[i]))
     main = live & ~corner
     if np.any(main):
         out[main] = _marcum_series(m[main], x if np.ndim(x) == 0 else x[main])
@@ -170,9 +176,8 @@ def marcum_q1(a, b):
 
 # ---------------------------------------------------------------------------
 # Single-mode probabilities. A threshold is one gamma or an array of them;
-# all but efficiency and poisson_detection_prob broadcast amplitude against
-# threshold (shapes that do not broadcast are an InvalidDimensionError), and a
-# scalar pair gives a float
+# each function broadcasts amplitude against threshold (shapes that do not
+# broadcast are an InvalidDimensionError), and a scalar pair gives a float
 # ---------------------------------------------------------------------------
 
 def _divide(num, den, error=UndefinedConditionalError,
@@ -213,27 +218,32 @@ def born_expansion(alpha_abs, th):
     return _float_or_array(p)
 
 
-def efficiency(th: float) -> float:
-    """Effective detection efficiency 4 g^2 e^{-2g^2} / (1 - e^{-2g^2}).
+def efficiency(th):
+    """Effective detection efficiency 4 g^2 e^{-2g^2} / (1 - e^{-2g^2}), elementwise over gamma.
 
     Only meaningful as an efficiency for gamma >~ 0.8; below that it exceeds
-    one and the parametric-model interpretation breaks down.
+    one and the parametric-model interpretation breaks down. Where e^{-2g^2}
+    rounds to 1 (gamma = 0 and gamma below about 1e-8) it is a
+    SingularThresholdError.
     """
     g = gamma_of(th)
-    if g == 0.0:
-        raise SingularThresholdError("efficiency is undefined at gamma = 0")
-    delta = math.exp(-2.0 * g * g)
-    return 4.0 * g * g * delta / (1.0 - delta)
+    delta = dark_count_prob(g)
+    return _divide(4.0 * g * g * delta, 1.0 - delta, SingularThresholdError,
+                   "efficiency is undefined where exp(-2 gamma^2) rounds to 1")
 
 
-def poisson_detection_prob(alpha_abs: float, th: float) -> float:
-    """Parametric count model p = 1 - (1 - delta) exp(-eta |alpha|^2)."""
-    a2 = _nonnegative("alpha_abs", alpha_abs) ** 2
-    g = gamma_of(th)
-    delta = math.exp(-2.0 * g * g)
-    if delta == 1.0:
-        return 1.0
-    return 1.0 - (1.0 - delta) * math.exp(-efficiency(g) * a2)
+def poisson_detection_prob(alpha_abs, th):
+    """Parametric count model p = 1 - (1 - delta) exp(-eta |alpha|^2), broadcast.
+
+    Where delta rounds to 1 the dark counts alone click every trial, so p = 1.
+    """
+    a, g = _nonnegative("alpha_abs", alpha_abs), gamma_of(th)
+    _broadcast_shape(a, g)
+    delta = dark_count_prob(g)
+    eta = efficiency(np.where(delta < 1.0, g, 1.0))
+    with np.errstate(over="ignore"):  # eta * a first: eta = 0 times an overflowed a^2 is NaN
+        p = 1.0 - (1.0 - delta) * np.exp(-(eta * a) * a)
+    return _float_or_array(p)
 
 
 def visibility_single(alpha_abs, th):
@@ -269,7 +279,7 @@ def mode_crossing_probs(state: CoherentVector, th) -> np.ndarray:
     ``th`` is one shared threshold, or a (d,) array for detectors with
     unequal settings; it broadcasts against the d mode amplitudes.
     """
-    return marcum_q1(2.0 * np.abs(state.mode_amplitudes()), 2.0 * gamma_of(th))
+    return detect_prob(np.abs(state.mode_amplitudes()), th)
 
 
 _ENUMERATION_CAP = 20
@@ -314,6 +324,40 @@ class OutcomeDistribution:
     def single_detection_probs(self) -> np.ndarray:
         """P[outcome = e_i] for each mode i, by table lookup."""
         return self.table[1 << np.arange(self.d - 1, -1, -1)]
+
+
+def _singles_from_q(q: np.ndarray) -> np.ndarray:
+    """P[exactly one click, on mode i] = q_i * prod_{j != i} (1 - q_j), over the last axis.
+
+    The closed form of OutcomeDistribution.single_detection_probs.
+    """
+    d = q.shape[-1]
+    comp = np.broadcast_to((1.0 - q)[..., None, :], q.shape + (d,))
+    # row i multiplies q_i, then 1 - q_0, ..., 1 - q_{d-1} left to right, skipping 1 - q_i
+    factors = np.concatenate([q[..., None], comp], axis=-1)
+    kept = ~np.eye(d, d + 1, k=1, dtype=bool)
+    return np.multiply.reduce(factors[..., kept].reshape(q.shape + (d,)), axis=-1)
+
+
+def _conditional_clicks(amps: np.ndarray, gamma: float) -> np.ndarray:
+    """Single-click conditionals p_i over the last axis of mode amplitudes |alpha_i| (..., d).
+
+    p_i = (q_i / (1 - q_i)) / sum_k (q_k / (1 - q_k)) with q_i = Q1(2|alpha_i|,
+    2 gamma), the single_detection_probs renormalized to sum to one. A row
+    where some q_i rounds to 1 takes the limit instead: its mass is shared
+    equally by the saturated modes of largest amplitude.
+    """
+    if gamma == 0.0:
+        raise SaturatedDetectorError("every mode crosses threshold at gamma = 0")
+    q = detect_prob(amps, gamma)
+    sat = q >= 1.0
+    w = q / np.where(sat, 1.0, 1.0 - q)
+    p = _divide(w, w.sum(axis=-1, keepdims=True))
+    rows = sat.any(axis=-1)
+    s, a = sat[rows], amps[rows]
+    winners = s & (a >= np.max(np.where(s, a, 0.0), axis=-1, keepdims=True) * (1.0 - 1e-12))
+    p[rows] = winners / winners.sum(axis=-1, keepdims=True)
+    return p
 
 
 def outcome_distribution(state: CoherentVector, th) -> OutcomeDistribution:

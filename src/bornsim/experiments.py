@@ -21,19 +21,15 @@ import numpy as np
 
 from .detection import (
     _divide,
+    _singles_from_q,
     born_expansion,
     dark_count_prob,
     detect_prob,
     gamma_of,
-    marcum_q1,
     visibility_dual,
     visibility_single,
 )
-from .errors import (
-    DomainError,
-    SaturatedDetectorError,
-    UndefinedRatioError,
-)
+from .errors import DomainError, UndefinedRatioError
 from .field import RngStream, threshold_clicks
 
 __all__ = [
@@ -113,50 +109,11 @@ def _write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Post-selected conditionals
-# ---------------------------------------------------------------------------
-
-def _singles_from_q(q: np.ndarray) -> np.ndarray:
-    """P[exactly one click, on mode i] = q_i * prod_{j != i} (1 - q_j), over the last axis."""
-    d = q.shape[-1]
-    comp = np.broadcast_to((1.0 - q)[..., None, :], q.shape + (d,))
-    # row i multiplies q_i, then 1 - q_0, ..., 1 - q_{d-1} left to right, skipping 1 - q_i
-    factors = np.concatenate([q[..., None], comp], axis=-1)
-    kept = ~np.eye(d, d + 1, k=1, dtype=bool)
-    return np.multiply.reduce(factors[..., kept].reshape(q.shape + (d,)), axis=-1)
-
-
-def _conditional_clicks(amps: np.ndarray, gamma: float) -> np.ndarray:
-    """Single-click conditionals p_i over the last axis of mode amplitudes |alpha_i| (..., d).
-
-    p_i = (q_i / (1 - q_i)) / sum_k (q_k / (1 - q_k)) with q_i = Q1(2|alpha_i|,
-    2 gamma). A row where some q_i rounds to 1 takes the limit instead: its
-    mass is shared equally by the saturated modes of largest amplitude.
-    """
-    if gamma == 0.0:
-        raise SaturatedDetectorError("every mode crosses threshold at gamma = 0")
-    q = marcum_q1(2.0 * amps, 2.0 * gamma)
-    sat = q >= 1.0
-    w = q / np.where(sat, 1.0, 1.0 - q)
-    p = _divide(w, w.sum(axis=-1, keepdims=True))
-    rows = sat.any(axis=-1)
-    s, a = sat[rows], amps[rows]
-    winners = s & (a >= np.max(np.where(s, a, 0.0), axis=-1, keepdims=True) * (1.0 - 1e-12))
-    p[rows] = winners / winners.sum(axis=-1, keepdims=True)
-    return p
-
-
-# ---------------------------------------------------------------------------
 # Polarizer scans
 # ---------------------------------------------------------------------------
 
-def polarization_scan(
-    alpha0: float,
-    th: float,
-    thetas_deg: np.ndarray | None = None,
-    n_trials: int = 10_000,
-    rng: RngStream | None = None,
-) -> ScenarioResult:
+def polarization_scan(alpha0: float, th: float, thetas_deg: np.ndarray | None = None, *,
+                      n_trials: int, rng: RngStream) -> ScenarioResult:
     """Single-detector counts versus polarizer angle, alpha(theta) = alpha0 cos(theta).
 
     Analytic curve N * Q1(2|alpha0 cos t|, 2 gamma), its fourth-order
@@ -170,12 +127,11 @@ def polarization_scan(
         raise DomainError("n_trials must be >= 1")
     g = gamma_of(th)
     thetas_deg = DEFAULT_THETA_GRID_DEG if thetas_deg is None else np.asarray(thetas_deg, float)
-    rng = RngStream(0) if rng is None else rng
     signed = alpha0 * np.cos(np.deg2rad(thetas_deg))
     amps = np.abs(signed)
     # the expansion overflows first, so it is checked before any Marcum call or draw
     expansion = n_trials * born_expansion(amps, g)
-    analytic = n_trials * marcum_q1(2.0 * amps, 2.0 * g)
+    analytic = n_trials * detect_prob(amps, g)
     counts = np.array([threshold_clicks(a, g, n_trials, rng.substream(i))
                        for i, a in enumerate(signed)])
     return ScenarioResult(
@@ -188,11 +144,8 @@ def polarization_scan(
     )
 
 
-def deviation_scan(
-    alpha0: float = 1.0,
-    th: float = 1.0,
-    thetas_deg: np.ndarray | None = None,
-) -> ScenarioResult:
+def deviation_scan(alpha0: float, th: float,
+                   thetas_deg: np.ndarray | None = None) -> ScenarioResult:
     """Normalized detection-probability curve against the squared-cosine law.
 
     ``model`` is the dark-count-subtracted click probability renormalized by
@@ -207,8 +160,10 @@ def deviation_scan(
     peak = detect_prob(abs(alpha0), g) - delta
     if peak <= 0.0:
         raise UndefinedRatioError("no signal above dark counts to normalize by")
-    model = (marcum_q1(2.0 * amps, 2.0 * g) - delta) / peak
-    qm = -np.expm1(-(amps ** 2)) / -math.expm1(-(alpha0 ** 2))
+    model = (detect_prob(amps, g) - delta) / peak
+    with np.errstate(over="ignore"):
+        # squared in float64: a huge alpha0 saturates qm at 1 instead of overflowing
+        qm = -np.expm1(-(amps ** 2)) / -math.expm1(-(np.float64(alpha0) ** 2))
     return ScenarioResult(
         grid_name="theta_deg",
         grid=thetas_deg,
@@ -217,10 +172,7 @@ def deviation_scan(
     )
 
 
-def visibility_scan(
-    alphas: tuple[float, ...] = (0.5, 1.0, 1.5),
-    gammas: np.ndarray | None = None,
-) -> ScenarioResult:
+def visibility_scan(alphas: tuple[float, ...], gammas: np.ndarray) -> ScenarioResult:
     """Single-mode fringe visibility versus threshold, one curve per amplitude."""
     if len(alphas) == 0:
         raise DomainError("alphas must hold at least one amplitude")
@@ -229,7 +181,7 @@ def visibility_scan(
         if name in names[:i]:
             raise DomainError(f"amplitudes {alphas[names.index(name)]!r} and {alphas[i]!r} "
                               f"share the column label {name!r}")
-    gammas = np.linspace(0.05, 3.0, 60) if gammas is None else np.asarray(gammas, float)
+    gammas = np.asarray(gammas, float)
     vis = visibility_single(np.asarray(alphas, float)[:, None], gammas)
     return ScenarioResult(grid_name="gamma", grid=gammas, analytic=dict(zip(names, vis)),
                           meta={"alphas": list(alphas)})
@@ -258,8 +210,7 @@ def dual_mode_scan(alpha: float, th: float,
     t = np.deg2rad(thetas_deg)
     qh = detect_prob(np.abs(alpha * np.cos(t)), g)
     qv = detect_prob(np.abs(alpha * np.sin(t)), g)
-    ph = qh * (1.0 - qv)
-    pv = (1.0 - qh) * qv
+    ph, pv = np.moveaxis(_singles_from_q(np.stack([qh, qv], axis=-1)), -1, 0)
     p_cond = _divide(ph, ph + pv)
     vis = visibility_dual(abs(alpha), g)
     # zero amplitude has a flat fringe (vis = 0, p_cond = 1/2 identically);
@@ -278,8 +229,7 @@ def dual_mode_scan(alpha: float, th: float,
 # Beam splitter coincidences
 # ---------------------------------------------------------------------------
 
-def antibunching_scan(th: float,
-                      alphas: np.ndarray | None = None) -> ScenarioResult:
+def antibunching_scan(th: float, alphas: np.ndarray) -> ScenarioResult:
     """Outcome probabilities and coincidence ratios after a 50/50 beam splitter.
 
     Both output modes carry amplitude alpha/sqrt(2), so each detector clicks
@@ -287,9 +237,9 @@ def antibunching_scan(th: float,
     never below one; Rd renormalizes by detected events only and can drop
     below one, mimicking heralded coincidence analysis.
     """
-    alphas = np.linspace(0.0, 3.0, 301) if alphas is None else np.asarray(alphas, float)
+    alphas = np.asarray(alphas, float)
     g = gamma_of(th)
-    q = marcum_q1(math.sqrt(2.0) * np.abs(alphas), 2.0 * g)
+    q = detect_prob(np.abs(alphas) * math.sqrt(0.5), g)
     p0 = (1.0 - q) ** 2
     p_single = q * (1.0 - q)
     p_coinc = q * q
@@ -308,17 +258,16 @@ def antibunching_scan(th: float,
 # Four-mode single-photon entanglement
 # ---------------------------------------------------------------------------
 
-def hyperentanglement_scan(alpha: float,
-                           gammas: np.ndarray | None = None) -> ScenarioResult:
+def hyperentanglement_scan(alpha: float, gammas: np.ndarray) -> ScenarioResult:
     """Single-click probabilities of the four-mode circuit H(spatial) then CNOT, versus threshold.
 
     The prepared direction is (|R,H> + |D,V>)/sqrt(2); modes RH and DV carry
     amplitude alpha/sqrt(2) while RV and DH are vacuum. conditional_rh is the
     probability the single click is on RH given exactly one click anywhere.
     """
-    gammas = np.linspace(0.05, 3.0, 60) if gammas is None else np.asarray(gammas, float)
+    gammas = np.asarray(gammas, float)
     g = gamma_of(gammas)
-    q_sig = marcum_q1(math.sqrt(2.0) * abs(alpha), 2.0 * g)
+    q_sig = detect_prob(abs(alpha) * math.sqrt(0.5), g)
     q_dark = dark_count_prob(g)
     singles = _singles_from_q(np.stack([q_sig, q_dark, q_dark, q_sig], axis=-1))
     pr_rh, pr_rv = singles[..., 0], singles[..., 1]
@@ -344,10 +293,9 @@ def _mz_probs(alpha: float, g: float, phis: np.ndarray) -> tuple[np.ndarray, ...
     one half there.
     """
     a = abs(alpha)
-    q_r = marcum_q1(2.0 * a * np.abs(np.cos(phis / 2.0)), 2.0 * g)
-    q_d = marcum_q1(2.0 * a * np.abs(np.cos((np.pi - phis) / 2.0)), 2.0 * g)
-    x = q_r * (1.0 - q_d)
-    y = q_d * (1.0 - q_r)
+    q_r = detect_prob(a * np.abs(np.cos(phis / 2.0)), g)
+    q_d = detect_prob(a * np.abs(np.cos((np.pi - phis) / 2.0)), g)
+    x, y = np.moveaxis(_singles_from_q(np.stack([q_r, q_d], axis=-1)), -1, 0)
     return _divide(x, x + y), q_r, q_d
 
 
@@ -366,7 +314,7 @@ def mach_zehnder(alpha: float, th: float,
     phis = DEFAULT_PHI_GRID if phis is None else np.asarray(phis, float)
     p_mz, q_r, q_d = _mz_probs(alpha, g, phis)
 
-    q_open = marcum_q1(math.sqrt(2.0) * abs(alpha), 2.0 * g)
+    q_open = detect_prob(abs(alpha) * math.sqrt(0.5), g)
     # open interferometer: both arms carry |alpha|/sqrt(2), so the conditional
     # is exactly 1/2 at every phase; which-way marking puts |alpha|/2 on all
     # four modes, giving exactly 1/4
@@ -390,13 +338,8 @@ def mach_zehnder(alpha: float, th: float,
     )
 
 
-def mach_zehnder_fit(
-    alpha: float,
-    th: float,
-    rng: RngStream,
-    n_points: int = 25,
-    sample_size: int = 2600,
-) -> ScenarioResult:
+def mach_zehnder_fit(alpha: float, th: float, rng: RngStream, *,
+                     n_points: int, sample_size: int) -> ScenarioResult:
     """Sample the interference fringe and fit A cos^2(phi/2 + phi0) + B.
 
     Each sample is the conditional probability p_mz at one phase plus
@@ -431,7 +374,8 @@ def mach_zehnder_fit(
     # the conditional fringe peaks at phi = 0 (dark arm in vacuum) and is lowest at pi
     p_max, p_min = map(float, _mz_probs(alpha, g, np.array([0.0, np.pi]))[0])
     delta = dark_count_prob(g)
-    visibility = (p_max - p_min) / (p_max + p_min - 2.0 * delta)
+    visibility = _divide(p_max - p_min, p_max + p_min - 2.0 * delta, UndefinedRatioError,
+                         "visibility undefined: p_max + p_min equals twice the dark counts")
     r_d = float(antibunching_scan(g, [abs(alpha)]).analytic["Rd"][0])
     return ScenarioResult(
         grid_name="phi",

@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import DomainError, InvalidDimensionError
 
-# Energy scale for mean_energy_density. Detection math is dimensionless and
-# never sees it.
-HBAR = 1.0
-
 _NORM_TOL = 1e-12
 CLICK_BLOCK = 1 << 14  # trials per uniform draw in threshold_clicks; bounds memory
 
@@ -148,10 +144,11 @@ def threshold_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
     return clicks
 
 
-def mean_energy_density(state: CoherentVector, omega: float, volume: float, hbar: float = HBAR) -> float:
-    """Expected time-averaged energy density (|alpha|^2 + 1/2) * hbar * omega / volume.
+def mean_energy_density(state: CoherentVector, omega: float, volume: float) -> float:
+    """Expected time-averaged energy density (|alpha|^2 + 1/2) * omega / volume.
 
-    Only defined for a single-mode state; physical units enter nowhere else.
+    The reduced Planck constant is 1. Only defined for a single-mode state;
+    physical units enter nowhere else, and detection math is dimensionless.
     """
     if state.d != 1:
         raise InvalidDimensionError("mean_energy_density takes a single-mode state")
@@ -159,4 +156,4 @@ def mean_energy_density(state: CoherentVector, omega: float, volume: float, hbar
         raise DomainError("omega must be positive and finite")
     if not (math.isfinite(volume) and volume > 0.0):
         raise DomainError("volume must be positive and finite")
-    return (abs(state.alpha) ** 2 + 0.5) * hbar * omega / volume
+    return (abs(state.alpha) ** 2 + 0.5) * omega / volume

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import gamma_of, visibility_single
+from .detection import _conditional_clicks, gamma_of, visibility_single
 from .errors import DimensionMismatchError, DomainError, InvalidDimensionError
-from .experiments import ScenarioResult, _conditional_clicks, _write_csv, _write_json
+from .experiments import ScenarioResult, _write_csv, _write_json
 from .field import RngStream
 from .optics import haar_unitary
 
@@ -225,15 +225,6 @@ def ppt_witness(rho: np.ndarray, d_a: int, d_b: int) -> float | np.ndarray:
     return np.linalg.eigvalsh(partial_transpose(rho, d_a, d_b)).min(axis=-1)
 
 
-def _even_ppt_witness(rho: np.ndarray) -> np.ndarray:
-    """PPT witness over the sqrt(d) x sqrt(d) partition; NaN when d is not a square."""
-    d = rho.shape[-1]
-    root = math.isqrt(d)
-    if root * root != d:
-        return np.full(rho.shape[:-2], np.nan)
-    return ppt_witness(rho, root, root)
-
-
 def _check_method(method: str) -> None:
     if method not in ("linear", "mle"):
         raise DomainError(f"method must be 'linear' or 'mle' (got {method!r})")
@@ -256,7 +247,8 @@ def haar_states(d: int, n_states: int, rng: RngStream) -> np.ndarray:
 def bell_witness_scan(alphas: np.ndarray, th: float,
                       method: str = "mle",
                       psi: np.ndarray | None = None):
-    """PPT witness and fidelity of the reconstructed Bell state versus amplitude."""
+    """PPT witness (2 x 2 partition) and fidelity of the reconstructed four-mode state
+    ``psi``, the Bell direction by default, versus amplitude."""
     g = gamma_of(th)
     alphas = np.asarray(alphas, dtype=float)
     psi = bell_direction() if psi is None else np.asarray(psi, dtype=complex)
@@ -264,22 +256,25 @@ def bell_witness_scan(alphas: np.ndarray, th: float,
     return ScenarioResult(
         grid_name="alpha",
         grid=alphas,
-        analytic={"witness": _even_ppt_witness(rho), "fidelity": fidelity(psi, rho),
+        analytic={"witness": ppt_witness(rho, 2, 2), "fidelity": fidelity(psi, rho),
                   "min_eigenvalue": np.linalg.eigvalsh(rho)[:, 0]},
         meta={"gamma": g, "method": method, "psi": [repr(c) for c in psi]},
     )
 
 
 def fidelity_scan(alphas: np.ndarray, th: float, n_states: int,
-                  rng: RngStream, d: int = 4, method: str = "linear",
+                  rng: RngStream, method: str,
                   psis: np.ndarray | None = None):
     """Reconstruction fidelity of an ensemble of pure states versus amplitude.
 
+    The ensemble is n_states four-mode Haar states, or the rows of ``psis``
+    (n, d), which then set both the ensemble size and the dimension.
     Returns a ScenarioResult whose per-state curves are fid_state_XX columns,
     with valid_state_XX flags (no negative eigenvalues) for the linear method.
     """
     g = gamma_of(th)
     alphas = np.asarray(alphas, dtype=float)
+    d = 4
     if psis is not None:
         psis = np.asarray(psis, dtype=complex)
         n_states, d = psis.shape
@@ -343,31 +338,30 @@ class SweepResult:
         _write_json(path, payload)
 
 
-def ensemble_sweep(d: int, alphas: np.ndarray, gammas: np.ndarray, n_states: int,
-                   method: str = "mle", rng: RngStream | None = None) -> SweepResult:
-    """Mean tomography metrics over a Haar ensemble on an (alpha, gamma) grid.
+def ensemble_sweep(alphas: np.ndarray, gammas: np.ndarray, n_states: int,
+                   rng: RngStream, method: str = "mle") -> SweepResult:
+    """Mean tomography metrics over a four-mode Haar ensemble on an (alpha, gamma) grid.
 
     Per grid point: ensemble-mean fidelity, fraction of indefinite linear
     reconstructions, the fringe visibility of the full amplitude at that
-    threshold, and (for d = 4) the mean PPT witness of the reconstruction.
+    threshold, and the mean PPT witness of the reconstruction (2 x 2 partition).
     The ensemble is drawn once, one substream per state, and every grid
     point is reconstructed alone, so a sub-grid sweep equals the matching
     slice of the full one.
     """
     if n_states < 1:
         raise DomainError("n_states must be >= 1")
-    rng = RngStream(0) if rng is None else rng
     alphas = np.asarray(alphas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
-    psis = haar_states(d, n_states, rng)
+    psis = haar_states(4, n_states, rng)
     rho, indefinite = _reconstruct_grid(psis, alphas, gammas, method)
     mean_vis = visibility_single(alphas[:, None], gammas)
     per_state = fidelity(psis, rho)
     return SweepResult(
         alphas=alphas, gammas=gammas, mean_fidelity=per_state.mean(axis=-1),
         frac_invalid=indefinite.mean(axis=-1), mean_visibility=mean_vis,
-        mean_ppt_witness=_even_ppt_witness(rho).mean(axis=-1),
+        mean_ppt_witness=ppt_witness(rho, 2, 2).mean(axis=-1),
         per_state_fidelity=per_state,
-        meta={"d": d, "n_states": n_states, "method": method,
+        meta={"d": 4, "n_states": n_states, "method": method,
               "seed": rng.seed, "stream_id": rng.stream_id},
     )

@@ -29,9 +29,8 @@ from bornsim import (
     outcome_distribution,
     realize_batch,
 )
-from bornsim.detection import detect_batch
+from bornsim.detection import _conditional_clicks, detect_batch
 from bornsim.experiments import (
-    _conditional_clicks,
     antibunching_scan,
     dual_mode_scan,
     hyperentanglement_scan,
@@ -207,7 +206,7 @@ def test_criterion_06_mach_zehnder():
     b = mach_zehnder(0.95, 1.6, phis + np.pi).analytic["p_mz"]
     comp_dev = float(np.max(np.abs(a + b - 1.0)))
     ok_comp = comp_dev <= 1e-12
-    fit = mach_zehnder_fit(0.95, 1.6, RngStream(2)).meta
+    fit = mach_zehnder_fit(0.95, 1.6, RngStream(2), n_points=25, sample_size=2600).meta
     ok_fit = (abs(fit["visibility"] - 0.94) <= 0.02 and abs(fit["r_d"] - 0.12) <= 0.02
               and abs(fit["rmse"] - 0.04) <= 0.02)
     res = mach_zehnder(1e-3, 1.0)
@@ -304,9 +303,9 @@ def test_criterion_09_ppt_witness():
 def test_criterion_10_fidelity_contour():
     t0 = time.monotonic()
     grid = np.arange(0.25, 3.001, 0.25)
-    full = ensemble_sweep(4, grid, grid, 100, method="mle", rng=RngStream(5))
+    full = ensemble_sweep(grid, grid, 100, method="mle", rng=RngStream(5))
     a_full, g_full, f_full = full.argmax_fidelity()
-    fast = ensemble_sweep(4, grid, grid, 20, method="mle", rng=RngStream(5))
+    fast = ensemble_sweep(grid, grid, 20, method="mle", rng=RngStream(5))
     a_fast, g_fast, f_fast = fast.argmax_fidelity()
     elapsed = time.monotonic() - t0
 

@@ -195,18 +195,40 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
     ("antibunch", None, ["--alpha-grid", "0:1e-300:1"], "0:1e-300:1"),
     ("counts", None, ["--alpha0", "1e200", "--n", "10"], "|alpha| = 1e+200, gamma = 1"),
     ("counts", None, ["--gamma", "1e100", "--n", "10"], "|alpha| = 0.707, gamma = 1e+100"),
+    # a directory cannot be read as a file
+    ("deviation", None, ["--config", "."], "cannot read config file ."),
+    ("deviation", "{not json", [], "cannot read config file"),
+    ("deviation", [1.0, 2.0], [], "config file must hold a JSON object"),
+    ("counts", None, ["--n", "0"], "n_trials must be >= 1"),
+    ("counts", None, ["--seed", "-1", "--n", "10"], "seed and stream_id must be nonnegative"),
+    ("deviation", None, ["--alpha0", "0"], "no signal above dark counts"),
+    ("mz", None, ["--n-points", "3"], "need at least 4 phase points"),
+    # exp(-2 gamma^2) = 1/2: the fringe extrema sum to twice the dark counts
+    ("mz", None, ["--gamma", "0.5887050112577373"], "visibility undefined"),
 ], ids=["wrong-float", "wrong-int", "wrong-list", "bad-alphas-flag", "unknown-key", "nan-grid",
-        "bad-format", "empty-alphas", "huge-grid", "expansion-alpha0", "expansion-gamma"])
+        "bad-format", "empty-alphas", "huge-grid", "expansion-alpha0", "expansion-gamma",
+        "unreadable-config", "config-not-json", "config-not-object", "zero-trials",
+        "negative-seed", "deviation-zero-alpha0", "mz-three-points", "mz-zero-denominator"])
 def test_bad_config_is_one_line_error(tmp_path, capsys, command, config, flags, key):
     argv = [command, "--out-dir", str(tmp_path), *flags]
     if config is not None:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         argv += ["--config", str(cfg)]
     assert run_cli(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("bornsim: error: ") and key in err[0]
     assert not list(tmp_path.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("argv", [["deviation", "--alpha0", "1e160"],
+                                  ["visibility", "--alphas", "1e200"]],
+                         ids=["deviation", "visibility"])
+def test_huge_amplitude_gives_finite_output(tmp_path, argv):
+    # squares that overflow saturate the curves, with no OverflowError or RuntimeWarning
+    assert run_cli(argv + ["--format", "csv", "--out-dir", str(tmp_path)]) == 0
+    rows = np.loadtxt(next(tmp_path.glob("*.csv")), delimiter=",", skiprows=1)
+    assert rows.shape[0] > 1 and np.all(np.isfinite(rows))
 
 
 def test_total_size_is_capped_before_any_work(tmp_path, capsys):

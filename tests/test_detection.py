@@ -104,6 +104,19 @@ class TestMarcumQ:
         assert marcum_q1(60.0, 2.0) == 1.0
         assert marcum_q1(2.0, 60.0) == 0.0
 
+    @pytest.mark.parametrize("a", [1.5e17, 3e17, 1e155, 1e200])
+    def test_equal_huge_arguments_give_one_half(self, a):
+        # the clamps test a - b, so no 12 is absorbed, and no square overflows
+        assert marcum_q1(a, a) == pytest.approx(0.5, abs=1e-15)
+        assert np.array_equal(marcum_q1(np.array([a, 0.5 * a]), a), [marcum_q1(a, a), 0.0])
+
+    def test_corner_values_kept(self):
+        # the central-limit corner, written in a and b, keeps every value it had in m and x
+        kept = {(40.0, 39.0): 0.8442748958890767, (40.0, 41.0): 0.16177437153285468,
+                (45.0, 41.0): 0.9999393529002023, (100.0, 100.0): 0.5039891568684226}
+        for (a, b), q in kept.items():
+            assert marcum_q1(a, b) == q
+
     @given(a=st.floats(0.0, 20.0), b=st.floats(0.0, 20.0))
     @settings(max_examples=200, deadline=None)
     def test_range_property(self, a, b):
@@ -155,6 +168,21 @@ class TestSingleModeProbs:
     def test_efficiency_rejects_zero_threshold(self):
         with pytest.raises(SingularThresholdError):
             efficiency(0.0)
+
+    @pytest.mark.parametrize("gamma", [1e-9, [1.0, 0.0]])
+    def test_efficiency_rejects_dark_counts_that_round_to_one(self, gamma):
+        with pytest.raises(SingularThresholdError, match="rounds to 1"):
+            efficiency(gamma)
+
+    def test_efficiency_and_poisson_model_broadcast(self):
+        g = np.array([0.5, 1.0, 1.6])
+        assert np.array_equal(efficiency(g), [efficiency(x) for x in g])
+        a = np.array([[0.0], [0.3]])
+        p = poisson_detection_prob(a, g)
+        assert p.shape == (2, 3)
+        assert np.array_equal(p, [[poisson_detection_prob(x, y) for y in g] for x in a[:, 0]])
+        # exp(-2 gamma^2) rounds to 1: the dark counts alone click every trial
+        assert poisson_detection_prob([0.0, 0.5], 1e-9).tolist() == [1.0, 1.0]
 
     def test_poisson_model_dark_limit(self):
         assert poisson_detection_prob(0.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
@@ -285,7 +313,7 @@ class TestMultiMode:
 
 class TestInputChecks:
     @pytest.mark.parametrize("fn", [marcum_q1, detect_prob, born_expansion, visibility_single,
-                                    visibility_dual, detect_batch],
+                                    visibility_dual, detect_batch, poisson_detection_prob],
                              ids=lambda fn: fn.__name__)
     def test_shapes_that_do_not_broadcast(self, fn):
         with pytest.raises(InvalidDimensionError, match=r"\(2,\) .* \(3,\)"):
@@ -298,6 +326,11 @@ class TestInputChecks:
     def test_negative_or_non_finite_input_is_named(self, alpha, gamma, named):
         with pytest.raises(DomainError, match=f"^{named} must be finite and >= 0"):
             detect_prob(alpha, gamma)
+
+    def test_outcome_prob_takes_one_bit_per_mode(self):
+        dist = outcome_distribution(CoherentVector(0.5, np.array([1.0, 0.0])), 1.0)
+        with pytest.raises(InvalidDimensionError, match="3 bits, expected 2"):
+            dist.prob((1, 0, 0))
 
     def test_outcome_table_takes_one_threshold_per_mode(self):
         # a (1, d) threshold broadcasts to a (1, d) row of q, which is no (d,) table

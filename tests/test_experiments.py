@@ -14,10 +14,14 @@ from bornsim import (
     realize_batch,
 )
 from bornsim import experiments
-from bornsim.detection import dark_count_prob, detect_batch, visibility_single
+from bornsim.detection import (
+    _conditional_clicks,
+    dark_count_prob,
+    detect_batch,
+    visibility_single,
+)
 from bornsim.errors import DomainError, SaturatedDetectorError, UndefinedConditionalError
 from bornsim.experiments import (
-    _conditional_clicks,
     antibunching_scan,
     deviation_scan,
     dual_mode_scan,
@@ -91,7 +95,7 @@ class TestPolarizationScan:
         def no_draws(*args):
             raise AssertionError("drew or evaluated Q1 before checking the input")
         monkeypatch.setattr(RngStream, "uniforms", no_draws)
-        monkeypatch.setattr(experiments, "marcum_q1", no_draws)
+        monkeypatch.setattr(experiments, "detect_prob", no_draws)
         with pytest.raises(DomainError, match=named):
             polarization_scan(alpha0, gamma, n_trials=10, rng=RngStream(1))
 
@@ -129,7 +133,7 @@ class TestVisibilityScan:
 
 @pytest.mark.parametrize("scan, grid", [
     (lambda grid: dual_mode_scan(0.8, 1.1, grid), None),
-    (lambda grid: antibunching_scan(1.25, grid), None),
+    (lambda grid: antibunching_scan(1.25, grid), np.linspace(0.0, 3.0, 301)),
     (lambda grid: hyperentanglement_scan(1.0, grid), np.arange(1, 61) * 0.05),
 ], ids=["dual_mode", "antibunching", "hyperentanglement"])
 def test_scan_equals_point_calls(scan, grid):
@@ -302,13 +306,13 @@ class TestMachZehnder:
         assert res.analytic["p_total_mz"][0] == pytest.approx(1.0 - dist.prob((0, 0)), abs=1e-12)
 
     def test_fit_analysis_reference_point(self):
-        fit = mach_zehnder_fit(0.95, 1.6, RngStream(40)).meta
+        fit = mach_zehnder_fit(0.95, 1.6, RngStream(40), n_points=25, sample_size=2600).meta
         assert fit["visibility"] == pytest.approx(0.94, abs=0.02)
         assert fit["r_d"] == pytest.approx(0.12, abs=0.02)
         assert fit["rmse"] == pytest.approx(0.04, abs=0.02)
 
     def test_fit_result_holds_samples_and_summary(self):
-        fit = mach_zehnder_fit(0.95, 1.6, RngStream(40), n_points=8)
+        fit = mach_zehnder_fit(0.95, 1.6, RngStream(40), n_points=8, sample_size=2600)
         assert fit.grid_name == "phi"
         assert np.array_equal(fit.grid, 2.0 * np.pi * np.arange(8) / 8)
         assert list(fit.analytic) == ["sample", "fitted"]
@@ -316,7 +320,8 @@ class TestMachZehnder:
         assert fit.meta["r_d"] == antibunching_scan(1.6, [0.95]).analytic["Rd"][0]
 
     def test_fit_rmse_stable_across_seeds(self):
-        rmses = [mach_zehnder_fit(0.95, 1.6, RngStream(s)).meta["rmse"] for s in range(10)]
+        rmses = [mach_zehnder_fit(0.95, 1.6, RngStream(s), n_points=25,
+                                  sample_size=2600).meta["rmse"] for s in range(10)]
         assert all(0.02 <= r <= 0.06 for r in rmses)
 
     def test_fit_visibility_equals_dense_grid_extrema(self):
@@ -326,7 +331,7 @@ class TestMachZehnder:
             p = mach_zehnder(alpha, g, np.linspace(0.0, 2.0 * np.pi, 721)).analytic["p_mz"]
             delta = dark_count_prob(g)
             dense = (p.max() - p.min()) / (p.max() + p.min() - 2.0 * delta)
-            fit = mach_zehnder_fit(alpha, g, RngStream(1), n_points=4).meta
+            fit = mach_zehnder_fit(alpha, g, RngStream(1), n_points=4, sample_size=2600).meta
             assert fit["visibility"] == dense, (alpha, g)
 
     @given(phi=st.floats(0.0, 2.0 * math.pi), alpha=st.floats(0.05, 2.0),
@@ -353,3 +358,10 @@ class TestScenarioSerialization:
         payload = json.loads(json_path.read_text())
         assert payload["grid_name"] == "theta_deg"
         assert len(payload["analytic"]["model"]) == 7
+
+    def test_curves_must_match_the_grid(self):
+        grid = np.arange(3.0)
+        with pytest.raises(DomainError, match="curve 'p'"):
+            experiments.ScenarioResult("x", grid, {"p": np.zeros(2)})
+        with pytest.raises(DomainError, match="counts 'n'"):
+            experiments.ScenarioResult("x", grid, {"p": np.zeros(3)}, counts={"n": np.zeros(4)})

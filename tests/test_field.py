@@ -144,6 +144,23 @@ def test_mean_energy_density_requires_single_mode():
         mean_energy_density(state, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("omega, volume, named", [
+    (0.0, 1.0, "omega"), (np.nan, 1.0, "omega"), (1.0, -1.0, "volume"), (1.0, np.inf, "volume"),
+])
+def test_mean_energy_density_rejects_bad_omega_or_volume(omega, volume, named):
+    with pytest.raises(DomainError, match=named):
+        mean_energy_density(CoherentVector(1.0, np.array([1.0])), omega, volume)
+
+
+def test_negative_stream_keys_and_counts_rejected():
+    with pytest.raises(DomainError):
+        RngStream(-1)
+    with pytest.raises(DomainError):
+        RngStream(0, -1)
+    with pytest.raises(DomainError):
+        RngStream(1).standard_normals(-1)
+
+
 def test_state_validation_rejects_nan_and_bad_norm():
     with pytest.raises(DomainError):
         CoherentVector(np.nan, np.array([1.0]))

@@ -22,7 +22,12 @@ from bornsim import (
     realize_batch,
 )
 from bornsim.detection import detect_batch
-from bornsim.errors import CircuitFormatError, DimensionMismatchError, InvalidDimensionError
+from bornsim.errors import (
+    CircuitFormatError,
+    DimensionMismatchError,
+    DomainError,
+    InvalidDimensionError,
+)
 from bornsim.optics import _GATES, unitarity_defect
 
 E1_4 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
@@ -92,6 +97,15 @@ def test_apply_preserves_norm_and_alpha():
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         apply(gate_hadamard(), CoherentVector(0.0, E1_4))
+
+
+def test_gate_and_apply_domain_errors():
+    with pytest.raises(InvalidDimensionError):
+        gate_identity(0)
+    with pytest.raises(DomainError):
+        gate_phase(math.nan)
+    with pytest.raises(DomainError, match="not normalizable"):
+        apply(np.zeros((2, 2)), CoherentVector(1.0, np.array([1.0, 0.0])))
 
 
 def test_haar_unitarity():
@@ -241,6 +255,8 @@ def test_circuit_format_errors(tmp_path):
         {"gate": "x", "wires": [True, 2]},
         {"gate": "x", "wires": [-1, 2]},
         {"gate": ["x"], "wires": [0, 1]},
+        "x",
+        {"wires": [0, 1]},
     ]
     for entry in bad_entries:
         with pytest.raises(CircuitFormatError, match="entry 1"):
@@ -257,6 +273,10 @@ def test_circuit_format_errors(tmp_path):
             circuit_unitary([{"gate": "x", "wires": [0, 1]}, entry])
     with pytest.raises(CircuitFormatError):
         circuit_unitary({"gate": "hadamard"})
+    with pytest.raises(CircuitFormatError, match="cannot infer mode count"):
+        circuit_unitary([{"gate": "identity"}])
+    with pytest.raises(CircuitFormatError, match="wire 4 out of range for d = 4"):
+        circuit_unitary([{"gate": "x", "wires": [0, 4]}], d=4)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(CircuitFormatError):

@@ -5,10 +5,9 @@ import pytest
 from scipy import optimize
 
 from bornsim import CoherentVector, RngStream, marcum_q1, outcome_distribution, realize_batch
-from bornsim.detection import detect_batch
+from bornsim.detection import _conditional_clicks, detect_batch
 from bornsim import tomography
 from bornsim.errors import DimensionMismatchError, DomainError, InvalidDimensionError
-from bornsim.experiments import _conditional_clicks
 from bornsim.tomography import (
     _constrained_fit,
     _measure_batch,
@@ -201,6 +200,10 @@ class TestLinearInversion:
         with pytest.raises(DimensionMismatchError):
             linear_qst(np.zeros(5), build_basis(2))
 
+    def test_zero_trace_rejected(self):
+        with pytest.raises(DomainError, match="nonpositive trace"):
+            linear_qst(np.zeros(4), build_basis(2))
+
 
 class TestConstrainedFit:
     def test_recovers_valid_density(self):
@@ -339,21 +342,21 @@ class TestReportsAndSweeps:
     def test_ensemble_sweep_subgrid_equals_full_slice(self):
         alphas = np.array([0.5, 1.0, 3.0])
         gammas = np.array([0.75, 1.0, 1.5])
-        full = ensemble_sweep(4, alphas, gammas, 3, rng=RngStream(60))
+        full = ensemble_sweep(alphas, gammas, 3, rng=RngStream(60))
         for ia, ig in ((slice(1, None), slice(None, None, 2)), (slice(2, 3), slice(1, 2))):
-            part = ensemble_sweep(4, alphas[ia], gammas[ig], 3, rng=RngStream(60))
+            part = ensemble_sweep(alphas[ia], gammas[ig], 3, rng=RngStream(60))
             for name in ("mean_fidelity", "frac_invalid", "mean_visibility",
                          "mean_ppt_witness", "per_state_fidelity"):
                 assert np.array_equal(getattr(part, name), getattr(full, name)[ia, ig]), name
 
     def test_sweep_vacuum_column(self):
-        res = ensemble_sweep(4, np.array([0.0]), np.array([1.0]), 4, rng=RngStream(61))
+        res = ensemble_sweep(np.array([0.0]), np.array([1.0]), 4, rng=RngStream(61))
         assert res.per_state_fidelity[0, 0] == pytest.approx([0.25] * 4, abs=1e-12)
 
     @pytest.mark.parametrize("scan", [
         lambda method: bell_witness_scan(np.array([1.0]), 1.0, method=method),
         lambda method: fidelity_scan(np.array([1.0]), 1.0, 2, RngStream(1), method=method),
-        lambda method: ensemble_sweep(4, np.array([1.0]), np.array([1.0]), 2, method=method,
+        lambda method: ensemble_sweep(np.array([1.0]), np.array([1.0]), 2, method=method,
                                       rng=RngStream(1)),
     ], ids=["bell_witness_scan", "fidelity_scan", "ensemble_sweep"])
     def test_unknown_method_rejected_before_measurement(self, monkeypatch, scan):
@@ -364,8 +367,17 @@ class TestReportsAndSweeps:
         with pytest.raises(DomainError, match="linaer"):
             scan("linaer")
 
+    def test_empty_ensemble_sweep_rejected(self):
+        with pytest.raises(DomainError, match="n_states must be >= 1"):
+            ensemble_sweep(np.array([1.0]), np.array([1.0]), 0, RngStream(1))
+
+    def test_bell_witness_scan_takes_four_modes(self):
+        # the 2 x 2 witness partition has no two-mode counterpart
+        with pytest.raises(DimensionMismatchError):
+            bell_witness_scan(np.array([1.0]), 1.0, psi=np.array([1.0, 0.0]))
+
     def test_sweep_csv_schema(self, tmp_path):
-        res = ensemble_sweep(4, np.array([0.5]), np.array([1.0]), 2, rng=RngStream(62))
+        res = ensemble_sweep(np.array([0.5]), np.array([1.0]), 2, rng=RngStream(62))
         path = tmp_path / "sweep.csv"
         res.to_csv(path)
         header = path.read_text().splitlines()[0]
