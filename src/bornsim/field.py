@@ -17,6 +17,18 @@ from .errors import DomainError, InvalidDimensionError
 
 _NORM_TOL = 1e-12
 CLICK_BLOCK = 1 << 14  # trials per uniform draw in threshold_clicks; bounds memory
+# Largest Box-Muller radius: a uniform u0 in [0, 1) is at most 1 - 2^-53, so
+# r^2 = -2 log(1 - u0) <= -2 log(2^-53) and r <= R_MAX ~ 8.572.
+R_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53))
+# The band of threshold_clicks. Its float32 cosine moves v by at most
+# |a| R_MAX |cos(float32(theta)) - cos(theta)|. For theta in [0, 2 pi), rounding
+# to float32 moves theta by at most half an ulp of [4, 8), 2^-22, and float32 cos
+# is within a few ulp of a value in [-1, 1], at most 2^-22: the cosine error is
+# at most 2^-21, and 2^-16 leaves a factor 32 (also over r one ulp above R_MAX).
+# The band adds 2^-48 times the sum of the magnitudes of the terms of v and of
+# gamma^2; that covers the float64 roundings, each below 2^-53 of that sum, of
+# the four operations in each of the two evaluations of v and of gamma^2 +- band.
+_COS32_ERR = 2.0 ** -16
 
 
 def _box_muller(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,19 +140,36 @@ def threshold_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
     """Clicks |a + z/sqrt(2)| > gamma among n single-mode trials of real amplitude a.
 
     Draws the uniforms of realize_batch(CoherentVector(a, [1.0]), n, rng) in
-    blocks of CLICK_BLOCK trials and tests a^2 + r^2/4 + a r cos(theta) > gamma^2,
-    r^2 = -2 log(1 - u0), theta = 2 pi u1: one cos per trial, no complex array.
-    Equals detect_batch on those realizations unless some |a_i| rounds to gamma.
+    blocks of CLICK_BLOCK trials and tests v = a^2 + r^2/4 + a r cos(theta) > gamma^2,
+    r^2 = -2 log(1 - u0), theta = 2 pi u1: no complex array. Each trial is decided
+    from v with a float32 cosine unless v lies within a band of gamma^2 that
+    bounds that cosine's error; those trials are re-evaluated with the float64
+    cosine, so every decision equals the all-float64 test. Equals detect_batch
+    on those realizations unless some |a_i| rounds to gamma.
     """
     n = int(n)
     if n < 0:
         raise DomainError("n must be nonnegative")
+    _require_finite("a", a)
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise DomainError("gamma must be finite and >= 0")
+    a2, g2 = a * a, gamma * gamma
+    band = (abs(a) * R_MAX * _COS32_ERR
+            + 2.0 ** -48 * (a2 + 0.25 * R_MAX * R_MAX + abs(a) * R_MAX + g2))
+    lo, hi = g2 - band, g2 + band
     clicks = 0
     for start in range(0, n, CLICK_BLOCK):
         m = min(CLICK_BLOCK, n - start)
         r2, theta = _box_muller(rng.uniforms(2 * m).reshape(m, 2))
-        clicks += int(np.count_nonzero(a * a + 0.25 * r2 + a * np.sqrt(r2) * np.cos(theta)
-                                       > gamma * gamma))
+        # screen in place: a temporary per term costs about as much as its arithmetic
+        v = np.cos(theta.astype(np.float32)) * np.sqrt(r2)
+        v *= a
+        v += 0.25 * r2
+        v += a2
+        clicks += int(np.count_nonzero(v > hi))
+        near = np.flatnonzero((v >= lo) & (v <= hi))
+        r2, theta = r2[near], theta[near]
+        clicks += int(np.count_nonzero(a2 + 0.25 * r2 + a * np.sqrt(r2) * np.cos(theta) > g2))
     return clicks
 
 

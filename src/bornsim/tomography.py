@@ -252,6 +252,8 @@ def bell_witness_scan(alphas: np.ndarray, th: float,
     g = gamma_of(th)
     alphas = np.asarray(alphas, dtype=float)
     psi = bell_direction() if psi is None else np.asarray(psi, dtype=complex)
+    if psi.shape != (4,):
+        raise DimensionMismatchError(f"the 2 x 2 witness takes a four-mode psi (got shape {psi.shape})")
     rho = _reconstruct_grid(psi[None], alphas, np.array([g]), method)[0][:, 0, 0]
     return ScenarioResult(
         grid_name="alpha",

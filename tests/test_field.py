@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from bornsim import (
     realize_batch,
 )
 from bornsim.errors import DomainError, InvalidDimensionError
-from bornsim.field import threshold_clicks
+from bornsim.field import _COS32_ERR, CLICK_BLOCK, R_MAX, threshold_clicks
 
 VACUUM_3 = CoherentVector(0.0, np.eye(3)[0])
 
@@ -62,6 +64,38 @@ def test_empty_draws_consume_nothing():
     assert np.array_equal(rng.uniforms(4), RngStream(8).uniforms(4))
     with pytest.raises(DomainError):
         threshold_clicks(0.5, 1.0, -1, rng)
+
+
+@pytest.mark.parametrize("a, gamma, named", [
+    (math.nan, 1.0, "a must be finite"), (math.inf, 1.0, "a must be finite"),
+    (-math.inf, 1.0, "a must be finite"), (0.5, math.nan, "gamma must be finite and >= 0"),
+    (0.5, math.inf, "gamma must be finite and >= 0"), (0.5, -1.0, "gamma must be finite and >= 0"),
+], ids=["a=nan", "a=inf", "a=-inf", "gamma=nan", "gamma=inf", "gamma=-1"])
+def test_threshold_clicks_rejects_bad_inputs_before_drawing(a, gamma, named, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before checking the input")
+    monkeypatch.setattr(RngStream, "uniforms", no_draws)
+    with pytest.raises(DomainError, match=named):
+        threshold_clicks(a, gamma, 1000, RngStream(1))
+
+
+def test_threshold_clicks_on_drawn_thresholds_equal_float64_oracle():
+    # gamma^2 = v_j puts trial j on the threshold, inside the band where the
+    # float32-cosine screen cannot decide; the count must still equal the
+    # all-float64 test of every trial
+    n, seed = 2 * CLICK_BLOCK + 5, 17
+    u = RngStream(seed).uniforms(2 * n).reshape(n, 2)
+    r2, theta = -2.0 * np.log1p(-u[:, 0]), (2.0 * np.pi) * u[:, 1]
+    in_band = 0
+    for a in (-2.5, -0.3, 0.0, 0.7, 4.0):
+        v = a * a + 0.25 * r2 + a * np.sqrt(r2) * np.cos(theta)
+        screen = np.cos(theta.astype(np.float32)) * np.sqrt(r2) * a + 0.25 * r2 + a * a
+        for g in [math.sqrt(v[j]) for j in (0, 1, CLICK_BLOCK + 3, n - 1)] + [0.0]:
+            assert threshold_clicks(a, g, n, RngStream(seed)) == np.count_nonzero(v > g * g), (a, g)
+            # a lower bound on the kernel's band: these trials take the fallback
+            band = abs(a) * R_MAX * _COS32_ERR + 2.0 ** -48 * g * g
+            in_band += np.count_nonzero(np.abs(screen - g * g) <= band)
+    assert in_band > 0
 
 
 def test_noise_second_moment_monte_carlo():

@@ -371,10 +371,14 @@ class TestReportsAndSweeps:
         with pytest.raises(DomainError, match="n_states must be >= 1"):
             ensemble_sweep(np.array([1.0]), np.array([1.0]), 0, RngStream(1))
 
-    def test_bell_witness_scan_takes_four_modes(self):
-        # the 2 x 2 witness partition has no two-mode counterpart
-        with pytest.raises(DimensionMismatchError):
-            bell_witness_scan(np.array([1.0]), 1.0, psi=np.array([1.0, 0.0]))
+    def test_bell_witness_scan_takes_four_modes(self, monkeypatch):
+        # the 2 x 2 witness partition has no two-mode counterpart; the shape is
+        # checked before any grid point is measured
+        def no_measure(*args):
+            raise AssertionError("measured before checking psi")
+        monkeypatch.setattr(tomography, "_measure_batch", no_measure)
+        with pytest.raises(DimensionMismatchError, match=r"four-mode psi \(got shape \(2,\)\)"):
+            bell_witness_scan(np.linspace(0.0, 3.0, 31), 1.0, psi=np.array([1.0, 0.0]))
 
     def test_sweep_csv_schema(self, tmp_path):
         res = ensemble_sweep(np.array([0.5]), np.array([1.0]), 2, rng=RngStream(62))
