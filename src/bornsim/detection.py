@@ -4,29 +4,26 @@ A detector clicks when a realized mode amplitude exceeds the dimensionless
 threshold gamma, |a_i| > gamma. For a mode carrying coherent amplitude alpha
 the click probability is the Marcum Q-function Q1(2|alpha|, 2*gamma); vacuum
 alone clicks with the dark-count probability exp(-2*gamma^2). Joint outcomes
-over d independent modes follow a product-Bernoulli law.
+over d independent modes follow a product-Bernoulli law, of which the scenarios
+need only the single-click events; the full 2^d outcome tables and the
+sample-level click patterns are test oracles, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
     DomainError,
-    EnumerationLimitError,
     InvalidDimensionError,
     SaturatedDetectorError,
     SingularThresholdError,
     UndefinedConditionalError,
     UndefinedRatioError,
 )
-from .field import CoherentVector
 
 __all__ = [
-    "OutcomeDistribution",
     "marcum_q1",
     "detect_prob",
     "dark_count_prob",
@@ -35,9 +32,6 @@ __all__ = [
     "poisson_detection_prob",
     "visibility_single",
     "visibility_dual",
-    "mode_crossing_probs",
-    "outcome_distribution",
-    "detect_batch",
 ]
 
 
@@ -273,63 +267,10 @@ def visibility_dual(alpha_abs, th):
 # Multi-mode outcomes
 # ---------------------------------------------------------------------------
 
-def mode_crossing_probs(state: CoherentVector, th) -> np.ndarray:
-    """Per-mode click probabilities q_i = Q1(2|alpha psi_i|, 2*gamma_i).
-
-    ``th`` is one shared threshold, or a (d,) array for detectors with
-    unequal settings; it broadcasts against the d mode amplitudes.
-    """
-    return detect_prob(np.abs(state.mode_amplitudes()), th)
-
-
-_ENUMERATION_CAP = 20
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Product-Bernoulli law over the 2^d click patterns of d modes.
-
-    Outcomes are bit vectors (n_1, ..., n_d); the table index of an outcome
-    places n_1 in the most significant bit.
-    """
-
-    q: np.ndarray
-    table: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.q.size
-
-    @staticmethod
-    def index_of(outcome) -> int:
-        idx = 0
-        for bit in outcome:
-            idx = (idx << 1) | int(bit)
-        return idx
-
-    def prob(self, outcome) -> float:
-        if len(outcome) != self.d:
-            raise InvalidDimensionError(f"outcome has {len(outcome)} bits, expected {self.d}")
-        return float(self.table[self.index_of(outcome)])
-
-    def total(self) -> float:
-        return float(self.table.sum())
-
-    def brute_marginal(self, i: int) -> float:
-        """P[n_i = 1] by direct summation over the table (cross-check path)."""
-        idx = np.arange(self.table.size)
-        mask = (idx >> (self.d - 1 - i)) & 1 == 1
-        return float(self.table[mask].sum())
-
-    def single_detection_probs(self) -> np.ndarray:
-        """P[outcome = e_i] for each mode i, by table lookup."""
-        return self.table[1 << np.arange(self.d - 1, -1, -1)]
-
-
 def _singles_from_q(q: np.ndarray) -> np.ndarray:
     """P[exactly one click, on mode i] = q_i * prod_{j != i} (1 - q_j), over the last axis.
 
-    The closed form of OutcomeDistribution.single_detection_probs.
+    The closed form of the outcome tables' single_detection_probs (tests/oracles.py).
     """
     d = q.shape[-1]
     comp = np.broadcast_to((1.0 - q)[..., None, :], q.shape + (d,))
@@ -343,9 +284,10 @@ def _conditional_clicks(amps: np.ndarray, gamma: float) -> np.ndarray:
     """Single-click conditionals p_i over the last axis of mode amplitudes |alpha_i| (..., d).
 
     p_i = (q_i / (1 - q_i)) / sum_k (q_k / (1 - q_k)) with q_i = Q1(2|alpha_i|,
-    2 gamma), the single_detection_probs renormalized to sum to one. A row
-    where some q_i rounds to 1 takes the limit instead: its mass is shared
-    equally by the saturated modes of largest amplitude.
+    2 gamma), the outcome tables' single_detection_probs (tests/oracles.py)
+    renormalized to sum to one. A row where some q_i rounds to 1 takes the
+    limit instead: its mass is shared equally by the saturated modes of
+    largest amplitude.
     """
     if gamma == 0.0:
         raise SaturatedDetectorError("every mode crosses threshold at gamma = 0")
@@ -359,29 +301,3 @@ def _conditional_clicks(amps: np.ndarray, gamma: float) -> np.ndarray:
     p[rows] = winners / winners.sum(axis=-1, keepdims=True)
     return p
 
-
-def outcome_distribution(state: CoherentVector, th) -> OutcomeDistribution:
-    """Full 2^d outcome table; modes click independently with probabilities q_i."""
-    if state.d > _ENUMERATION_CAP:
-        raise EnumerationLimitError(
-            f"outcome enumeration capped at d = {_ENUMERATION_CAP} (got {state.d}); sample instead"
-        )
-    q = mode_crossing_probs(state, th)
-    if q.shape != (state.d,):
-        raise InvalidDimensionError(f"an outcome table takes one threshold or one per mode "
-                                    f"(got shape {np.shape(th)} for {state.d} modes)")
-    table = np.array([1.0])
-    for qi in q:
-        table = np.outer(table, np.array([1.0 - qi, qi])).ravel()
-    return OutcomeDistribution(q=q, table=table)
-
-
-def detect_batch(amps: np.ndarray, th) -> np.ndarray:
-    """Click patterns of realized amplitudes, (n, d) or one (d,) sample.
-
-    Bit i is 1 iff |a_i| > gamma_i (strict). ``th`` is one shared threshold,
-    or an array that broadcasts against the amplitudes, such as one per mode.
-    """
-    amps, g = np.abs(np.asarray(amps)), gamma_of(th)
-    _broadcast_shape(amps, g)
-    return (amps > g).astype(np.int64)

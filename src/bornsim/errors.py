@@ -21,10 +21,6 @@ class SingularThresholdError(BornsimError, ValueError):
     """Operation undefined at zero detection threshold."""
 
 
-class EnumerationLimitError(BornsimError, ValueError):
-    """Full outcome enumeration requested for too many modes."""
-
-
 class UndefinedConditionalError(BornsimError, ValueError):
     """Conditional probability has a vanishing normalizer."""
 

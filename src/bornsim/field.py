@@ -1,21 +1,21 @@
-"""Discrete-mode stochastic vacuum field with an optional coherent displacement.
+"""Seedable random streams and the single-mode threshold-click kernel.
 
 A d-mode state is a coherent amplitude alpha along a unit direction psi,
 immersed in vacuum noise: one realization has complex mode amplitudes
 a = alpha * psi + z / sqrt(2), where the components of z are independent
-standard complex Gaussians (E[z] = 0, E[|z|^2] = 1, E[z^2] = 0).
+standard complex Gaussians (E[z] = 0, E[|z|^2] = 1, E[z^2] = 0). The package
+samples them only as the clicks of threshold_clicks; the realized amplitudes
+themselves are the sample-level twin in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidDimensionError
+from .errors import DomainError
 
-_NORM_TOL = 1e-12
 CLICK_BLOCK = 1 << 14  # trials per uniform draw in threshold_clicks; bounds memory
 # Largest Box-Muller radius: a uniform u0 in [0, 1) is at most 1 - 2^-53, so
 # r^2 = -2 log(1 - u0) <= -2 log(2^-53) and r <= R_MAX ~ 8.572.
@@ -90,69 +90,27 @@ class RngStream:
         return z.reshape(shape)
 
 
-def _require_finite(name: str, value: np.ndarray | complex | float) -> None:
-    if not np.all(np.isfinite(value)):
-        raise DomainError(f"{name} must be finite (no NaN or Inf)")
-
-
-@dataclass(frozen=True)
-class CoherentVector:
-    """Coherent amplitude alpha along a unit d-mode direction psi."""
-
-    alpha: complex
-    psi: np.ndarray
-
-    def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=complex).reshape(-1)
-        if psi.size < 1:
-            raise InvalidDimensionError("state needs at least one mode")
-        _require_finite("alpha", complex(self.alpha))
-        _require_finite("psi", psi)
-        nrm = float(np.linalg.norm(psi))
-        if abs(nrm - 1.0) > _NORM_TOL:
-            raise DomainError(f"psi must be unit norm within {_NORM_TOL} (got {nrm!r})")
-        psi.setflags(write=False)
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "psi", psi)
-
-    @property
-    def d(self) -> int:
-        return self.psi.size
-
-    def mode_amplitudes(self) -> np.ndarray:
-        """Mean amplitude per mode, alpha * psi."""
-        return self.alpha * self.psi
-
-
-def realize_batch(state: CoherentVector, n: int, rng: RngStream) -> np.ndarray:
-    """n realizations a = alpha * psi + z / sqrt(2) as an (n, d) array.
-
-    Rows are drawn in order from ``rng``, so one call of n rows equals n
-    successive one-row calls on the same stream.
-    """
-    if int(n) < 0:
-        raise DomainError("n must be nonnegative")
-    z = rng.complex_normals((int(n), state.d))
-    return state.mode_amplitudes()[None, :] + z / np.sqrt(2.0)
-
-
 def threshold_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
     """Clicks |a + z/sqrt(2)| > gamma among n single-mode trials of real amplitude a.
 
-    Draws the uniforms of realize_batch(CoherentVector(a, [1.0]), n, rng) in
+    Draws the uniforms of the one-mode realize_batch of tests/oracles.py in
     blocks of CLICK_BLOCK trials and tests v = a^2 + r^2/4 + a r cos(theta) > gamma^2,
     r^2 = -2 log(1 - u0), theta = 2 pi u1: no complex array. Each trial is decided
     from v with a float32 cosine unless v lies within a band of gamma^2 that
     bounds that cosine's error; those trials are re-evaluated with the float64
-    cosine, so every decision equals the all-float64 test. Equals detect_batch
-    on those realizations unless some |a_i| rounds to gamma.
+    cosine, so every decision equals the all-float64 test. Equals that oracle's
+    detect_batch on those realizations unless some |a_i| rounds to gamma.
+    a and gamma are taken as Python floats, so a NumPy scalar gives the same
+    count as the float it holds; a complex a is a DomainError.
     """
     n = int(n)
     if n < 0:
         raise DomainError("n must be nonnegative")
-    _require_finite("a", a)
+    if np.iscomplexobj(a) or not math.isfinite(a):
+        raise DomainError(f"a must be finite and real (got {a!r})")
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise DomainError("gamma must be finite and >= 0")
+    a, gamma = float(a), float(gamma)
     a2, g2 = a * a, gamma * gamma
     band = (abs(a) * R_MAX * _COS32_ERR
             + 2.0 ** -48 * (a2 + 0.25 * R_MAX * R_MAX + abs(a) * R_MAX + g2))
@@ -172,17 +130,3 @@ def threshold_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
         clicks += int(np.count_nonzero(a2 + 0.25 * r2 + a * np.sqrt(r2) * np.cos(theta) > g2))
     return clicks
 
-
-def mean_energy_density(state: CoherentVector, omega: float, volume: float) -> float:
-    """Expected time-averaged energy density (|alpha|^2 + 1/2) * omega / volume.
-
-    The reduced Planck constant is 1. Only defined for a single-mode state;
-    physical units enter nowhere else, and detection math is dimensionless.
-    """
-    if state.d != 1:
-        raise InvalidDimensionError("mean_energy_density takes a single-mode state")
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise DomainError("omega must be positive and finite")
-    if not (math.isfinite(volume) and volume > 0.0):
-        raise DomainError("volume must be positive and finite")
-    return (abs(state.alpha) ** 2 + 0.5) * omega / volume

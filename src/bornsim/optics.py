@@ -3,7 +3,8 @@
 Gates are plain complex ndarrays. A circuit maps the state direction psi to
 U psi while the coherent amplitude is unchanged; vacuum noise is redrawn
 after the transform because a unitary maps iid standard complex Gaussians to
-iid standard complex Gaussians. Four-mode circuits order the tensor factors
+iid standard complex Gaussians; that transform of a state is the test oracle
+apply in tests/oracles.py. Four-mode circuits order the tensor factors
 (spatial x polarization) with basis [RH, RV, DH, DV].
 """
 
@@ -16,12 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CircuitFormatError, DimensionMismatchError, DomainError, InvalidDimensionError
-from .field import CoherentVector, RngStream
-
-def unitarity_defect(u: np.ndarray) -> float:
-    u = np.asarray(u, dtype=complex)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+from .errors import CircuitFormatError, DomainError, InvalidDimensionError
+from .field import RngStream
 
 
 def gate_identity(d: int = 2) -> np.ndarray:
@@ -54,23 +51,6 @@ def gate_cnot() -> np.ndarray:
     return c
 
 
-def apply(u: np.ndarray, state: CoherentVector) -> CoherentVector:
-    """Transform the state direction, psi' = U psi (renormalized); alpha unchanged.
-
-    Noise is not propagated: sampling after apply() draws fresh iid noise,
-    which is distribution-identical to transforming the old noise (a
-    realized (n, d) batch a would propagate as a @ U.T).
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape != (state.d, state.d):
-        raise DimensionMismatchError(f"gate shape {u.shape} does not match d = {state.d}")
-    psi = u @ state.psi
-    nrm = np.linalg.norm(psi)
-    if not np.isfinite(nrm) or nrm == 0.0:
-        raise DomainError("transformed direction is not normalizable")
-    return CoherentVector(state.alpha, psi / nrm)
-
-
 def haar_unitary(d: int, streams: Sequence[RngStream]) -> np.ndarray:
     """Stack (n, d, d) of Haar-distributed unitaries, matrix i drawn from stream i.
 
@@ -95,7 +75,7 @@ def haar_unitary(d: int, streams: Sequence[RngStream]) -> np.ndarray:
 _GATES = {
     "hadamard": ((2,), (), lambda phi, k: gate_hadamard()),
     "x": ((2,), (), lambda phi, k: gate_x()),
-    "phase": ((1, 2), ("phi",), lambda phi, k: np.diag(np.r_[np.ones(k - 1), np.exp(1j * phi)])),
+    "phase": ((1, 2), ("phi",), lambda phi, k: gate_phase(phi)[2 - k:, 2 - k:]),
     "cnot": ((4,), (), lambda phi, k: gate_cnot()),
     "identity": (None, (), lambda phi, k: np.eye(k, dtype=complex)),
 }

@@ -66,10 +66,6 @@ class HermitianBasis:
     eigenvalues: np.ndarray    # (d^2, d)
 
     @property
-    def d(self) -> int:
-        return self.matrices.shape[1]
-
-    @property
     def size(self) -> int:
         return self.matrices.shape[0]
 
@@ -239,9 +235,9 @@ def bell_direction() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
-def haar_states(d: int, n_states: int, rng: RngStream) -> np.ndarray:
-    """n Haar-random pure directions, one substream per state."""
-    return haar_unitary(d, [rng.substream(s) for s in range(n_states)])[:, :, 0]
+def haar_states(n_states: int, rng: RngStream) -> np.ndarray:
+    """n Haar-random pure four-mode directions, one substream per state."""
+    return haar_unitary(4, [rng.substream(s) for s in range(n_states)])[:, :, 0]
 
 
 def bell_witness_scan(alphas: np.ndarray, th: float,
@@ -283,7 +279,7 @@ def fidelity_scan(alphas: np.ndarray, th: float, n_states: int,
     if n_states < 1:
         raise DomainError("n_states must be >= 1")
     if psis is None:
-        psis = haar_states(d, n_states, rng)
+        psis = haar_states(n_states, rng)
     rho, indefinite = _reconstruct_grid(psis, alphas, np.array([g]), method)
     fids = fidelity(psis, rho[:, 0])
     valid = ~indefinite[:, 0]
@@ -312,11 +308,6 @@ class SweepResult:
     mean_ppt_witness: np.ndarray
     per_state_fidelity: np.ndarray  # (n_alpha, n_gamma, n_states)
     meta: dict = field(default_factory=dict)
-
-    def argmax_fidelity(self) -> tuple[float, float, float]:
-        """(alpha, gamma, value) of the best mean fidelity."""
-        i, j = np.unravel_index(int(np.argmax(self.mean_fidelity)), self.mean_fidelity.shape)
-        return float(self.alphas[i]), float(self.gammas[j]), float(self.mean_fidelity[i, j])
 
     def to_csv(self, path) -> None:
         a, g = np.meshgrid(self.alphas, self.gammas, indexing="ij")
@@ -355,7 +346,7 @@ def ensemble_sweep(alphas: np.ndarray, gammas: np.ndarray, n_states: int,
         raise DomainError("n_states must be >= 1")
     alphas = np.asarray(alphas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
-    psis = haar_states(4, n_states, rng)
+    psis = haar_states(n_states, rng)
     rho, indefinite = _reconstruct_grid(psis, alphas, gammas, method)
     mean_vis = visibility_single(alphas[:, None], gammas)
     per_state = fidelity(psis, rho)

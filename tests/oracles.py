@@ -1,0 +1,157 @@
+"""Test oracles: the sample-level twin and the brute-force outcome tables of the model.
+
+The package samples clicks only through ``field.threshold_clicks`` and computes
+single-click probabilities only through ``detection._singles_from_q`` and
+``_conditional_clicks``. The tests hold those against the routes below:
+realized complex amplitudes thresholded one by one, and full 2^d outcome tables.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from bornsim import RngStream
+from bornsim.detection import _broadcast_shape, detect_prob, gamma_of
+from bornsim.errors import DimensionMismatchError, DomainError, InvalidDimensionError
+
+_NORM_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class CoherentVector:
+    """Coherent amplitude alpha along a unit d-mode direction psi."""
+
+    alpha: complex
+    psi: np.ndarray
+
+    def __post_init__(self):
+        psi = np.asarray(self.psi, dtype=complex).reshape(-1)
+        if psi.size < 1:
+            raise InvalidDimensionError("state needs at least one mode")
+        for name, value in (("alpha", complex(self.alpha)), ("psi", psi)):
+            if not np.all(np.isfinite(value)):
+                raise DomainError(f"{name} must be finite (no NaN or Inf)")
+        nrm = float(np.linalg.norm(psi))
+        if abs(nrm - 1.0) > _NORM_TOL:
+            raise DomainError(f"psi must be unit norm within {_NORM_TOL} (got {nrm!r})")
+        psi.setflags(write=False)
+        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "psi", psi)
+
+    @property
+    def d(self) -> int:
+        return self.psi.size
+
+    def mode_amplitudes(self) -> np.ndarray:
+        """Mean amplitude per mode, alpha * psi."""
+        return self.alpha * self.psi
+
+
+def realize_batch(state: CoherentVector, n: int, rng: RngStream) -> np.ndarray:
+    """n realizations a = alpha * psi + z / sqrt(2) as an (n, d) array.
+
+    Rows are drawn in order from ``rng``, so one call of n rows equals n
+    successive one-row calls on the same stream.
+    """
+    if int(n) < 0:
+        raise DomainError("n must be nonnegative")
+    z = rng.complex_normals((int(n), state.d))
+    return state.mode_amplitudes()[None, :] + z / np.sqrt(2.0)
+
+
+def detect_batch(amps: np.ndarray, th) -> np.ndarray:
+    """Click patterns of realized amplitudes, (n, d) or one (d,) sample.
+
+    Bit i is 1 iff |a_i| > gamma_i (strict). ``th`` is one shared threshold,
+    or an array that broadcasts against the amplitudes, such as one per mode.
+    """
+    amps, g = np.abs(np.asarray(amps)), gamma_of(th)
+    _broadcast_shape(amps, g)
+    return (amps > g).astype(np.int64)
+
+
+def mode_crossing_probs(state: CoherentVector, th) -> np.ndarray:
+    """Per-mode click probabilities q_i = Q1(2|alpha psi_i|, 2*gamma_i).
+
+    ``th`` is one shared threshold, or a (d,) array for detectors with
+    unequal settings; it broadcasts against the d mode amplitudes.
+    """
+    return detect_prob(np.abs(state.mode_amplitudes()), th)
+
+
+@dataclass(frozen=True)
+class OutcomeDistribution:
+    """Product-Bernoulli law over the 2^d click patterns of d modes.
+
+    Outcomes are bit vectors (n_1, ..., n_d); the table index of an outcome
+    places n_1 in the most significant bit.
+    """
+
+    q: np.ndarray
+    table: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return self.q.size
+
+    def prob(self, outcome) -> float:
+        if len(outcome) != self.d:
+            raise InvalidDimensionError(f"outcome has {len(outcome)} bits, expected {self.d}")
+        idx = 0
+        for bit in outcome:
+            idx = (idx << 1) | int(bit)
+        return float(self.table[idx])
+
+    def total(self) -> float:
+        return float(self.table.sum())
+
+    def brute_marginal(self, i: int) -> float:
+        """P[n_i = 1] by direct summation over the table."""
+        idx = np.arange(self.table.size)
+        return float(self.table[(idx >> (self.d - 1 - i)) & 1 == 1].sum())
+
+    def single_detection_probs(self) -> np.ndarray:
+        """P[outcome = e_i] for each mode i, by table lookup."""
+        return self.table[1 << np.arange(self.d - 1, -1, -1)]
+
+
+def outcome_distribution(state: CoherentVector, th) -> OutcomeDistribution:
+    """Full 2^d outcome table; modes click independently with probabilities q_i."""
+    q = mode_crossing_probs(state, th)
+    if q.shape != (state.d,):
+        raise InvalidDimensionError(f"an outcome table takes one threshold or one per mode "
+                                    f"(got shape {np.shape(th)} for {state.d} modes)")
+    table = np.array([1.0])
+    for qi in q:
+        table = np.outer(table, np.array([1.0 - qi, qi])).ravel()
+    return OutcomeDistribution(q=q, table=table)
+
+
+def apply(u: np.ndarray, state: CoherentVector) -> CoherentVector:
+    """Transform the state direction, psi' = U psi (renormalized); alpha unchanged.
+
+    Noise is not propagated: sampling after apply() draws fresh iid noise,
+    which is distribution-identical to transforming the old noise (a
+    realized (n, d) batch a would propagate as a @ U.T).
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape != (state.d, state.d):
+        raise DimensionMismatchError(f"gate shape {u.shape} does not match d = {state.d}")
+    psi = u @ state.psi
+    nrm = np.linalg.norm(psi)
+    if not np.isfinite(nrm) or nrm == 0.0:
+        raise DomainError("transformed direction is not normalizable")
+    return CoherentVector(state.alpha, psi / nrm)
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    u = np.asarray(u, dtype=complex)
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+
+
+def argmax_fidelity(sweep) -> tuple[float, float, float]:
+    """(alpha, gamma, value) of the best mean fidelity of a tomography.SweepResult."""
+    i, j = np.unravel_index(int(np.argmax(sweep.mean_fidelity)), sweep.mean_fidelity.shape)
+    return float(sweep.alphas[i]), float(sweep.gammas[j]), float(sweep.mean_fidelity[i, j])

@@ -6,20 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornsim import (
-    CoherentVector,
-    RngStream,
-    marcum_q1,
-    outcome_distribution,
-    realize_batch,
-)
+from bornsim import RngStream, marcum_q1
 from bornsim import experiments
-from bornsim.detection import (
-    _conditional_clicks,
-    dark_count_prob,
-    detect_batch,
-    visibility_single,
-)
+from bornsim.detection import _conditional_clicks, dark_count_prob, visibility_single
 from bornsim.errors import DomainError, SaturatedDetectorError, UndefinedConditionalError
 from bornsim.experiments import (
     antibunching_scan,
@@ -32,6 +21,7 @@ from bornsim.experiments import (
     visibility_scan,
 )
 from bornsim.field import CLICK_BLOCK, threshold_clicks
+from oracles import CoherentVector, detect_batch, outcome_distribution, realize_batch
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 

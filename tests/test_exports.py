@@ -3,6 +3,8 @@ and every name the benchmark tracer binds must still exist."""
 
 import ast
 import importlib
+import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import bornsim
+from bornsim import cli
 
 MODULES = sorted(f"bornsim.{m.name}" for m in pkgutil.iter_modules(bornsim.__path__))
 
@@ -44,3 +47,62 @@ def test_benchmark_tracer_binds_every_name():
     out = subprocess.run([sys.executable, "-c", probe, str(root / "benchmarks")], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0 and out.stdout.strip() == "bound", out.stderr
+
+
+# Functions in src/bornsim that no command runs, each with the reason it stays.
+NOT_RUN = {
+    "cli._fidelity": "builds the fidelity runners when COMMANDS is defined, at import",
+    "detection.efficiency": "the model's detector efficiency; no command writes it",
+    "detection.poisson_detection_prob": "the model's parametric count model; no command writes it",
+    "optics.gate_identity": "public gate; a circuit's identity entry may have no wires, "
+                            "which gate_identity rejects, so the gate table uses np.eye",
+    "tomography._gell_mann": "build_basis for d other than 2 and 4, which fidelity_scan(psis=...) "
+                             "takes; every command probes four modes",
+}
+# A small value for each parameter that sizes a command's work
+SMALL = {"n_trials": 50, "alpha_grid": "1:1:2", "gamma_grid": "1:1:2", "n_states": 2,
+         "n_points": 5, "sample_size": 10}
+
+
+def _functions(code, prefix):
+    """(name, (file, first line)) of every def below a code object; a class only names."""
+    for c in code.co_consts:
+        if inspect.iscode(c) and not c.co_name.startswith("<"):
+            name = prefix + c.co_name
+            if c.co_flags & inspect.CO_OPTIMIZED:
+                yield name, (c.co_filename, c.co_firstlineno)
+            yield from _functions(c, name + ".")
+
+
+def test_every_function_in_src_runs_under_the_commands(tmp_path):
+    # a function no command reaches is dead code or a test oracle, and belongs in tests/
+    defined = {}
+    for name in MODULES:
+        path = importlib.import_module(name).__file__
+        code = compile(Path(path).read_text(), path, "exec")
+        defined.update(_functions(code, name.removeprefix("bornsim.") + "."))
+    assert set(NOT_RUN) <= set(defined)
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps([{"gate": g, "wires": w} for g, w in (
+        ("hadamard", [0, 2]), ("cnot", [0, 1, 2, 3]), ("x", [2, 3]), ("phase", [1]))]))
+    runs = []
+    for name, command in cli.COMMANDS.items():
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({k: v for k, v in SMALL.items() if k in command.params}))
+        runs.append([name, "--config", str(config)])
+    runs += [["witness", "--alpha-grid", "1:1:2", "--circuit", str(circuit)],
+             ["counts", "--alpha0", "20", "--gamma", "20", "--n", "50"]]  # the Marcum corner
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv + ["--out-dir", str(tmp_path / "out")]) for argv in runs]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(runs)
+    idle = sorted(n for n, where in defined.items() if where not in ran and n not in NOT_RUN)
+    assert not idle, f"functions no command runs: {idle}"

@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornsim import (
-    CoherentVector,
-    RngStream,
-    haar_unitary,
-    mean_energy_density,
-    realize_batch,
-)
+from bornsim import RngStream, haar_unitary
 from bornsim.errors import DomainError, InvalidDimensionError
 from bornsim.field import _COS32_ERR, CLICK_BLOCK, R_MAX, threshold_clicks
+from oracles import CoherentVector, realize_batch
 
 VACUUM_3 = CoherentVector(0.0, np.eye(3)[0])
 
@@ -70,13 +65,22 @@ def test_empty_draws_consume_nothing():
     (math.nan, 1.0, "a must be finite"), (math.inf, 1.0, "a must be finite"),
     (-math.inf, 1.0, "a must be finite"), (0.5, math.nan, "gamma must be finite and >= 0"),
     (0.5, math.inf, "gamma must be finite and >= 0"), (0.5, -1.0, "gamma must be finite and >= 0"),
-], ids=["a=nan", "a=inf", "a=-inf", "gamma=nan", "gamma=inf", "gamma=-1"])
+    (0.5j, 1.0, "a must be finite and real"), (np.complex128(0.5), 1.0, "a must be finite and real"),
+], ids=["a=nan", "a=inf", "a=-inf", "gamma=nan", "gamma=inf", "gamma=-1", "a=0.5j", "a=complex128"])
 def test_threshold_clicks_rejects_bad_inputs_before_drawing(a, gamma, named, monkeypatch):
     def no_draws(*args):
         raise AssertionError("drew before checking the input")
     monkeypatch.setattr(RngStream, "uniforms", no_draws)
     with pytest.raises(DomainError, match=named):
         threshold_clicks(a, gamma, 1000, RngStream(1))
+
+
+@pytest.mark.parametrize("a, gamma, clicks", [(0.7, 1.0, None), (-1.3, 0.4, None),
+                                               (1e200, 1.0, 1000), (0.5, 1e200, 0)])
+def test_threshold_clicks_equal_for_numpy_and_python_inputs(a, gamma, clicks):
+    counts = {threshold_clicks(x, g, 1000, RngStream(4))
+              for x in (a, np.float64(a)) for g in (gamma, np.float64(gamma))}
+    assert len(counts) == 1 and (clicks is None or counts == {clicks})
 
 
 def test_threshold_clicks_on_drawn_thresholds_equal_float64_oracle():
@@ -161,29 +165,6 @@ def test_unitary_closure_of_noise():
                 continue
             c = np.mean(z[:, i] * np.conj(z[:, j]))
             assert abs(c.real) < tol and abs(c.imag) < tol
-
-
-def test_mean_energy_density_values():
-    vac = CoherentVector(0.0, np.array([1.0]))
-    one = CoherentVector(1.0, np.array([1.0]))
-    assert mean_energy_density(vac, 1.0, 1.0) == pytest.approx(0.5)
-    assert mean_energy_density(one, 1.0, 1.0) == pytest.approx(1.5)
-    assert mean_energy_density(one, 2.0, 1.0) == pytest.approx(3.0)
-    assert mean_energy_density(one, 1.0, 2.0) == pytest.approx(0.75)
-
-
-def test_mean_energy_density_requires_single_mode():
-    state = CoherentVector(0.0, np.array([1.0, 0.0]))
-    with pytest.raises(InvalidDimensionError):
-        mean_energy_density(state, 1.0, 1.0)
-
-
-@pytest.mark.parametrize("omega, volume, named", [
-    (0.0, 1.0, "omega"), (np.nan, 1.0, "omega"), (1.0, -1.0, "volume"), (1.0, np.inf, "volume"),
-])
-def test_mean_energy_density_rejects_bad_omega_or_volume(omega, volume, named):
-    with pytest.raises(DomainError, match=named):
-        mean_energy_density(CoherentVector(1.0, np.array([1.0])), omega, volume)
 
 
 def test_negative_stream_keys_and_counts_rejected():

@@ -8,9 +8,7 @@ import pytest
 from scipy import stats
 
 from bornsim import (
-    CoherentVector,
     RngStream,
-    apply,
     circuit_from_json,
     circuit_unitary,
     gate_cnot,
@@ -19,16 +17,15 @@ from bornsim import (
     gate_phase,
     gate_x,
     haar_unitary,
-    realize_batch,
 )
-from bornsim.detection import detect_batch
 from bornsim.errors import (
     CircuitFormatError,
     DimensionMismatchError,
     DomainError,
     InvalidDimensionError,
 )
-from bornsim.optics import _GATES, unitarity_defect
+from bornsim.optics import _GATES
+from oracles import CoherentVector, apply, detect_batch, realize_batch, unitarity_defect
 
 E1_4 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 

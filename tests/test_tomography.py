@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from bornsim import CoherentVector, RngStream, marcum_q1, outcome_distribution, realize_batch
-from bornsim.detection import _conditional_clicks, detect_batch
+from bornsim import RngStream, marcum_q1
+from bornsim.detection import _conditional_clicks
 from bornsim import tomography
 from bornsim.errors import DimensionMismatchError, DomainError, InvalidDimensionError
 from bornsim.tomography import (
@@ -21,6 +21,7 @@ from bornsim.tomography import (
     partial_transpose,
     ppt_witness,
 )
+from oracles import CoherentVector, detect_batch, outcome_distribution, realize_batch
 
 
 def random_density(d: int, seed: int) -> np.ndarray:
@@ -48,7 +49,7 @@ def _unpack(x: np.ndarray, d: int) -> np.ndarray:
 
 def lbfgs_objective(x: np.ndarray, m: np.ndarray, basis) -> tuple[float, np.ndarray]:
     """sum_k (Tr[rho B_k] - m_k)^2 at rho = T T^dag / Tr[T T^dag], with its gradient."""
-    d = basis.d
+    d = basis.matrices.shape[-1]
     t = _unpack(x, d)
     norm = np.real(np.sum(np.abs(t) ** 2))
     rho = (t @ t.conj().T) / norm
@@ -67,7 +68,7 @@ def lbfgs_fit(m: np.ndarray, basis) -> tuple[np.ndarray, float]:
     An iterative route to the minimum that _constrained_fit reaches in closed form,
     started from the linear inversion with negative eigenvalues clipped.
     """
-    d = basis.d
+    d = basis.matrices.shape[-1]
     w, v = np.linalg.eigh(linear_qst(m, basis))
     w = np.clip(w, 0.0, None)
     start = np.linalg.cholesky((v * (w / w.sum())) @ v.conj().T + 1e-12 * np.eye(d))
