@@ -45,11 +45,15 @@ def parse_grid(spec: str) -> np.ndarray:
     span = (hi - lo) / step  # inf once the quotient overflows
     if not span < MAX_GRID_POINTS - 0.5:
         raise BornsimError(f"bad grid spec {spec!r}; more than {MAX_GRID_POINTS:,} points")
-    # snap away accumulated float dust (0.1 * 3 -> 0.30000000000000004) so
-    # grid values round-trip cleanly through the CSV output
     with np.errstate(over="ignore"):
-        grid = np.round(lo + step * np.arange(int(round(span)) + 1), 12)
-    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)):
+        grid = lo + step * np.arange(int(round(span)) + 1)
+    # snap away accumulated float dust (0.1 * 3 -> 0.30000000000000004) so grid
+    # values round-trip cleanly through the CSV output; only below 2^53 / 10^12,
+    # where x 10^12 is exact enough that the rounding removes nothing but dust
+    dusty = np.abs(grid) < 2.0 ** 53 / 1e12
+    grid[dusty] = np.round(grid[dusty], 12)
+    if not (step >= math.ulp(max(abs(lo), abs(hi))) and np.all(np.isfinite(grid))
+            and np.all(np.diff(grid) > 0.0)):
         raise BornsimError(f"bad grid spec {spec!r}; points overflow or merge at 12 decimals")
     return grid[grid <= hi + 1e-12 * max(1.0, abs(hi))]
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from .detection import (
     visibility_single,
 )
 from .errors import DomainError, UndefinedRatioError
-from .field import RngStream, threshold_clicks
+from .field import CLICK_BLOCK, RngStream, threshold_clicks
 
 __all__ = [
     "ScenarioResult",
@@ -112,13 +114,25 @@ def _write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
 # Polarizer scans
 # ---------------------------------------------------------------------------
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def polarization_scan(alpha0: float, th: float, thetas_deg: np.ndarray | None = None, *,
                       n_trials: int, rng: RngStream) -> ScenarioResult:
     """Single-detector counts versus polarizer angle, alpha(theta) = alpha0 cos(theta).
 
     Analytic curve N * Q1(2|alpha0 cos t|, 2 gamma), its fourth-order
     expansion, and Monte Carlo threshold-crossing counts (one independent
-    substream per grid point). alpha0 must be a finite real number; its sign
+    substream per grid point). From n_trials >= CLICK_BLOCK the angles are
+    counted on every usable CPU, the calling thread among them; each angle keeps
+    its substream and output slot, so the counts do not depend on the thread
+    count or the order in which angles run, and an error is the one the lowest
+    failing angle raises. alpha0 must be a finite real number; its sign
     carries into the sampled amplitude alpha0 cos(theta).
     """
     if np.iscomplexobj(alpha0) or not math.isfinite(alpha0):
@@ -132,8 +146,35 @@ def polarization_scan(alpha0: float, th: float, thetas_deg: np.ndarray | None = 
     # the expansion overflows first, so it is checked before any Marcum call or draw
     expansion = n_trials * born_expansion(amps, g)
     analytic = n_trials * detect_prob(amps, g)
-    counts = np.array([threshold_clicks(a, g, n_trials, rng.substream(i))
-                       for i, a in enumerate(signed)])
+    counts = np.zeros(signed.size, dtype=int)
+    errors = {}
+    angles = iter(range(signed.size))  # next() is one C call: under the GIL, no angle goes twice
+
+    def share():
+        try:
+            for i in angles:
+                counts[i] = threshold_clicks(signed[i], g, n_trials, rng.substream(i))
+        except Exception as exc:
+            errors[i] = exc
+        finally:
+            # hand out no more angles; every angle below a failed one is already out
+            for _ in angles:
+                pass
+
+    # below one block per angle, threads cost more in hand-offs than they save
+    k = min(_usable_cpus(), signed.size) if n_trials >= CLICK_BLOCK else 1
+    helpers = []
+    try:
+        for _ in range(k - 1):
+            helper = threading.Thread(target=share)
+            helper.start()
+            helpers.append(helper)
+        share()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]  # the serial loop's error: the lowest failing angle
     return ScenarioResult(
         grid_name="theta_deg",
         grid=thetas_deg,

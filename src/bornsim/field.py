@@ -16,7 +16,10 @@ import numpy as np
 
 from .errors import DomainError
 
-CLICK_BLOCK = 1 << 14  # trials per uniform draw in threshold_clicks; bounds memory
+# Trials per uniform draw in threshold_clicks; bounds memory. A thread of
+# polarization_scan hands the GIL over a few times per block, so 2^15 does so a
+# third as often as 2^14; 2^16 adds about 4 MiB to the counts process's peak.
+CLICK_BLOCK = 1 << 15
 # Largest Box-Muller radius: a uniform u0 in [0, 1) is at most 1 - 2^-53, so
 # r^2 = -2 log(1 - u0) <= -2 log(2^-53) and r <= R_MAX ~ 8.572.
 R_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53))
@@ -28,6 +31,8 @@ R_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53))
 # The band adds 2^-48 times the sum of the magnitudes of the terms of v and of
 # gamma^2; that covers the float64 roundings, each below 2^-53 of that sum, of
 # the four operations in each of the two evaluations of v and of gamma^2 +- band.
+# The screen compares 4v with 4(gamma^2 +- band): scaling by 4 is exact, so
+# every rounding, and the band, carry over unchanged.
 _COS32_ERR = 2.0 ** -16
 
 
@@ -63,9 +68,13 @@ class RngStream:
         """Independent child stream; deterministic function of (seed, stream_id, index)."""
         return RngStream(self.seed, self.stream_id, self._path + (int(index),))
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """n uniforms on [0, 1)."""
-        return self._gen.random(int(n))
+    def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """n uniforms on [0, 1), written into out (float64, n long) when given.
+
+        Filling a buffer draws the same values as a new array and leaves the
+        stream in the same state.
+        """
+        return self._gen.random(int(n), out=out)
 
     def standard_normals(self, n: int) -> np.ndarray:
         """n real standard normals (Box-Muller, generated in pairs).
@@ -100,6 +109,10 @@ def threshold_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
     bounds that cosine's error; those trials are re-evaluated with the float64
     cosine, so every decision equals the all-float64 test. Equals that oracle's
     detect_batch on those realizations unless some |a_i| rounds to gamma.
+    The block buffers are allocated once per call and every step runs in place.
+    Where max(|a|, gamma) > 2^500, a^2 or gamma^2 may overflow; the test then
+    runs in units of the power of two 2^e that brings the larger value into
+    [1/2, 1) (_scaled_clicks).
     a and gamma are taken as Python floats, so a NumPy scalar gives the same
     count as the float it holds; a complex a is a DomainError.
     """
@@ -111,22 +124,54 @@ def threshold_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise DomainError("gamma must be finite and >= 0")
     a, gamma = float(a), float(gamma)
+    if max(abs(a), gamma) > 2.0 ** 500:
+        return _scaled_clicks(a, gamma, n, rng)
     a2, g2 = a * a, gamma * gamma
     band = (abs(a) * R_MAX * _COS32_ERR
             + 2.0 ** -48 * (a2 + 0.25 * R_MAX * R_MAX + abs(a) * R_MAX + g2))
-    lo, hi = g2 - band, g2 + band
+    lo, hi = 4.0 * (g2 - band), 4.0 * (g2 + band)
+    b = min(CLICK_BLOCK, n)
+    u_buf, r2_buf, v_buf = np.empty(2 * b), np.empty(b), np.empty(b)
+    c_buf, above_buf, below_buf = np.empty(b, np.float32), np.empty(b, bool), np.empty(b, bool)
+    clicks = 0
+    for start in range(0, n, CLICK_BLOCK):
+        m = min(CLICK_BLOCK, n - start)
+        u = rng.uniforms(2 * m, out=u_buf[:2 * m]).reshape(m, 2)
+        r2, v, c, above, below = r2_buf[:m], v_buf[:m], c_buf[:m], above_buf[:m], below_buf[:m]
+        np.log1p(np.negative(u[:, 0], out=r2), out=r2)
+        r2 *= -2.0
+        # the float64 product rounds to float32 as theta.astype(np.float32) does
+        np.cos(np.multiply(u[:, 1], 2.0 * np.pi, out=c), out=c)
+        # 4v = r^2 + 4a cos(theta) r + 4a^2
+        np.multiply(np.sqrt(r2, out=v), c, out=v)
+        v *= 4.0 * a
+        v += r2
+        v += 4.0 * a2
+        clicks += int(np.count_nonzero(np.greater(v, hi, out=above)))
+        np.greater_equal(v, lo, out=above)
+        above &= np.less_equal(v, hi, out=below)
+        near = np.flatnonzero(above)
+        r2n, theta = r2[near], (2.0 * np.pi) * u[near, 1]
+        clicks += int(np.count_nonzero(a2 + 0.25 * r2n + a * np.sqrt(r2n) * np.cos(theta) > g2))
+    return clicks
+
+
+def _scaled_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
+    """threshold_clicks where max(|a|, gamma) > 2^500, in units 2^e that bring it into [1/2, 1).
+
+    Divided by 2^e, the test v > gamma^2 reads d + 2^-e r^2/4 + a' r cos(theta) > 0,
+    with a' = 2^-e a and d = 2^e (a'^2 - gamma'^2). Distinct magnitudes have distinct
+    float squares, so d is 0 only at |a| = gamma and is otherwise at least 2^(e-56) >
+    2^444 in magnitude, far above the noise terms (below 9): d decides every
+    trial, and at a tie the noise terms decide each one, as they do exactly.
+    """
+    e = math.frexp(max(abs(a), gamma))[1]
+    a, gamma = math.ldexp(a, -e), math.ldexp(gamma, -e)
+    d = math.ldexp(a * a - gamma * gamma, e)
     clicks = 0
     for start in range(0, n, CLICK_BLOCK):
         m = min(CLICK_BLOCK, n - start)
         r2, theta = _box_muller(rng.uniforms(2 * m).reshape(m, 2))
-        # screen in place: a temporary per term costs about as much as its arithmetic
-        v = np.cos(theta.astype(np.float32)) * np.sqrt(r2)
-        v *= a
-        v += 0.25 * r2
-        v += a2
-        clicks += int(np.count_nonzero(v > hi))
-        near = np.flatnonzero((v >= lo) & (v <= hi))
-        r2, theta = r2[near], theta[near]
-        clicks += int(np.count_nonzero(a2 + 0.25 * r2 + a * np.sqrt(r2) * np.cos(theta) > g2))
+        noise = 0.25 * np.ldexp(r2, -e) + a * np.sqrt(r2) * np.cos(theta)
+        clicks += int(np.count_nonzero(d + noise > 0.0))
     return clicks
-

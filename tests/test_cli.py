@@ -29,10 +29,14 @@ def test_parse_grid():
     # 1e300 points: rejected before any array is built
     with pytest.raises(BornsimError, match="'0:1e-300:1'"):
         parse_grid("0:1e-300:1")
-    # rounding to 12 decimals would overflow to an empty grid, or merge points
-    for spec in ("1e300:1:1e300", "0:1e-13:1e-12", "0.5:4e-13:0.5000000000012"):
+    # rounding to 12 decimals would overflow to an empty grid, or merge points;
+    # a step below the float spacing at 5e16 (8) merges them unrounded
+    for spec in ("1e300:1:1e300", "0:1e-13:1e-12", "0.5:4e-13:0.5000000000012", "5e16:1:5e16"):
         with pytest.raises(BornsimError, match=f"'{spec}'"):
             parse_grid(spec)
+    # above 2^53 / 10^12 the 12-decimal snap would move points; they stay exact
+    assert parse_grid("1234567890123:1:1234567890125").tolist() == [
+        1234567890123.0, 1234567890124.0, 1234567890125.0]
 
 
 def test_counts_outputs_and_determinism(tmp_path):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from bornsim import RngStream, marcum_q1
 from bornsim import experiments
-from bornsim.detection import _conditional_clicks, dark_count_prob, visibility_single
+from bornsim.detection import _conditional_clicks, dark_count_prob, gamma_of, visibility_single
 from bornsim.errors import DomainError, SaturatedDetectorError, UndefinedConditionalError
 from bornsim.experiments import (
     antibunching_scan,
@@ -73,6 +75,78 @@ class TestPolarizationScan:
                                           20_000, rng.substream(i)), 1.0).sum()
                for i in range(t.size)]
         assert res.counts["counts"].tolist() == old
+
+    @staticmethod
+    def counted_by_threads(monkeypatch, cpus, n_trials):
+        """Counts of the default scan on `cpus` usable CPUs, and the threads that counted."""
+        idents = set()
+
+        def clicks(*args):
+            idents.add(threading.get_ident())
+            return threshold_clicks(*args)
+
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(experiments, "threshold_clicks", clicks)
+        res = polarization_scan(-0.9, 0.8, n_trials=n_trials, rng=RngStream(31))
+        return res.counts["counts"].tolist(), len(idents)
+
+    @staticmethod
+    def serial_counts(n_trials):
+        rng = RngStream(31)
+        signed = -0.9 * np.cos(np.deg2rad(experiments.DEFAULT_THETA_GRID_DEG))
+        return [threshold_clicks(a, gamma_of(0.8), n_trials, rng.substream(i))
+                for i, a in enumerate(signed)]
+
+    @pytest.mark.parametrize("n_trials", [CLICK_BLOCK - 1, CLICK_BLOCK + 3])
+    def test_counts_equal_serial_loop_on_any_cpu_count(self, monkeypatch, n_trials):
+        serial = self.serial_counts(n_trials)
+        for cpus in (1, 2, 3, 8):
+            counts, threads = self.counted_by_threads(monkeypatch, cpus, n_trials)
+            assert counts == serial, cpus
+            # below one block per angle the calling thread counts alone
+            assert threads == (cpus if n_trials >= CLICK_BLOCK else 1), cpus
+
+    def test_counts_equal_serial_loop_under_fast_thread_switching(self, monkeypatch):
+        serial = self.serial_counts(CLICK_BLOCK)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts, threads = self.counted_by_threads(monkeypatch, 3, CLICK_BLOCK)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == serial and threads == 3
+
+    def test_lowest_failing_angle_raises_after_every_thread_ends(self, monkeypatch):
+        # the helper fails at its first angle once the caller holds a later one,
+        # and the caller then fails at that later angle
+        caller = threading.current_thread()
+        helper_holds, caller_holds_later, helper_failed = (threading.Event() for _ in range(3))
+        failed = {}
+
+        def clicks(a, gamma, n, rng):
+            i = rng._path[-1]
+            if threading.current_thread() is not caller:
+                failed["helper"] = i
+                helper_holds.set()
+                assert caller_holds_later.wait(timeout=30)
+                helper_failed.set()
+                raise DomainError(f"angle {i}")
+            assert helper_holds.wait(timeout=30)
+            if i < failed["helper"]:
+                return 0
+            failed["caller"] = i
+            caller_holds_later.set()
+            assert helper_failed.wait(timeout=30)
+            raise DomainError(f"angle {i}")
+
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "threshold_clicks", clicks)
+        before = threading.active_count()
+        with pytest.raises(DomainError) as exc:
+            polarization_scan(0.707, 1.0, n_trials=CLICK_BLOCK, rng=RngStream(1))
+        assert failed["caller"] > failed["helper"]
+        assert str(exc.value) == f"angle {failed['helper']}"
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("alpha0, gamma, named", [
         (0.707 + 0j, 1.0, "alpha0"), (1j, 1.0, "alpha0"), (math.nan, 1.0, "alpha0"),

@@ -9,12 +9,14 @@ import os
 import pkgutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import bornsim
 from bornsim import cli
+from bornsim.field import CLICK_BLOCK
 
 MODULES = sorted(f"bornsim.{m.name}" for m in pkgutil.iter_modules(bornsim.__path__))
 
@@ -54,6 +56,8 @@ NOT_RUN = {
     "cli._fidelity": "builds the fidelity runners when COMMANDS is defined, at import",
     "detection.efficiency": "the model's detector efficiency; no command writes it",
     "detection.poisson_detection_prob": "the model's parametric count model; no command writes it",
+    "field._scaled_clicks": "max(|a|, gamma) > 2^500, which polarization_scan rejects "
+                            "through born_expansion before any draw",
     "optics.gate_identity": "public gate; a circuit's identity entry may have no wires, "
                             "which gate_identity rejects, so the gate table uses np.eye",
     "tomography._gell_mann": "build_basis for d other than 2 and 4, which fidelity_scan(psis=...) "
@@ -91,18 +95,22 @@ def test_every_function_in_src_runs_under_the_commands(tmp_path):
         config.write_text(json.dumps({k: v for k, v in SMALL.items() if k in command.params}))
         runs.append([name, "--config", str(config)])
     runs += [["witness", "--alpha-grid", "1:1:2", "--circuit", str(circuit)],
-             ["counts", "--alpha0", "20", "--gamma", "20", "--n", "50"]]  # the Marcum corner
+             ["counts", "--alpha0", "20", "--gamma", "20", "--n", "50"],  # the Marcum corner
+             ["counts", "--n", str(CLICK_BLOCK)]]  # angles counted on every usable CPU
     ran = set()
 
     def profile(frame, event, arg):
         if event == "call":
             ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
+    # threads started from here on, such as the scan's helpers, run the hook too
+    threading.setprofile(profile)
     sys.setprofile(profile)
     try:
         codes = [cli.main(argv + ["--out-dir", str(tmp_path / "out")]) for argv in runs]
     finally:
         sys.setprofile(None)
+        threading.setprofile(None)
     assert codes == [0] * len(runs)
     idle = sorted(n for n, where in defined.items() if where not in ran and n not in NOT_RUN)
     assert not idle, f"functions no command runs: {idle}"

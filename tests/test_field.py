@@ -76,11 +76,46 @@ def test_threshold_clicks_rejects_bad_inputs_before_drawing(a, gamma, named, mon
 
 
 @pytest.mark.parametrize("a, gamma, clicks", [(0.7, 1.0, None), (-1.3, 0.4, None),
-                                               (1e200, 1.0, 1000), (0.5, 1e200, 0)])
+                                               (1e200, 1.0, 1000), (0.5, 1e200, 0),
+                                               (1e200, 9.9e199, 1000), (1e200, 1e200, None),
+                                               (2e154, 2e154, None), (-1.7e308, 1.7e308, None)])
 def test_threshold_clicks_equal_for_numpy_and_python_inputs(a, gamma, clicks):
     counts = {threshold_clicks(x, g, 1000, RngStream(4))
               for x in (a, np.float64(a)) for g in (gamma, np.float64(gamma))}
     assert len(counts) == 1 and (clicks is None or counts == {clicks})
+
+
+@pytest.mark.parametrize("a", [1e200, -1e200, 2e154, 1.7e308])
+def test_threshold_clicks_at_overflowing_tie_click_half_the_time(a):
+    # |a| = gamma: |a + w|^2 - gamma^2 = |w|^2 + 2 a Re(w) is positive about half
+    # the time, though gamma^2 overflows and a^2 absorbs |w|^2 + 2 a Re(w)
+    n = 1000
+    assert abs(threshold_clicks(a, abs(a), n, RngStream(1)) - n / 2) < 5 * math.sqrt(n / 4)
+
+
+def test_scaled_threshold_clicks_equal_plain_float64_test():
+    # up to 2^510 the squares fit, so the plain float64 test runs as it is; at
+    # |a| = gamma it rounds a^2 + |w|^2 + 2 a Re(w) to a^2 and never clicks,
+    # so ties are left to the test above
+    n, seed = CLICK_BLOCK + 5, 9
+    u = RngStream(seed).uniforms(2 * n).reshape(n, 2)
+    r2, theta = -2.0 * np.log1p(-u[:, 0]), (2.0 * np.pi) * u[:, 1]
+    edges = [2.0 ** 500, math.nextafter(2.0 ** 500, math.inf), 2.0 ** 505 * 1.5, 2.0 ** 510]
+    values = edges + [0.0, 1.0, 2.0 ** 499, math.nextafter(2.0 ** 510, 0.0)]
+    cases = [(s * a, g) for a in values for g in values for s in (1.0, -1.0)
+             if max(a, g) > 2.0 ** 500 and a != g]
+    assert len(cases) > 50
+    for a, g in cases:
+        plain = np.count_nonzero(a * a + 0.25 * r2 + a * np.sqrt(r2) * np.cos(theta) > g * g)
+        assert threshold_clicks(a, g, n, RngStream(seed)) == plain, (a, g)
+
+
+def test_uniforms_into_a_buffer_equal_a_new_draw():
+    fresh, filled = RngStream(3, 1), RngStream(3, 1)
+    buf = np.full(7, -1.0)
+    assert filled.uniforms(7, out=buf) is buf
+    assert np.array_equal(buf, fresh.uniforms(7))
+    assert np.array_equal(filled.uniforms(5), fresh.uniforms(5))
 
 
 def test_threshold_clicks_on_drawn_thresholds_equal_float64_oracle():
