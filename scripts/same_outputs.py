@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Check that two source trees write byte-identical data files.
+
+    python3 scripts/same_outputs.py OLD_SRC NEW_SRC [--seeds 42,101,...] [--commands ...]
+
+OLD_SRC and NEW_SRC are directories that hold a ``bornsim`` package, such as
+the ``src/`` of two checkouts. Every run is a fresh ``python -m bornsim.cli``
+process, once under each tree and once per seed. By default the runs are
+every command of ``cli.COMMANDS`` (in NEW_SRC) with its defaults, plus
+``counts --n 200000`` and ``fidelity-contour --fast``; ``--commands`` replaces
+them with a comma-separated list of command lines, such as
+``"fidelity-contour --fast,witness"``. Every file a run writes, except its
+manifest (which holds the wall-clock time), is compared byte for byte. The
+files that differ are printed, and the exit code is 1 on any difference or
+failed run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+EXTRA_RUNS = ["counts --n 200000", "fidelity-contour --fast"]
+
+
+def _env(src: Path) -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+def default_runs(src: Path) -> list[str]:
+    """Every command of the tree's table with its defaults, then EXTRA_RUNS."""
+    listing = subprocess.run(
+        [sys.executable, "-c", "import bornsim.cli as c; print('\\n'.join(c.COMMANDS))"],
+        env=_env(src), capture_output=True, text=True, check=True)
+    return listing.stdout.split() + EXTRA_RUNS
+
+
+def run_tree(src: Path, run: str, seed: int, out_dir: Path) -> str | None:
+    """One fresh CLI process; None on success, else its last stderr line."""
+    argv = [sys.executable, "-m", "bornsim.cli", *run.split(),
+            "--seed", str(seed), "--format", "both", "--out-dir", str(out_dir)]
+    proc = subprocess.run(argv, env=_env(src), capture_output=True, text=True)
+    if proc.returncode == 0:
+        return None
+    return (proc.stderr.strip().splitlines() or [f"exit code {proc.returncode}"])[-1]
+
+
+def differing_files(old_dir: Path, new_dir: Path) -> list[str]:
+    """Names of the non-manifest files missing from one directory or differing in bytes."""
+    def data(d: Path) -> dict[str, Path]:
+        return {p.name: p for p in d.iterdir() if not p.name.endswith(".manifest.json")}
+
+    old, new = data(old_dir), data(new_dir)
+    return sorted(name for name in old.keys() | new.keys()
+                  if name not in old or name not in new
+                  or old[name].read_bytes() != new[name].read_bytes())
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--seeds", default="42", help="comma-separated seeds (default 42)")
+    parser.add_argument("--commands", help="comma-separated command lines (default: every "
+                                           "command, counts --n 200000, fidelity-contour --fast)")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    runs = ([r.strip() for r in args.commands.split(",")] if args.commands
+            else default_runs(args.new_src))
+
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        for seed in seeds:
+            for n, run in enumerate(runs):
+                dirs = [Path(tmp, side, str(seed), str(n)) for side in ("old", "new")]
+                errors = [run_tree(src, run, seed, d)
+                          for src, d in zip((args.old_src, args.new_src), dirs)]
+                label = f"seed {seed}: {run}"
+                if any(errors):
+                    bad += 1
+                    print(f"FAILED  {label}: " + " | ".join(e or "ok" for e in errors))
+                    continue
+                diff = differing_files(*dirs)
+                bad += bool(diff)
+                print(f"{'DIFFERS' if diff else 'same':<7} {label}"
+                      + "".join(f"\n        {name}" for name in diff))
+    print(f"{bad} of {len(seeds) * len(runs)} runs differ or failed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

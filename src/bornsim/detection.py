@@ -77,6 +77,7 @@ _MAX_TERMS = 200_000
 # parameters of every command stay below it; `counts --alpha0 20 --gamma 20`
 # does not.
 _EXP_UNDERFLOW = 745.0
+_SERIES_CHUNK = 2 ** 14
 
 
 def _marcum_corner(a: float, b: float) -> float:
@@ -98,13 +99,12 @@ def _marcum_corner(a: float, b: float) -> float:
 def _marcum_series(m: np.ndarray, x: "float | np.ndarray") -> np.ndarray:
     """Q1 of m = a^2/2 (1-D) and x = b^2/2 (a shared scalar or an array like m), in range.
 
-    Each element stops at its own tail bound. Stopped elements leave the
-    working set once they make up half of it: dropping them at every step
-    fragments the heap (+0.8 MiB peak RSS on a 144-point contour sweep)."""
+    Each element stops at its own tail bound. Stopped elements stay in the
+    working set: marcum_q1 passes elements of similar m, which stop after
+    similar numbers of terms, and arrays that keep one size reuse the same
+    heap blocks (shrinking them raised a contour sweep's peak RSS by up to 2%)."""
     out = np.empty_like(m)
-    idx = np.arange(m.size)
     live = np.ones(m.size, dtype=bool)
-    shared = np.ndim(x) == 0
     p = np.exp(-m)          # Poisson weight P[Pois(m) = k]
     qterm = np.exp(-x)      # exp(-x) x^k / k!
     g = qterm               # Q(k + 1, x)
@@ -120,17 +120,11 @@ def _marcum_series(m: np.ndarray, x: "float | np.ndarray") -> np.ndarray:
                              np.inf)
         done = live & (remainder <= _RTOL * total + 1e-300)
         if done.any():
-            out[idx[done]] = total[done]
+            out[done] = total[done]
             live &= ~done
-            n_live = np.count_nonzero(live)
-            if n_live == 0:
+            if not live.any():
                 break
-            if 2 * n_live <= live.size:
-                idx, m, p, total = idx[live], m[live], p[live], total[live]
-                if not shared:
-                    x, qterm, g = x[live], qterm[live], g[live]
-                live = np.ones(n_live, dtype=bool)
-    out[idx[live]] = total[live]
+    out[live] = total[live]
     return np.minimum(out, 1.0)
 
 
@@ -144,7 +138,10 @@ def marcum_q1(a, b):
     ``a`` and ``b`` broadcast against each other (InvalidDimensionError where
     they do not); two scalars give a float.
     Every element stops at its own tail bound, so a batched call equals the
-    one-element calls bit for bit.
+    one-element calls bit for bit. The series elements run in order of m =
+    a^2/2, in chunks of 2^14: elements of similar m stop after similar numbers
+    of terms, so few loop steps carry elements that have already stopped, and
+    no order or chunking changes a bit.
     """
     a, b = _nonnegative("a", a), _nonnegative("b", b)
     shape = _broadcast_shape(a, b)
@@ -162,9 +159,11 @@ def marcum_q1(a, b):
         a_flat, b_flat = (np.broadcast_to(v, shape).ravel() for v in (a, b))
         for i in np.flatnonzero(corner):
             out[i] = _marcum_corner(float(a_flat[i]), float(b_flat[i]))
-    main = live & ~corner
-    if np.any(main):
-        out[main] = _marcum_series(m[main], x if np.ndim(x) == 0 else x[main])
+    main = np.flatnonzero(live & ~corner)
+    order = main[np.argsort(m[main])]
+    for start in range(0, order.size, _SERIES_CHUNK):
+        i = order[start:start + _SERIES_CHUNK]
+        out[i] = _marcum_series(m[i], x if np.ndim(x) == 0 else x[i])
     return float(out[0]) if not shape else out.reshape(shape)
 
 
@@ -280,18 +279,20 @@ def _singles_from_q(q: np.ndarray) -> np.ndarray:
     return np.multiply.reduce(factors[..., kept].reshape(q.shape + (d,)), axis=-1)
 
 
-def _conditional_clicks(amps: np.ndarray, gamma: float) -> np.ndarray:
+def _conditional_clicks(amps: np.ndarray, gamma: "float | np.ndarray") -> np.ndarray:
     """Single-click conditionals p_i over the last axis of mode amplitudes |alpha_i| (..., d).
 
     p_i = (q_i / (1 - q_i)) / sum_k (q_k / (1 - q_k)) with q_i = Q1(2|alpha_i|,
     2 gamma), the outcome tables' single_detection_probs (tests/oracles.py)
-    renormalized to sum to one. A row where some q_i rounds to 1 takes the
+    renormalized to sum to one. gamma is one threshold or an array that
+    broadcasts against amps. A row where some q_i rounds to 1 takes the
     limit instead: its mass is shared equally by the saturated modes of
     largest amplitude.
     """
-    if gamma == 0.0:
+    if np.any(gamma == 0.0):
         raise SaturatedDetectorError("every mode crosses threshold at gamma = 0")
     q = detect_prob(amps, gamma)
+    amps = np.broadcast_to(amps, q.shape)
     sat = q >= 1.0
     w = q / np.where(sat, 1.0, 1.0 - q)
     p = _divide(w, w.sum(axis=-1, keepdims=True))

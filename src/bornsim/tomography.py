@@ -59,11 +59,18 @@ _PAULI_ORDER = "IXYZ"
 
 @dataclass(frozen=True)
 class HermitianBasis:
-    """d^2 Hermitian matrices, orthonormal under Tr[B_j^dag B_k], with eigensystems."""
+    """d^2 Hermitian matrices, orthonormal under Tr[B_j^dag B_k], with eigensystems.
+
+    Matrices that share a diagonalizer share its measurement setting: settings
+    indexes one matrix per distinct diagonalizer, and setting_of maps each
+    matrix to its setting's position in settings.
+    """
 
     matrices: np.ndarray       # (d^2, d, d)
     diagonalizers: np.ndarray  # (d^2, d, d); U_k^dag B_k U_k = diag(eigenvalues[k])
     eigenvalues: np.ndarray    # (d^2, d)
+    settings: np.ndarray       # (s,); diagonalizers[settings] are the distinct ones
+    setting_of: np.ndarray     # (d^2,); diagonalizers[k] == diagonalizers[settings[setting_of[k]]]
 
     @property
     def size(self) -> int:
@@ -117,10 +124,16 @@ def build_basis(d: int) -> HermitianBasis:
             w, v = np.linalg.eigh(b)
             diags.append(v)
             eigs.append(w)
+    # the first matrix with an exactly equal diagonalizer measures for each one
+    first = [next(j for j in range(k + 1) if np.array_equal(diags[j], diags[k]))
+             for k in range(len(diags))]
+    settings, setting_of = np.unique(first, return_inverse=True)
     return HermitianBasis(
         matrices=np.array(mats),
         diagonalizers=np.array(diags),
         eigenvalues=np.array(eigs, dtype=float),
+        settings=settings,
+        setting_of=setting_of,
     )
 
 
@@ -128,13 +141,19 @@ def build_basis(d: int) -> HermitianBasis:
 # Measurement and reconstruction
 # ---------------------------------------------------------------------------
 
-def _measure_batch(psis: np.ndarray, alpha: float, gamma: float,
-                   basis: HermitianBasis) -> np.ndarray:
-    """m vectors (n, d^2) for n states (n, d); one Marcum evaluation per call."""
+def _measure_batch(psis: np.ndarray, alpha, gamma, basis: HermitianBasis) -> np.ndarray:
+    """m vectors (..., n, d^2) for n states (n, d); one Marcum evaluation per call.
+
+    alpha and gamma broadcast against each other to the leading shape (...);
+    two scalars give (n, d^2). The click probabilities are computed once per
+    distinct setting and shared by every matrix that setting diagonalizes.
+    """
+    alpha, gamma = np.abs(np.asarray(alpha)), np.asarray(gamma)
     uh = basis.diagonalizers.conj().transpose(0, 2, 1)
-    amps = np.abs(alpha) * np.abs(np.einsum("kij,nj->nki", uh, psis))
-    p = _conditional_clicks(amps, gamma)
-    return np.einsum("nki,ki->nk", p, basis.eigenvalues)
+    rotated = np.abs(np.einsum("kij,nj->nki", uh, psis))[:, basis.settings]
+    amps = alpha[..., None, None, None] * rotated
+    p = _conditional_clicks(amps, gamma[..., None, None, None])
+    return np.einsum("...nki,ki->...nk", p[..., basis.setting_of, :], basis.eigenvalues)
 
 
 def linear_qst(m: np.ndarray, basis: HermitianBasis) -> np.ndarray:
@@ -153,14 +172,17 @@ def linear_qst(m: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     return rho / tr[..., None, None]
 
 
-def _constrained_fit(m: np.ndarray, basis: HermitianBasis) -> tuple[np.ndarray, np.ndarray]:
+def _constrained_fit(m: np.ndarray,
+                     basis: HermitianBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form constrained fit of expectation vectors stacked as (..., d^2).
 
-    Returns the density matrices (..., d, d) and their objectives (...),
+    Returns the density matrices (..., d, d), their objectives (...),
     sum_k (Tr[rho B_k] - m_k)^2 = ||rho - sum_k m_k B_k||_F^2, which for the
-    shared eigenvectors is the squared shift of the eigenvalues.
+    shared eigenvectors is the squared shift of the eigenvalues, and the least
+    eigenvalue of the linear inversion (...), w_0(S) / Tr S for S = sum_k m_k B_k.
     """
-    w, v = np.linalg.eigh(np.einsum("...k,kij->...ij", m, basis.matrices))
+    s = np.einsum("...k,kij->...ij", m, basis.matrices)
+    w, v = np.linalg.eigh(s)
     # Euclidean projection of w onto the probability simplex (Duchi et al.
     # 2008): eigh sorts ascending, and the rule walks the values descending
     u = w[..., ::-1]
@@ -169,26 +191,34 @@ def _constrained_fit(m: np.ndarray, basis: HermitianBasis) -> tuple[np.ndarray, 
     lam = np.maximum(w - np.take_along_axis(shift, n_kept - 1, axis=-1), 0.0)
     rho = (v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2)
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    return rho, np.sum((lam - w) ** 2, axis=-1)
+    least = w[..., 0] / np.real(np.trace(s, axis1=-2, axis2=-1))
+    return rho, np.sum((lam - w) ** 2, axis=-1), least
+
+
+# mode amplitudes (grid points x states x d^2 settings x d modes) per measurement block
+_BLOCK_AMPLITUDES = 2 ** 16
 
 
 def _reconstruct_grid(psis: np.ndarray, alphas: np.ndarray, gammas: np.ndarray,
                       method: str) -> tuple[np.ndarray, np.ndarray]:
     """Scored states (n_alpha, n_gamma, n, d, d) and indefinite-linear-inversion flags.
 
-    Every state (n, d) is measured at every (alpha, gamma) grid point; the
-    method is checked before any measurement.
+    Every state (n, d) is measured at every (alpha, gamma) grid point, in
+    blocks of whole alpha rows of at most _BLOCK_AMPLITUDES mode amplitudes
+    (and at least one row); the method is checked before any measurement.
     """
     _check_method(method)
     basis = build_basis(psis.shape[-1])
     ms = np.empty((alphas.size, gammas.size, len(psis), basis.size))
-    for i, a in enumerate(alphas):
-        for j, g in enumerate(gammas):
-            ms[i, j] = _measure_batch(psis, a, g, basis)
-    rho_lin = linear_qst(ms, basis)
-    indefinite = np.linalg.eigvalsh(rho_lin)[..., 0] < -1e-12
-    rho = rho_lin if method == "linear" else _constrained_fit(ms, basis)[0]
-    return rho, indefinite
+    rows = max(1, _BLOCK_AMPLITUDES // (gammas.size * psis.size * basis.size))
+    for i in range(0, alphas.size, rows):
+        ms[i:i + rows] = _measure_batch(psis, alphas[i:i + rows, None], gammas, basis)
+    if method == "linear":
+        rho = linear_qst(ms, basis)
+        return rho, np.linalg.eigvalsh(rho)[..., 0] < -1e-12
+    rho, _, least = _constrained_fit(ms, basis)
+    # least differs from min eig(S / tr S) by rounding, far below its 4.4e-5 margin at seed 42
+    return rho, least < -1e-12
 
 
 def fidelity(psi: np.ndarray, rho: np.ndarray) -> float | np.ndarray:
@@ -339,8 +369,8 @@ def ensemble_sweep(alphas: np.ndarray, gammas: np.ndarray, n_states: int,
     reconstructions, the fringe visibility of the full amplitude at that
     threshold, and the mean PPT witness of the reconstruction (2 x 2 partition).
     The ensemble is drawn once, one substream per state, and every grid
-    point is reconstructed alone, so a sub-grid sweep equals the matching
-    slice of the full one.
+    point is measured elementwise, so a sub-grid sweep still equals the
+    matching slice of the full one.
     """
     if n_states < 1:
         raise DomainError("n_states must be >= 1")

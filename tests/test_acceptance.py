@@ -253,7 +253,7 @@ def test_criterion_08_constrained_tomography():
     min_eigs = []
     rho = random_density(4, 123)
     m = np.real(np.einsum("ij,kji->k", rho, basis.matrices))
-    rec, rec_objective = _constrained_fit(m, basis)
+    rec, rec_objective, _ = _constrained_fit(m, basis)
     min_eigs.append(np.linalg.eigvalsh(rec).min())
     ok_recover = rec_objective <= 1e-12
 

@@ -87,6 +87,22 @@ class TestMarcumQ:
         assert marcum_q1(aa, bb).shape == (a.size, b.size)
         assert isinstance(marcum_q1(1.0, 2.0), float)
 
+    @pytest.mark.parametrize("shared_b", [True, False], ids=["scalar-b", "array-b"])
+    def test_sorted_chunks_match_one_element_calls(self, shared_b):
+        # more series elements than one chunk, shuffled and repeated, mixed with
+        # corner elements (a or b past the exp underflow) and, for an array b, b = 0
+        rng = np.random.default_rng(23)
+        a = np.concatenate([rng.uniform(0.0, 12.0, 150), [0.0, 40.0, 45.0, 1e3]])
+        b = 1.7 if shared_b else np.concatenate([rng.uniform(0.0, 12.0, 150),
+                                                 [0.0, 0.0, 41.0, 39.0]])
+        one = np.array([marcum_q1(x, b if shared_b else y)
+                        for x, y in zip(a, np.broadcast_to(b, a.shape))])
+        pick = rng.integers(0, a.size, 2 ** 14 + 3000)
+        got = marcum_q1(a[pick], b if shared_b else b[pick])
+        assert np.array_equal(got, one[pick])
+        series = (a[pick] < 38.0) & (np.broadcast_to(b, a.shape)[pick] < 38.0)
+        assert np.count_nonzero(series) > 2 ** 14 and not series.all()
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             marcum_q1(-0.1, 1.0)

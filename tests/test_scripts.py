@@ -1,0 +1,27 @@
+"""scripts/same_outputs.py: two source trees, one set of data files."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "scripts" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(same_outputs)
+
+
+def test_checkout_writes_the_same_files_as_itself(capsys):
+    src = str(ROOT / "src")
+    assert same_outputs.main([src, src, "--seeds", "42", "--commands", "deviation"]) == 0
+    assert "same    seed 42: deviation" in capsys.readouterr().out
+
+
+def test_differing_and_missing_files_are_named(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+        (d / "same.csv").write_text("a\n1\n")
+        (d / "x-42.manifest.json").write_text(str(d))  # wall-clock time differs: ignored
+    (old / "moved.csv").write_text("a\n1\n")
+    (new / "moved.csv").write_text("a\n1.0\n")
+    (new / "extra.json").write_text("{}")
+    assert same_outputs.differing_files(old, new) == ["extra.json", "moved.csv"]

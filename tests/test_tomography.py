@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,12 @@ from scipy import optimize
 from bornsim import RngStream, marcum_q1
 from bornsim.detection import _conditional_clicks
 from bornsim import tomography
-from bornsim.errors import DimensionMismatchError, DomainError, InvalidDimensionError
+from bornsim.errors import (
+    DimensionMismatchError,
+    DomainError,
+    InvalidDimensionError,
+    SaturatedDetectorError,
+)
 from bornsim.tomography import (
     _constrained_fit,
     _measure_batch,
@@ -158,6 +164,36 @@ class TestMeasurement:
         saturated = (marcum_q1(2.0 * amps, 1.0) == 1.0).any(axis=-1)
         assert saturated.any() and not saturated.all()
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_grid_equals_one_point_calls(self, d):
+        # alpha = 6, gamma = 0.5 saturates some settings; a basis that measures
+        # every matrix in its own setting gives the same bits as the shared settings
+        b = build_basis(d)
+        alone = dataclasses.replace(b, settings=np.arange(b.size), setting_of=np.arange(b.size))
+        psis = np.array([random_direction(d, s) for s in range(5)])
+        alphas, gammas = np.array([0.0, 0.7, 2.2, 6.0]), np.array([0.5, 1.0, 1.6])
+        grid = _measure_batch(psis, alphas[:, None], gammas, b)
+        assert grid.shape == (alphas.size, gammas.size, len(psis), b.size)
+        assert np.array_equal(grid, _measure_batch(psis, alphas[:, None], gammas, alone))
+        for i, a in enumerate(alphas):
+            for j, g in enumerate(gammas):
+                assert np.array_equal(grid[i, j], _measure_batch(psis, a, g, b))
+
+    def test_shared_settings(self):
+        # I and Z share the identity eigenbasis: 3 of 4 Pauli settings, 9 of 16 products
+        assert build_basis(2).settings.tolist() == [0, 1, 2]
+        assert build_basis(2).setting_of.tolist() == [0, 1, 2, 0]
+        b = build_basis(4)
+        assert b.settings.size == 9
+        for k in range(b.size):
+            assert np.array_equal(b.diagonalizers[k], b.diagonalizers[b.settings[b.setting_of[k]]])
+
+    def test_zero_threshold_in_an_array_rejected(self):
+        with pytest.raises(SaturatedDetectorError):
+            _conditional_clicks(np.ones((2, 3)), np.array([[1.0], [0.0]]))
+        with pytest.raises(SaturatedDetectorError):
+            _measure_batch(np.eye(4)[:1].astype(complex), 1.0, np.array([1.0, 0.0]), build_basis(4))
+
     def test_monte_carlo_post_selection_matches(self):
         # estimate the conditional click distribution in one rotated setting
         b = build_basis(4)
@@ -211,7 +247,7 @@ class TestConstrainedFit:
         b = build_basis(4)
         rho = random_density(4, 42)
         m = np.real(np.einsum("ij,kji->k", rho, b.matrices))
-        fit, objective = _constrained_fit(m, b)
+        fit, objective, _ = _constrained_fit(m, b)
         assert objective <= 1e-12
         assert np.max(np.abs(fit - rho)) < 1e-5
 
@@ -257,8 +293,10 @@ class TestConstrainedFit:
             cases.append(_measure_batch(psi[None], 3.0, 1.0, b)[0])
         indefinite = 0
         for m in cases:
-            indefinite += np.linalg.eigvalsh(linear_qst(m, b)).min() < -1e-12
-            fit, objective = _constrained_fit(m, b)
+            least_linear = np.linalg.eigvalsh(linear_qst(m, b)).min()
+            indefinite += least_linear < -1e-12
+            fit, objective, least = _constrained_fit(m, b)
+            assert least == pytest.approx(least_linear, abs=1e-14)
             assert objective <= lbfgs_fit(m, b)[1] + 1e-12
             assert np.linalg.eigvalsh(fit).min() >= -1e-12
             assert np.real(np.trace(fit)) == pytest.approx(1.0, abs=1e-12)
@@ -349,6 +387,24 @@ class TestReportsAndSweeps:
             for name in ("mean_fidelity", "frac_invalid", "mean_visibility",
                          "mean_ppt_witness", "per_state_fidelity"):
                 assert np.array_equal(getattr(part, name), getattr(full, name)[ia, ig]), name
+
+    @pytest.mark.parametrize("n_states, n_alpha", [(5, 40), (50, 3), (300, 2)])
+    def test_grid_measured_in_capped_alpha_blocks(self, monkeypatch, n_states, n_alpha):
+        # whole alpha rows per call, at most the block cap unless one row exceeds it
+        measure, calls = tomography._measure_batch, []
+
+        def counted(psis, alpha, gamma, basis):
+            calls.append((alpha.ravel().tolist(), alpha.size * gamma.size * psis.size * basis.size))
+            return measure(psis, alpha, gamma, basis)
+
+        monkeypatch.setattr(tomography, "_measure_batch", counted)
+        alphas, gammas = np.linspace(0.1, 3.0, n_alpha), np.linspace(0.5, 3.0, 12)
+        res = ensemble_sweep(alphas, gammas, n_states, rng=RngStream(63))
+        assert len(calls) > 1
+        assert [a for rows, _ in calls for a in rows] == alphas.tolist()
+        cap = tomography._BLOCK_AMPLITUDES
+        assert all(size <= cap or len(rows) == 1 for rows, size in calls)
+        assert res.per_state_fidelity.shape == (n_alpha, gammas.size, n_states)
 
     def test_sweep_vacuum_column(self):
         res = ensemble_sweep(np.array([0.0]), np.array([1.0]), 4, rng=RngStream(61))
