@@ -8,9 +8,7 @@ from .detection import (
     born_expansion,
     dark_count_prob,
     detect_prob,
-    efficiency,
     marcum_q1,
-    poisson_detection_prob,
     visibility_dual,
     visibility_single,
 )
@@ -20,7 +18,6 @@ from .optics import (
     circuit_unitary,
     gate_cnot,
     gate_hadamard,
-    gate_identity,
     gate_phase,
     gate_x,
     haar_unitary,

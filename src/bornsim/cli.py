@@ -155,12 +155,10 @@ def _state_from_circuit(path: str | None) -> np.ndarray | None:
     return psi / np.linalg.norm(psi)
 
 
-def _fidelity(method: str):
-    def run(p, rng):
-        psi = _state_from_circuit(p["circuit"])
-        return tomography.fidelity_scan(p["alpha_grid"], p["gamma"], p["n_states"], rng,
-                                        method=method, psis=None if psi is None else psi[None])
-    return run
+def _fidelity(p, rng, method: str):
+    psi = _state_from_circuit(p["circuit"])
+    return tomography.fidelity_scan(p["alpha_grid"], p["gamma"], p["n_states"], rng,
+                                    method=method, psis=None if psi is None else psi[None])
 
 
 def _mach_zehnder(p, rng):
@@ -234,12 +232,12 @@ COMMANDS: dict[str, Command] = {
         "linear-inversion tomography fidelity vs amplitude",
         {"gamma": GAMMA, "alpha_grid": ("0:0.1:3", ALPHA_GRID), "n_states": (30, ENSEMBLE),
          "circuit": CIRCUIT},
-        _fidelity("linear")),
+        lambda p, rng: _fidelity(p, rng, "linear")),
     "fidelity-mle": Command(
         "constrained tomography fidelity vs amplitude",
         {"gamma": GAMMA, "alpha_grid": ("0:0.1:3", ALPHA_GRID), "n_states": (5, ENSEMBLE),
          "circuit": CIRCUIT},
-        _fidelity("mle")),
+        lambda p, rng: _fidelity(p, rng, "mle")),
     "witness": Command(
         "PPT witness of the reconstructed Bell state",
         {"gamma": GAMMA, "alpha_grid": ("0:0.1:3", ALPHA_GRID), "circuit": CIRCUIT},

@@ -28,8 +28,6 @@ __all__ = [
     "detect_prob",
     "dark_count_prob",
     "born_expansion",
-    "efficiency",
-    "poisson_detection_prob",
     "visibility_single",
     "visibility_dual",
 ]
@@ -208,34 +206,6 @@ def born_expansion(alpha_abs, th):
     if not np.all(np.isfinite(p)):
         a_bad, g_bad = (float(np.broadcast_to(v, p.shape)[~np.isfinite(p)][0]) for v in (a, g))
         raise DomainError(f"Born expansion is not finite at |alpha| = {a_bad:g}, gamma = {g_bad:g}")
-    return _float_or_array(p)
-
-
-def efficiency(th):
-    """Effective detection efficiency 4 g^2 e^{-2g^2} / (1 - e^{-2g^2}), elementwise over gamma.
-
-    Only meaningful as an efficiency for gamma >~ 0.8; below that it exceeds
-    one and the parametric-model interpretation breaks down. Where e^{-2g^2}
-    rounds to 1 (gamma = 0 and gamma below about 1e-8) it is a
-    SingularThresholdError.
-    """
-    g = gamma_of(th)
-    delta = dark_count_prob(g)
-    return _divide(4.0 * g * g * delta, 1.0 - delta, SingularThresholdError,
-                   "efficiency is undefined where exp(-2 gamma^2) rounds to 1")
-
-
-def poisson_detection_prob(alpha_abs, th):
-    """Parametric count model p = 1 - (1 - delta) exp(-eta |alpha|^2), broadcast.
-
-    Where delta rounds to 1 the dark counts alone click every trial, so p = 1.
-    """
-    a, g = _nonnegative("alpha_abs", alpha_abs), gamma_of(th)
-    _broadcast_shape(a, g)
-    delta = dark_count_prob(g)
-    eta = efficiency(np.where(delta < 1.0, g, 1.0))
-    with np.errstate(over="ignore"):  # eta * a first: eta = 0 times an overflowed a^2 is NaN
-        p = 1.0 - (1.0 - delta) * np.exp(-(eta * a) * a)
     return _float_or_array(p)
 
 

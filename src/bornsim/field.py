@@ -4,8 +4,9 @@ A d-mode state is a coherent amplitude alpha along a unit direction psi,
 immersed in vacuum noise: one realization has complex mode amplitudes
 a = alpha * psi + z / sqrt(2), where the components of z are independent
 standard complex Gaussians (E[z] = 0, E[|z|^2] = 1, E[z^2] = 0). The package
-samples them only as the clicks of threshold_clicks; the realized amplitudes
-themselves are the sample-level twin in tests/oracles.py.
+samples them only as the clicks of threshold_clicks, for real amplitudes and
+thresholds up to 2^500, where every square it takes stays far from overflow;
+the realized amplitudes themselves are the sample-level twin in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -34,11 +35,6 @@ R_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53))
 # The screen compares 4v with 4(gamma^2 +- band): scaling by 4 is exact, so
 # every rounding, and the band, carry over unchanged.
 _COS32_ERR = 2.0 ** -16
-
-
-def _box_muller(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared radius r^2 = -2 log(1 - u0) and angle theta = 2 pi u1 of (m, 2) uniform pairs."""
-    return -2.0 * np.log1p(-u[:, 0]), (2.0 * np.pi) * u[:, 1]
 
 
 class RngStream:
@@ -85,8 +81,8 @@ class RngStream:
         if n < 0:
             raise DomainError("n must be nonnegative")
         pairs = (n + 1) // 2
-        r2, theta = _box_muller(self._gen.random((pairs, 2)))
-        r = np.sqrt(r2)
+        u = self._gen.random((pairs, 2))
+        r, theta = np.sqrt(-2.0 * np.log1p(-u[:, 0])), (2.0 * np.pi) * u[:, 1]
         out = np.empty(2 * pairs)
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)
@@ -110,11 +106,9 @@ def threshold_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
     cosine, so every decision equals the all-float64 test. Equals that oracle's
     detect_batch on those realizations unless some |a_i| rounds to gamma.
     The block buffers are allocated once per call and every step runs in place.
-    Where max(|a|, gamma) > 2^500, a^2 or gamma^2 may overflow; the test then
-    runs in units of the power of two 2^e that brings the larger value into
-    [1/2, 1) (_scaled_clicks).
     a and gamma are taken as Python floats, so a NumPy scalar gives the same
-    count as the float it holds; a complex a is a DomainError.
+    count as the float it holds. A complex a, or max(|a|, gamma) above 2^500 (its
+    square nears the float64 overflow at 2^1024), is a DomainError.
     """
     n = int(n)
     if n < 0:
@@ -125,7 +119,8 @@ def threshold_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
         raise DomainError("gamma must be finite and >= 0")
     a, gamma = float(a), float(gamma)
     if max(abs(a), gamma) > 2.0 ** 500:
-        return _scaled_clicks(a, gamma, n, rng)
+        raise DomainError(f"threshold_clicks needs |a| and gamma at most 2^500 "
+                          f"(got a = {a!r}, gamma = {gamma!r})")
     a2, g2 = a * a, gamma * gamma
     band = (abs(a) * R_MAX * _COS32_ERR
             + 2.0 ** -48 * (a2 + 0.25 * R_MAX * R_MAX + abs(a) * R_MAX + g2))
@@ -153,25 +148,4 @@ def threshold_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
         near = np.flatnonzero(above)
         r2n, theta = r2[near], (2.0 * np.pi) * u[near, 1]
         clicks += int(np.count_nonzero(a2 + 0.25 * r2n + a * np.sqrt(r2n) * np.cos(theta) > g2))
-    return clicks
-
-
-def _scaled_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
-    """threshold_clicks where max(|a|, gamma) > 2^500, in units 2^e that bring it into [1/2, 1).
-
-    Divided by 2^e, the test v > gamma^2 reads d + 2^-e r^2/4 + a' r cos(theta) > 0,
-    with a' = 2^-e a and d = 2^e (a'^2 - gamma'^2). Distinct magnitudes have distinct
-    float squares, so d is 0 only at |a| = gamma and is otherwise at least 2^(e-56) >
-    2^444 in magnitude, far above the noise terms (below 9): d decides every
-    trial, and at a tie the noise terms decide each one, as they do exactly.
-    """
-    e = math.frexp(max(abs(a), gamma))[1]
-    a, gamma = math.ldexp(a, -e), math.ldexp(gamma, -e)
-    d = math.ldexp(a * a - gamma * gamma, e)
-    clicks = 0
-    for start in range(0, n, CLICK_BLOCK):
-        m = min(CLICK_BLOCK, n - start)
-        r2, theta = _box_muller(rng.uniforms(2 * m).reshape(m, 2))
-        noise = 0.25 * np.ldexp(r2, -e) + a * np.sqrt(r2) * np.cos(theta)
-        clicks += int(np.count_nonzero(d + noise > 0.0))
     return clicks

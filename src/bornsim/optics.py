@@ -21,12 +21,6 @@ from .errors import CircuitFormatError, DomainError, InvalidDimensionError
 from .field import RngStream
 
 
-def gate_identity(d: int = 2) -> np.ndarray:
-    if int(d) < 1:
-        raise InvalidDimensionError("identity needs d >= 1")
-    return np.eye(int(d), dtype=complex)
-
-
 def gate_hadamard() -> np.ndarray:
     """50/50 beam splitter, (1/sqrt2) [[1, 1], [1, -1]]."""
     return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)

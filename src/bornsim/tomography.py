@@ -59,7 +59,8 @@ _PAULI_ORDER = "IXYZ"
 
 @dataclass(frozen=True)
 class HermitianBasis:
-    """d^2 Hermitian matrices, orthonormal under Tr[B_j^dag B_k], with eigensystems.
+    """d^2 Hermitian matrices, orthonormal under Tr[B_j^dag B_k], with eigensystems:
+    the scaled Paulis (d = 2) or their pairwise Kronecker products (d = 4).
 
     Matrices that share a diagonalizer share its measurement setting: settings
     indexes one matrix per distinct diagonalizer, and setting_of maps each
@@ -77,35 +78,14 @@ class HermitianBasis:
         return self.matrices.shape[0]
 
 
-def _gell_mann(d: int) -> list[np.ndarray]:
-    mats = [np.eye(d, dtype=complex) / math.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0 / math.sqrt(2.0)
-            mats.append(sym)
-            asym = np.zeros((d, d), dtype=complex)
-            asym[j, k] = -1j / math.sqrt(2.0)
-            asym[k, j] = 1j / math.sqrt(2.0)
-            mats.append(asym)
-    for l in range(1, d):
-        diag = np.zeros(d)
-        diag[:l] = 1.0
-        diag[l] = -l
-        mats.append(np.diag(diag).astype(complex) / math.sqrt(l * (l + 1)))
-    return mats
-
-
 def build_basis(d: int) -> HermitianBasis:
     """Hilbert-Schmidt-orthonormal Hermitian basis with precomputed eigensystems.
 
     d = 2 uses the scaled Paulis, d = 4 their pairwise Kronecker products
-    (diagonalized by local product settings); other d uses generalized
-    Gell-Mann matrices plus the scaled identity.
+    (diagonalized by local product settings); any other d, which no
+    scenario measures, is an InvalidDimensionError.
     """
     d = int(d)
-    if d < 2:
-        raise InvalidDimensionError("build_basis needs d >= 2")
     if d == 2:
         mats = [_PAULI[p] / math.sqrt(2.0) for p in _PAULI_ORDER]
         diags = [_PAULI_EIG[p][0] for p in _PAULI_ORDER]
@@ -118,12 +98,7 @@ def build_basis(d: int) -> HermitianBasis:
                 diags.append(np.kron(_PAULI_EIG[p1][0], _PAULI_EIG[p2][0]))
                 eigs.append(np.kron(_PAULI_EIG[p1][1], _PAULI_EIG[p2][1]) / 2.0)
     else:
-        mats = _gell_mann(d)
-        diags, eigs = [], []
-        for b in mats:
-            w, v = np.linalg.eigh(b)
-            diags.append(v)
-            eigs.append(w)
+        raise InvalidDimensionError(f"build_basis takes d = 2 or 4 (got {d})")
     # the first matrix with an exactly equal diagonalizer measures for each one
     first = [next(j for j in range(k + 1) if np.array_equal(diags[j], diags[k]))
              for k in range(len(diags))]
@@ -296,7 +271,8 @@ def fidelity_scan(alphas: np.ndarray, th: float, n_states: int,
     """Reconstruction fidelity of an ensemble of pure states versus amplitude.
 
     The ensemble is n_states four-mode Haar states, or the rows of ``psis``
-    (n, d), which then set both the ensemble size and the dimension.
+    (n, d), which then set both the ensemble size and the dimension, d = 2 or
+    4; any other d is an InvalidDimensionError, raised before any measurement.
     Returns a ScenarioResult whose per-state curves are fid_state_XX columns,
     with valid_state_XX flags (no negative eigenvalues) for the linear method.
     """

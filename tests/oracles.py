@@ -1,9 +1,13 @@
-"""Test oracles: the sample-level twin and the brute-force outcome tables of the model.
+"""Test oracles: the sample-level twin, the brute-force outcome tables and the
+parametric count model.
 
 The package samples clicks only through ``field.threshold_clicks`` and computes
 single-click probabilities only through ``detection._singles_from_q`` and
 ``_conditional_clicks``. The tests hold those against the routes below:
 realized complex amplitudes thresholded one by one, and full 2^d outcome tables.
+The detector efficiency and the count model built on it agree with
+``detection.detect_prob`` to second order in the amplitude, a small-alpha
+cross-check of the Marcum Q click probability.
 """
 
 from __future__ import annotations
@@ -13,8 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from bornsim import RngStream
-from bornsim.detection import _broadcast_shape, detect_prob, gamma_of
-from bornsim.errors import DimensionMismatchError, DomainError, InvalidDimensionError
+from bornsim.detection import (
+    _broadcast_shape,
+    _divide,
+    _float_or_array,
+    _nonnegative,
+    dark_count_prob,
+    detect_prob,
+    gamma_of,
+)
+from bornsim.errors import (
+    DimensionMismatchError,
+    DomainError,
+    InvalidDimensionError,
+    SingularThresholdError,
+)
 
 _NORM_TOL = 1e-12
 
@@ -79,6 +96,34 @@ def mode_crossing_probs(state: CoherentVector, th) -> np.ndarray:
     unequal settings; it broadcasts against the d mode amplitudes.
     """
     return detect_prob(np.abs(state.mode_amplitudes()), th)
+
+
+def efficiency(th):
+    """Effective detection efficiency 4 g^2 e^{-2g^2} / (1 - e^{-2g^2}), elementwise over gamma.
+
+    Only meaningful as an efficiency for gamma >~ 0.8; below that it exceeds
+    one and the parametric-model interpretation breaks down. Where e^{-2g^2}
+    rounds to 1 (gamma = 0 and gamma below about 1e-8) it is a
+    SingularThresholdError.
+    """
+    g = gamma_of(th)
+    delta = dark_count_prob(g)
+    return _divide(4.0 * g * g * delta, 1.0 - delta, SingularThresholdError,
+                   "efficiency is undefined where exp(-2 gamma^2) rounds to 1")
+
+
+def poisson_detection_prob(alpha_abs, th):
+    """Parametric count model p = 1 - (1 - delta) exp(-eta |alpha|^2), broadcast.
+
+    Where delta rounds to 1 the dark counts alone click every trial, so p = 1.
+    """
+    a, g = _nonnegative("alpha_abs", alpha_abs), gamma_of(th)
+    _broadcast_shape(a, g)
+    delta = dark_count_prob(g)
+    eta = efficiency(np.where(delta < 1.0, g, 1.0))
+    with np.errstate(over="ignore"):  # eta * a first: eta = 0 times an overflowed a^2 is NaN
+        p = 1.0 - (1.0 - delta) * np.exp(-(eta * a) * a)
+    return _float_or_array(p)
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,8 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
     ("antibunch", None, ["--alpha-grid", "0:1e-300:1"], "0:1e-300:1"),
     ("counts", None, ["--alpha0", "1e200", "--n", "10"], "|alpha| = 1e+200, gamma = 1"),
     ("counts", None, ["--gamma", "1e100", "--n", "10"], "|alpha| = 0.707, gamma = 1e+100"),
+    # at gamma = 1 the expansion's quartic term is 0, so only the click kernel rejects it
+    ("counts", None, ["--alpha0", "6.6e150", "--gamma", "1", "--n", "10"], "at most 2^500"),
     # a directory cannot be read as a file
     ("deviation", None, ["--config", "."], "cannot read config file ."),
     ("deviation", "{not json", [], "cannot read config file"),
@@ -211,6 +213,7 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
     ("mz", None, ["--gamma", "0.5887050112577373"], "visibility undefined"),
 ], ids=["wrong-float", "wrong-int", "wrong-list", "bad-alphas-flag", "unknown-key", "nan-grid",
         "bad-format", "empty-alphas", "huge-grid", "expansion-alpha0", "expansion-gamma",
+        "clicks-alpha0",
         "unreadable-config", "config-not-json", "config-not-object", "zero-trials",
         "negative-seed", "deviation-zero-alpha0", "mz-three-points", "mz-zero-denominator"])
 def test_bad_config_is_one_line_error(tmp_path, capsys, command, config, flags, key):

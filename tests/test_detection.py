@@ -11,9 +11,7 @@ from bornsim import (
     born_expansion,
     dark_count_prob,
     detect_prob,
-    efficiency,
     marcum_q1,
-    poisson_detection_prob,
     visibility_single,
 )
 from bornsim.detection import visibility_dual
@@ -21,8 +19,10 @@ from bornsim.errors import DomainError, InvalidDimensionError, SingularThreshold
 from oracles import (
     CoherentVector,
     detect_batch,
+    efficiency,
     mode_crossing_probs,
     outcome_distribution,
+    poisson_detection_prob,
     realize_batch,
 )
 

@@ -51,18 +51,6 @@ def test_benchmark_tracer_binds_every_name():
     assert out.returncode == 0 and out.stdout.strip() == "bound", out.stderr
 
 
-# Functions in src/bornsim that no command runs, each with the reason it stays.
-NOT_RUN = {
-    "cli._fidelity": "builds the fidelity runners when COMMANDS is defined, at import",
-    "detection.efficiency": "the model's detector efficiency; no command writes it",
-    "detection.poisson_detection_prob": "the model's parametric count model; no command writes it",
-    "field._scaled_clicks": "max(|a|, gamma) > 2^500, which polarization_scan rejects "
-                            "through born_expansion before any draw",
-    "optics.gate_identity": "public gate; a circuit's identity entry may have no wires, "
-                            "which gate_identity rejects, so the gate table uses np.eye",
-    "tomography._gell_mann": "build_basis for d other than 2 and 4, which fidelity_scan(psis=...) "
-                             "takes; every command probes four modes",
-}
 # A small value for each parameter that sizes a command's work
 SMALL = {"n_trials": 50, "alpha_grid": "1:1:2", "gamma_grid": "1:1:2", "n_states": 2,
          "n_points": 5, "sample_size": 10}
@@ -85,7 +73,6 @@ def test_every_function_in_src_runs_under_the_commands(tmp_path):
         path = importlib.import_module(name).__file__
         code = compile(Path(path).read_text(), path, "exec")
         defined.update(_functions(code, name.removeprefix("bornsim.") + "."))
-    assert set(NOT_RUN) <= set(defined)
     circuit = tmp_path / "circuit.json"
     circuit.write_text(json.dumps([{"gate": g, "wires": w} for g, w in (
         ("hadamard", [0, 2]), ("cnot", [0, 1, 2, 3]), ("x", [2, 3]), ("phase", [1]))]))
@@ -112,5 +99,5 @@ def test_every_function_in_src_runs_under_the_commands(tmp_path):
         sys.setprofile(None)
         threading.setprofile(None)
     assert codes == [0] * len(runs)
-    idle = sorted(n for n, where in defined.items() if where not in ran and n not in NOT_RUN)
+    idle = sorted(n for n, where in defined.items() if where not in ran)
     assert not idle, f"functions no command runs: {idle}"

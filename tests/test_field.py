@@ -66,7 +66,10 @@ def test_empty_draws_consume_nothing():
     (-math.inf, 1.0, "a must be finite"), (0.5, math.nan, "gamma must be finite and >= 0"),
     (0.5, math.inf, "gamma must be finite and >= 0"), (0.5, -1.0, "gamma must be finite and >= 0"),
     (0.5j, 1.0, "a must be finite and real"), (np.complex128(0.5), 1.0, "a must be finite and real"),
-], ids=["a=nan", "a=inf", "a=-inf", "gamma=nan", "gamma=inf", "gamma=-1", "a=0.5j", "a=complex128"])
+    (math.nextafter(2.0 ** 500, math.inf), 1.0, r"at most 2\^500"),
+    (0.5, 2.0 ** 501, r"at most 2\^500"), (-1.7e308, 1.7e308, r"at most 2\^500"),
+], ids=["a=nan", "a=inf", "a=-inf", "gamma=nan", "gamma=inf", "gamma=-1", "a=0.5j", "a=complex128",
+        "a=next-above-2^500", "gamma=2^501", "a=-1.7e308"])
 def test_threshold_clicks_rejects_bad_inputs_before_drawing(a, gamma, named, monkeypatch):
     def no_draws(*args):
         raise AssertionError("drew before checking the input")
@@ -75,36 +78,29 @@ def test_threshold_clicks_rejects_bad_inputs_before_drawing(a, gamma, named, mon
         threshold_clicks(a, gamma, 1000, RngStream(1))
 
 
-@pytest.mark.parametrize("a, gamma, clicks", [(0.7, 1.0, None), (-1.3, 0.4, None),
-                                               (1e200, 1.0, 1000), (0.5, 1e200, 0),
-                                               (1e200, 9.9e199, 1000), (1e200, 1e200, None),
-                                               (2e154, 2e154, None), (-1.7e308, 1.7e308, None)])
+@pytest.mark.parametrize("a, gamma, clicks", [
+    (0.7, 1.0, None), (-1.3, 0.4, None),
+    pytest.param(2.0 ** 500, 1.0, 1000, id="2^500-1.0-1000"),
+    pytest.param(0.5, 2.0 ** 500, 0, id="0.5-2^500-0"),
+    pytest.param(2.0 ** 500, 2.0 ** 499, 1000, id="2^500-2^499-1000"),
+    pytest.param(2.0 ** 500, 2.0 ** 500, None, id="2^500-2^500-None"),
+    pytest.param(-2.0 ** 500, 2.0 ** 500, None, id="-2^500-2^500-None"),
+])
 def test_threshold_clicks_equal_for_numpy_and_python_inputs(a, gamma, clicks):
     counts = {threshold_clicks(x, g, 1000, RngStream(4))
               for x in (a, np.float64(a)) for g in (gamma, np.float64(gamma))}
     assert len(counts) == 1 and (clicks is None or counts == {clicks})
 
 
-@pytest.mark.parametrize("a", [1e200, -1e200, 2e154, 1.7e308])
-def test_threshold_clicks_at_overflowing_tie_click_half_the_time(a):
-    # |a| = gamma: |a + w|^2 - gamma^2 = |w|^2 + 2 a Re(w) is positive about half
-    # the time, though gamma^2 overflows and a^2 absorbs |w|^2 + 2 a Re(w)
-    n = 1000
-    assert abs(threshold_clicks(a, abs(a), n, RngStream(1)) - n / 2) < 5 * math.sqrt(n / 4)
-
-
-def test_scaled_threshold_clicks_equal_plain_float64_test():
-    # up to 2^510 the squares fit, so the plain float64 test runs as it is; at
-    # |a| = gamma it rounds a^2 + |w|^2 + 2 a Re(w) to a^2 and never clicks,
-    # so ties are left to the test above
+def test_threshold_clicks_up_to_2_500_equal_plain_float64_test():
+    # up to max(|a|, gamma) = 2^500, the largest accepted input, the squares fit
+    # and the kernel's count equals the plain float64 test of every trial
     n, seed = CLICK_BLOCK + 5, 9
     u = RngStream(seed).uniforms(2 * n).reshape(n, 2)
     r2, theta = -2.0 * np.log1p(-u[:, 0]), (2.0 * np.pi) * u[:, 1]
-    edges = [2.0 ** 500, math.nextafter(2.0 ** 500, math.inf), 2.0 ** 505 * 1.5, 2.0 ** 510]
-    values = edges + [0.0, 1.0, 2.0 ** 499, math.nextafter(2.0 ** 510, 0.0)]
-    cases = [(s * a, g) for a in values for g in values for s in (1.0, -1.0)
-             if max(a, g) > 2.0 ** 500 and a != g]
-    assert len(cases) > 50
+    values = [0.0, 1.0, 2.0 ** 250, 2.0 ** 499, math.nextafter(2.0 ** 500, 0.0), 2.0 ** 500]
+    cases = [(s * a, g) for a in values for g in values for s in (1.0, -1.0)]
+    assert max(max(abs(a), g) for a, g in cases) == 2.0 ** 500
     for a, g in cases:
         plain = np.count_nonzero(a * a + 0.25 * r2 + a * np.sqrt(r2) * np.cos(theta) > g * g)
         assert threshold_clicks(a, g, n, RngStream(seed)) == plain, (a, g)

@@ -13,7 +13,6 @@ from bornsim import (
     circuit_unitary,
     gate_cnot,
     gate_hadamard,
-    gate_identity,
     gate_phase,
     gate_x,
     haar_unitary,
@@ -53,11 +52,10 @@ def test_x_and_cnot_and_kron():
     assert np.allclose(gate_x(), np.array([[0, 1], [1, 0]]), atol=0)
     c = gate_cnot()
     assert np.allclose(c @ c, np.eye(4), atol=0)
-    assert np.allclose(np.kron(gate_identity(2), gate_identity(2)), np.eye(4), atol=0)
 
 
 def test_bell_preparation_mean_amplitudes():
-    u = gate_cnot() @ np.kron(gate_hadamard(), gate_identity(2))
+    u = gate_cnot() @ np.kron(gate_hadamard(), np.eye(2))
     alpha = 0.8
     out = apply(u, CoherentVector(alpha, E1_4))
     expected = alpha / np.sqrt(2.0) * np.array([1.0, 0.0, 0.0, 1.0])
@@ -66,8 +64,8 @@ def test_bell_preparation_mean_amplitudes():
 
 def test_interferometer_mean_amplitudes():
     phi = 1.3
-    h2 = np.kron(gate_hadamard(), gate_identity(2))
-    u = h2 @ np.kron(gate_phase(phi), gate_identity(2)) @ h2
+    h2 = np.kron(gate_hadamard(), np.eye(2))
+    u = h2 @ np.kron(gate_phase(phi), np.eye(2)) @ h2
     out = u @ E1_4
     assert out[0] == pytest.approx(0.5 * (1 + np.exp(1j * phi)), abs=1e-14)
     assert out[2] == pytest.approx(0.5 * (1 - np.exp(1j * phi)), abs=1e-14)
@@ -76,7 +74,7 @@ def test_interferometer_mean_amplitudes():
 
 def test_apply_identity_is_noop():
     state = CoherentVector(1.0 + 0.5j, np.array([0.6, 0.8]))
-    out = apply(gate_identity(2), state)
+    out = apply(np.eye(2), state)
     assert out.alpha == state.alpha
     assert np.array_equal(out.psi, state.psi)
 
@@ -97,8 +95,6 @@ def test_apply_dimension_mismatch():
 
 
 def test_gate_and_apply_domain_errors():
-    with pytest.raises(InvalidDimensionError):
-        gate_identity(0)
     with pytest.raises(DomainError):
         gate_phase(math.nan)
     with pytest.raises(DomainError, match="not normalizable"):
@@ -181,7 +177,7 @@ def test_circuit_unitary_bell():
         {"gate": "hadamard", "wires": [1, 3]},
         {"gate": "x", "wires": [2, 3]},
     ]
-    expected = gate_cnot() @ np.kron(gate_hadamard(), gate_identity(2))
+    expected = gate_cnot() @ np.kron(gate_hadamard(), np.eye(2))
     assert np.allclose(circuit_unitary(spec), expected, atol=1e-15)
 
 
@@ -217,7 +213,7 @@ def test_circuit_every_gate():
         {"gate": "cnot", "wires": [0, 1, 2, 3]},
         {"gate": "x", "wires": [3, 1]},
     ]
-    h02 = np.kron(gate_hadamard(), np.diag([1, 0])) + np.kron(gate_identity(2), np.diag([0, 1]))
+    h02 = np.kron(gate_hadamard(), np.diag([1, 0])) + np.kron(np.eye(2), np.diag([0, 1]))
     swap13 = np.eye(4)[[0, 3, 2, 1]]
     expected = (swap13 @ gate_cnot() @ np.diag([np.exp(1j * psi), 1, 1, 1])
                 @ np.diag([1, np.exp(1j * phi), 1, 1]) @ h02)
@@ -282,6 +278,6 @@ def test_circuit_format_errors(tmp_path):
 
 def test_constructed_gates_all_unitary():
     gates = [gate_hadamard(), gate_phase(0.3), gate_x(), gate_cnot(),
-             gate_identity(3), np.kron(gate_hadamard(), gate_x())]
+             _GATES["identity"][2](0.0, 3), np.kron(gate_hadamard(), gate_x())]
     for g in gates:
         assert unitarity_defect(g) <= 1e-12
