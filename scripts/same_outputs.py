@@ -12,7 +12,9 @@ them with a comma-separated list of command lines, such as
 ``"fidelity-contour --fast,witness"``. Every file a run writes, except its
 manifest (which holds the wall-clock time), is compared byte for byte. The
 files that differ are printed, and the exit code is 1 on any difference or
-failed run.
+failed run. Each run's line also gives the peak resident set size and the wall
+time of both processes, old first, from ``os.wait4`` (ru_maxrss, in KiB on
+Linux).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 EXTRA_RUNS = ["counts --n 200000", "fidelity-contour --fast"]
@@ -41,14 +44,23 @@ def default_runs(src: Path) -> list[str]:
     return listing.stdout.split() + EXTRA_RUNS
 
 
-def run_tree(src: Path, run: str, seed: int, out_dir: Path) -> str | None:
-    """One fresh CLI process; None on success, else its last stderr line."""
+def run_tree(src: Path, run: str, seed: int, out_dir: Path) -> tuple[str | None, float, float]:
+    """One fresh CLI process: (None on success, else its last stderr line;
+    its peak RSS in MiB; its wall time in s)."""
     argv = [sys.executable, "-m", "bornsim.cli", *run.split(),
             "--seed", str(seed), "--format", "both", "--out-dir", str(out_dir)]
-    proc = subprocess.run(argv, env=_env(src), capture_output=True, text=True)
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(argv, env=_env(src), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+    with proc.stderr:
+        stderr = proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    peak = usage.ru_maxrss / 1024
     if proc.returncode == 0:
-        return None
-    return (proc.stderr.strip().splitlines() or [f"exit code {proc.returncode}"])[-1]
+        return None, peak, wall
+    return (stderr.strip().splitlines() or [f"exit code {proc.returncode}"])[-1], peak, wall
 
 
 def differing_files(old_dir: Path, new_dir: Path) -> list[str]:
@@ -79,9 +91,12 @@ def main(argv: list[str] | None = None) -> int:
         for seed in seeds:
             for n, run in enumerate(runs):
                 dirs = [Path(tmp, side, str(seed), str(n)) for side in ("old", "new")]
-                errors = [run_tree(src, run, seed, d)
-                          for src, d in zip((args.old_src, args.new_src), dirs)]
-                label = f"seed {seed}: {run}"
+                results = [run_tree(src, run, seed, d)
+                           for src, d in zip((args.old_src, args.new_src), dirs)]
+                errors = [error for error, _, _ in results]
+                label = f"seed {seed}: {run}  [" + " | ".join(
+                    f"{side} {peak:.1f} MiB {wall:.3f} s"
+                    for side, (_, peak, wall) in zip(("old", "new"), results)) + "]"
                 if any(errors):
                     bad += 1
                     print(f"FAILED  {label}: " + " | ".join(e or "ok" for e in errors))

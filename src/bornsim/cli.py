@@ -96,8 +96,9 @@ def _has_default_type(value, default) -> bool:
 def resolve_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags, plus the command name.
 
-    Every key must be a parameter of the command and every value must have
-    the type of that parameter's default. A command whose scenario is
+    Every key must be a parameter of the command, every value must have the
+    type of that parameter's default, and the seed must be >= 0 even for a
+    command that never draws. A command whose scenario is
     undefined at gamma = 0 needs gamma and every gamma_grid point above 0.
     """
     command = args.command
@@ -133,6 +134,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if params["format"] not in FORMATS:
         raise BornsimError(f"config key 'format' must be one of {', '.join(FORMATS)} "
                            f"(got {params['format']!r})")
+    if params["seed"] < 0:  # RngStream's rule, checked here for the commands that never draw
+        raise BornsimError("seed and stream_id must be nonnegative")
     for key in ("gamma", "gamma_grid") if COMMANDS[command].positive_gamma else ():
         if key in params:
             points = parse_grid(params[key]) if key == "gamma_grid" else [params[key]]
@@ -155,29 +158,34 @@ def _state_from_circuit(path: str | None) -> np.ndarray | None:
     return psi / np.linalg.norm(psi)
 
 
-def _fidelity(p, rng, method: str):
+def _fidelity(p, method: str):
     psi = _state_from_circuit(p["circuit"])
-    return tomography.fidelity_scan(p["alpha_grid"], p["gamma"], p["n_states"], rng,
+    return tomography.fidelity_scan(p["alpha_grid"], p["gamma"], p["n_states"],
+                                    RngStream(p["seed"]),
                                     method=method, psis=None if psi is None else psi[None])
 
 
-def _mach_zehnder(p, rng):
+def _mach_zehnder(p):
     result = experiments.mach_zehnder(p["alpha"], p["gamma"])
-    fit = experiments.mach_zehnder_fit(p["alpha"], p["gamma"], rng,
+    fit = experiments.mach_zehnder_fit(p["alpha"], p["gamma"], RngStream(p["seed"]),
                                        n_points=p["n_points"], sample_size=p["sample_size"])
     result.meta.update({"seed": p["seed"], "fit": fit.meta, "sample_phis": fit.grid.tolist(),
                         "samples": fit.analytic["sample"].tolist()})
     return result
 
 
-def _visibility_contour(p, rng):
+def _visibility_contour(p):
     a, g = np.meshgrid(p["alpha_grid"], p["gamma_grid"], indexing="ij")
     return np.column_stack([a.ravel(), g.ravel(), visibility_single(a, g).ravel()])
 
 
 class Command(NamedTuple):
     """Help, parameters (key -> (default, flag help)), runner (params with *_grid keys
-    parsed, RngStream), and whether gamma = 0 must be rejected."""
+    parsed), and whether gamma = 0 must be rejected.
+
+    Only a runner that draws builds RngStream(p["seed"]); the others never load
+    numpy.random.
+    """
 
     help: str
     params: dict
@@ -198,31 +206,32 @@ COMMANDS: dict[str, Command] = {
         "single-detector counts vs polarizer angle",
         {"alpha0": (0.707, "peak amplitude"), "gamma": GAMMA,
          "n_trials": (10_000, "trials per angle")},
-        lambda p, rng: experiments.polarization_scan(p["alpha0"], p["gamma"], rng=rng,
-                                                     n_trials=p["n_trials"]),
+        lambda p: experiments.polarization_scan(p["alpha0"], p["gamma"],
+                                                rng=RngStream(p["seed"]),
+                                                n_trials=p["n_trials"]),
         positive_gamma=False),
     "deviation": Command(
         "normalized detection curve vs squared-cosine law",
         {"alpha0": (1.0, "peak amplitude"), "gamma": GAMMA},
-        lambda p, rng: experiments.deviation_scan(p["alpha0"], p["gamma"])),
+        lambda p: experiments.deviation_scan(p["alpha0"], p["gamma"])),
     "visibility": Command(
         "fringe visibility vs threshold",
         {"alphas": ([0.5, 1.0, 1.5], "comma-separated amplitudes"),
          "gamma_grid": ("0.05:0.05:3", GAMMA_GRID)},
-        lambda p, rng: experiments.visibility_scan(tuple(p["alphas"]), p["gamma_grid"]),
+        lambda p: experiments.visibility_scan(tuple(p["alphas"]), p["gamma_grid"]),
         positive_gamma=False),
     "born-again": Command(
         "dual-mode post-selected polarization test",
         {"alpha": (math.sqrt(0.5), "amplitude"), "gamma": GAMMA},
-        lambda p, rng: experiments.dual_mode_scan(p["alpha"], p["gamma"])),
+        lambda p: experiments.dual_mode_scan(p["alpha"], p["gamma"])),
     "antibunch": Command(
         "beam-splitter coincidence ratios vs amplitude",
         {"gamma": GAMMA, "alpha_grid": ("0:0.01:3", ALPHA_GRID)},
-        lambda p, rng: experiments.antibunching_scan(p["gamma"], p["alpha_grid"])),
+        lambda p: experiments.antibunching_scan(p["gamma"], p["alpha_grid"])),
     "hyper": Command(
         "four-mode single-click probabilities vs threshold",
         {"alpha": (1.0, "amplitude"), "gamma_grid": ("0.05:0.05:3", GAMMA_GRID)},
-        lambda p, rng: experiments.hyperentanglement_scan(p["alpha"], p["gamma_grid"])),
+        lambda p: experiments.hyperentanglement_scan(p["alpha"], p["gamma_grid"])),
     "mz": Command(
         "Mach-Zehnder interference and fringe-fit analysis",
         {"alpha": (0.95, "amplitude"), "gamma": (1.6, GAMMA[1]),
@@ -232,23 +241,24 @@ COMMANDS: dict[str, Command] = {
         "linear-inversion tomography fidelity vs amplitude",
         {"gamma": GAMMA, "alpha_grid": ("0:0.1:3", ALPHA_GRID), "n_states": (30, ENSEMBLE),
          "circuit": CIRCUIT},
-        lambda p, rng: _fidelity(p, rng, "linear")),
+        lambda p: _fidelity(p, "linear")),
     "fidelity-mle": Command(
         "constrained tomography fidelity vs amplitude",
         {"gamma": GAMMA, "alpha_grid": ("0:0.1:3", ALPHA_GRID), "n_states": (5, ENSEMBLE),
          "circuit": CIRCUIT},
-        lambda p, rng: _fidelity(p, rng, "mle")),
+        lambda p: _fidelity(p, "mle")),
     "witness": Command(
         "PPT witness of the reconstructed Bell state",
         {"gamma": GAMMA, "alpha_grid": ("0:0.1:3", ALPHA_GRID), "circuit": CIRCUIT},
-        lambda p, rng: tomography.bell_witness_scan(p["alpha_grid"], p["gamma"],
-                                                    psi=_state_from_circuit(p["circuit"]))),
+        lambda p: tomography.bell_witness_scan(p["alpha_grid"], p["gamma"],
+                                               psi=_state_from_circuit(p["circuit"]))),
     "fidelity-contour": Command(
         "mean tomography fidelity over (alpha, gamma)",
         {"alpha_grid": ("0.25:0.25:3", ALPHA_GRID), "gamma_grid": ("0.25:0.25:3", GAMMA_GRID),
          "n_states": (100, ENSEMBLE), "fast": (False, "reduced ensemble (20 states)")},
-        lambda p, rng: tomography.ensemble_sweep(p["alpha_grid"], p["gamma_grid"],
-                                                 20 if p["fast"] else p["n_states"], rng)),
+        lambda p: tomography.ensemble_sweep(p["alpha_grid"], p["gamma_grid"],
+                                            20 if p["fast"] else p["n_states"],
+                                            RngStream(p["seed"]))),
     "visibility-contour": Command(
         "fringe visibility over (alpha, gamma)",
         {"alpha_grid": ("0.05:0.05:3", ALPHA_GRID), "gamma_grid": ("0.05:0.05:3", GAMMA_GRID)},
@@ -264,7 +274,7 @@ def _run_scenario(cfg: dict):
     if points > MAX_GRID_POINTS:
         raise BornsimError(f"{cfg['command']} would evaluate {points:,} grid points x states; "
                            f"the limit is {MAX_GRID_POINTS:,}")
-    return COMMANDS[cfg["command"]].run(params, RngStream(cfg["seed"]))
+    return COMMANDS[cfg["command"]].run(params)
 
 
 def _write_visibility_contour(rows, base: Path, fmt: str) -> list[str]:
@@ -276,7 +286,7 @@ def _write_visibility_contour(rows, base: Path, fmt: str) -> list[str]:
         files.append(path.name)
     if fmt in ("json", "both"):
         path = base.with_suffix(".json")
-        _write_json(path, {"rows": [dict(zip(names, row)) for row in rows]},
+        _write_json(path, {"rows": [dict(zip(names, row.tolist())) for row in rows]},
                     sort_keys=False)
         files.append(path.name)
     return files

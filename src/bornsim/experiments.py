@@ -102,12 +102,19 @@ def _write_json(path: str | Path, payload, sort_keys: bool = True) -> None:
 
 
 def _write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
-    """Header, then one row per index: integers as str(int), other values as repr(float)."""
+    """Header, then one row per index: integers as str(int), other values as repr(float).
+
+    Each column becomes Python numbers once; the rows are streamed, never listed.
+    """
+    cells = []
+    for column in map(np.asarray, columns.values()):
+        if not np.issubdtype(column.dtype, np.integer):
+            column = column.astype(float, copy=False)
+        cells.append(map(repr, column.tolist()))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows([str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
-                          for v in row] for row in zip(*columns.values()))
+        writer.writerows(zip(*cells))
 
 
 # ---------------------------------------------------------------------------

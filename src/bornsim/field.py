@@ -12,6 +12,7 @@ the realized amplitudes themselves are the sample-level twin in tests/oracles.py
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -35,6 +36,9 @@ R_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53))
 # The screen compares 4v with 4(gamma^2 +- band): scaling by 4 is exact, so
 # every rounding, and the band, carry over unchanged.
 _COS32_ERR = 2.0 ** -16
+# Each thread's threshold_clicks block buffers, kept across calls: buffers freed
+# at the end of a call go back to the system and fault in again on the next one.
+_click_buffers = threading.local()
 
 
 class RngStream:
@@ -105,7 +109,8 @@ def threshold_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
     bounds that cosine's error; those trials are re-evaluated with the float64
     cosine, so every decision equals the all-float64 test. Equals that oracle's
     detect_batch on those realizations unless some |a_i| rounds to gamma.
-    The block buffers are allocated once per call and every step runs in place.
+    Each thread keeps its block buffers across calls, grown to min(n, CLICK_BLOCK)
+    trials when a call needs more; every step runs in place.
     a and gamma are taken as Python floats, so a NumPy scalar gives the same
     count as the float it holds. A complex a, or max(|a|, gamma) above 2^500 (its
     square nears the float64 overflow at 2^1024), is a DomainError.
@@ -126,8 +131,12 @@ def threshold_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
             + 2.0 ** -48 * (a2 + 0.25 * R_MAX * R_MAX + abs(a) * R_MAX + g2))
     lo, hi = 4.0 * (g2 - band), 4.0 * (g2 + band)
     b = min(CLICK_BLOCK, n)
-    u_buf, r2_buf, v_buf = np.empty(2 * b), np.empty(b), np.empty(b)
-    c_buf, above_buf, below_buf = np.empty(b, np.float32), np.empty(b, bool), np.empty(b, bool)
+    blocks = getattr(_click_buffers, "blocks", None)
+    if blocks is None or len(blocks[1]) < b:
+        blocks = _click_buffers.blocks = (np.empty(2 * b), np.empty(b), np.empty(b),
+                                          np.empty(b, np.float32), np.empty(b, bool),
+                                          np.empty(b, bool))
+    u_buf, r2_buf, v_buf, c_buf, above_buf, below_buf = blocks
     clicks = 0
     for start in range(0, n, CLICK_BLOCK):
         m = min(CLICK_BLOCK, n - start)

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornsim import cli
+from bornsim import RngStream, cli
 from bornsim.cli import COMMANDS, main, parse_grid
 from bornsim.errors import BornsimError
+from test_exports import small_runs
 
 
 def run_cli(args):
@@ -207,6 +208,9 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
     ("deviation", [1.0, 2.0], [], "config file must hold a JSON object"),
     ("counts", None, ["--n", "0"], "n_trials must be >= 1"),
     ("counts", None, ["--seed", "-1", "--n", "10"], "seed and stream_id must be nonnegative"),
+    # commands that never draw check the seed too
+    ("visibility", None, ["--seed", "-1"], "seed and stream_id must be nonnegative"),
+    ("witness", None, ["--seed", "-1"], "seed and stream_id must be nonnegative"),
     ("deviation", None, ["--alpha0", "0"], "no signal above dark counts"),
     ("mz", None, ["--n-points", "3"], "need at least 4 phase points"),
     # exp(-2 gamma^2) = 1/2: the fringe extrema sum to twice the dark counts
@@ -215,7 +219,8 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
         "bad-format", "empty-alphas", "huge-grid", "expansion-alpha0", "expansion-gamma",
         "clicks-alpha0",
         "unreadable-config", "config-not-json", "config-not-object", "zero-trials",
-        "negative-seed", "deviation-zero-alpha0", "mz-three-points", "mz-zero-denominator"])
+        "negative-seed", "negative-seed-visibility", "negative-seed-witness",
+        "deviation-zero-alpha0", "mz-three-points", "mz-zero-denominator"])
 def test_bad_config_is_one_line_error(tmp_path, capsys, command, config, flags, key):
     argv = [command, "--out-dir", str(tmp_path), *flags]
     if config is not None:
@@ -262,6 +267,57 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_negative_seed_fails_before_any_directory_is_made(tmp_path, capsys):
+    for name in COMMANDS:
+        out = tmp_path / name
+        assert run_cli([name, "--seed", "-1", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("bornsim: error: seed "), name
+        assert not out.exists(), name
+
+
+# The commands whose runners build an RngStream; every other one never draws
+DRAWS = {"counts", "mz", "fidelity", "fidelity-mle", "fidelity-contour"}
+
+
+def _small_runs(tmp_path) -> dict[str, list[str]]:
+    """Each command's argv with test_exports.SMALL parameters, writing below tmp_path."""
+    return {name: argv + ["--out-dir", str(tmp_path / "out")]
+            for name, argv in small_runs(tmp_path).items()}
+
+
+def test_only_the_drawing_commands_build_a_stream(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "RngStream", lambda seed: built.append(seed) or RngStream(seed))
+    drew = set()
+    for name, argv in _small_runs(tmp_path).items():
+        built.clear()
+        assert run_cli(argv) == 0, name
+        if built:
+            drew.add(name)
+    assert drew == DRAWS
+
+
+def test_commands_that_never_draw_do_not_load_numpy_random(tmp_path):
+    # numpy loads numpy.random lazily, on first touch; a fresh interpreter runs every
+    # command that builds no stream, then one that does, to show the probe can see it
+    runs = _small_runs(tmp_path)
+    quiet = [argv for name, argv in runs.items() if name not in DRAWS]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import json, sys, bornsim.cli as c\n"
+             "quiet, drawing = json.loads(sys.argv[1])\n"
+             "assert all(c.main(argv) == 0 for argv in quiet)\n"
+             "print('numpy.random' in sys.modules)\n"
+             "assert c.main(drawing) == 0\n"
+             "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps([quiet, runs["counts"]])],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert len(quiet) == len(COMMANDS) - len(DRAWS)
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_cli_import_does_not_load_thread_pool():

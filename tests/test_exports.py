@@ -56,6 +56,16 @@ SMALL = {"n_trials": 50, "alpha_grid": "1:1:2", "gamma_grid": "1:1:2", "n_states
          "n_points": 5, "sample_size": 10}
 
 
+def small_runs(tmp_path) -> dict[str, list[str]]:
+    """Each command's argv, with a config file that holds its SMALL parameters."""
+    runs = {}
+    for name, command in cli.COMMANDS.items():
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({k: v for k, v in SMALL.items() if k in command.params}))
+        runs[name] = [name, "--config", str(config)]
+    return runs
+
+
 def _functions(code, prefix):
     """(name, (file, first line)) of every def below a code object; a class only names."""
     for c in code.co_consts:
@@ -76,11 +86,7 @@ def test_every_function_in_src_runs_under_the_commands(tmp_path):
     circuit = tmp_path / "circuit.json"
     circuit.write_text(json.dumps([{"gate": g, "wires": w} for g, w in (
         ("hadamard", [0, 2]), ("cnot", [0, 1, 2, 3]), ("x", [2, 3]), ("phase", [1]))]))
-    runs = []
-    for name, command in cli.COMMANDS.items():
-        config = tmp_path / f"{name}.json"
-        config.write_text(json.dumps({k: v for k, v in SMALL.items() if k in command.params}))
-        runs.append([name, "--config", str(config)])
+    runs = list(small_runs(tmp_path).values())
     runs += [["witness", "--alpha-grid", "1:1:2", "--circuit", str(circuit)],
              ["counts", "--alpha0", "20", "--gamma", "20", "--n", "50"],  # the Marcum corner
              ["counts", "--n", str(CLICK_BLOCK)]]  # angles counted on every usable CPU

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -112,6 +113,28 @@ def test_uniforms_into_a_buffer_equal_a_new_draw():
     assert filled.uniforms(7, out=buf) is buf
     assert np.array_equal(buf, fresh.uniforms(7))
     assert np.array_equal(filled.uniforms(5), fresh.uniforms(5))
+
+
+def test_threshold_clicks_buffers_carry_nothing_between_calls():
+    # a thread keeps its block buffers across calls: a short call after a longer
+    # one at another (a, gamma) must count what a fresh thread's first call counts
+    counts = {}
+
+    def reused():
+        threshold_clicks(0.3, 0.2, CLICK_BLOCK + 123, RngStream(1))
+        counts["reused"] = threshold_clicks(1.1, 1.2, 1000, RngStream(2))
+
+    def fresh():
+        counts["fresh"] = threshold_clicks(1.1, 1.2, 1000, RngStream(2))
+
+    for target in (reused, fresh):
+        thread = threading.Thread(target=target)
+        thread.start()
+        thread.join()
+    u = RngStream(2).uniforms(2000).reshape(1000, 2)
+    r2, theta = -2.0 * np.log1p(-u[:, 0]), (2.0 * np.pi) * u[:, 1]
+    float64 = np.count_nonzero(1.1 ** 2 + 0.25 * r2 + 1.1 * np.sqrt(r2) * np.cos(theta) > 1.2 ** 2)
+    assert counts["reused"] == counts["fresh"] == float64 > 0
 
 
 def test_threshold_clicks_on_drawn_thresholds_equal_float64_oracle():

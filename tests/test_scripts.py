@@ -1,6 +1,7 @@
 """scripts/same_outputs.py: two source trees, one set of data files."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -12,7 +13,19 @@ spec.loader.exec_module(same_outputs)
 def test_checkout_writes_the_same_files_as_itself(capsys):
     src = str(ROOT / "src")
     assert same_outputs.main([src, src, "--seeds", "42", "--commands", "deviation"]) == 0
-    assert "same    seed 42: deviation" in capsys.readouterr().out
+    # each side's peak RSS and wall time, old first
+    line = capsys.readouterr().out.splitlines()[0]
+    match = re.fullmatch(r"same    seed 42: deviation  \[old (\S+) MiB (\S+) s \| new (\S+) MiB (\S+) s\]",
+                         line)
+    assert match, line
+    old_mib, old_s, new_mib, new_s = map(float, match.groups())
+    assert 1.0 < min(old_mib, new_mib) and 0.0 < min(old_s, new_s)
+
+
+def test_failed_run_gives_its_error_line_and_usage(tmp_path):
+    error, peak_mib, wall_s = same_outputs.run_tree(ROOT / "src", "deviation", -1, tmp_path / "out")
+    assert error == "bornsim: error: seed and stream_id must be nonnegative"
+    assert peak_mib > 1.0 and wall_s > 0.0
 
 
 def test_differing_and_missing_files_are_named(tmp_path):
