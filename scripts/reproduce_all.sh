@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Regenerate every figure dataset with the reference parameters, which are the
-# defaults of the command table in src/bornsim/cli.py (see bornsim <command> --help).
+# Regenerate every figure dataset: each command of the command table in
+# src/bornsim/cli.py, run with its reference parameters, which are the table's
+# defaults (see bornsim <command> --help).
 # Usage: scripts/reproduce_all.sh [OUT_DIR] [SEED]
 #   FAST=1 scripts/reproduce_all.sh     # 20-state contour instead of 100
 set -euo pipefail
@@ -17,18 +18,14 @@ run() {
     python3 -m bornsim.cli "$@" --out-dir "$OUT" --seed "$SEED"
 }
 
-run counts
-run deviation
-run visibility
-run born-again
-run antibunch
-run hyper
-run mz
-run fidelity
-run fidelity-mle
-run witness
-run visibility-contour
-run fidelity-contour $FAST_FLAG
+commands=$(python3 -c "from bornsim.cli import COMMANDS; print(*COMMANDS)")
+for command in $commands; do
+    if [[ "$command" == fidelity-contour ]]; then
+        run "$command" $FAST_FLAG
+    else
+        run "$command"
+    fi
+done
 
 echo "Data written to $OUT/. Render plots with e.g.:"
 echo "  gnuplot -e \"datafile='$OUT/counts-$SEED.csv'\" scripts/plots/counts.gp"

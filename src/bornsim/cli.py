@@ -270,7 +270,7 @@ def _run_scenario(cfg: dict):
     """Parse the grids, check the run's total size against MAX_GRID_POINTS, run the scenario."""
     params = {k: parse_grid(v) if k.endswith("_grid") else v for k, v in cfg.items()}
     points = math.prod(len(v) for k, v in params.items() if k.endswith("_grid") or k == "alphas")
-    points *= params.get("n_states", 1)
+    points *= params.get("n_states", 1) * params.get("n_points", 1)
     if points > MAX_GRID_POINTS:
         raise BornsimError(f"{cfg['command']} would evaluate {points:,} grid points x states; "
                            f"the limit is {MAX_GRID_POINTS:,}")

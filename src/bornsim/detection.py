@@ -14,14 +14,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InvalidDimensionError,
-    SaturatedDetectorError,
-    SingularThresholdError,
-    UndefinedConditionalError,
-    UndefinedRatioError,
-)
+from .errors import BornsimError
 
 __all__ = [
     "marcum_q1",
@@ -38,10 +31,10 @@ def _float_or_array(x):
 
 
 def _nonnegative(name: str, value) -> "float | np.ndarray":
-    """value as a float (scalar) or a float array, raising DomainError unless finite and >= 0."""
+    """value as a float (scalar) or a float array, raising BornsimError unless finite and >= 0."""
     v = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-        raise DomainError(f"{name} must be finite and >= 0")
+        raise BornsimError(f"{name} must be finite and >= 0")
     return _float_or_array(v)
 
 
@@ -51,12 +44,12 @@ def gamma_of(th) -> "float | np.ndarray":
 
 
 def _broadcast_shape(amps, gamma) -> tuple[int, ...]:
-    """Shape amplitude and threshold broadcast to; InvalidDimensionError where they do not."""
+    """Shape amplitude and threshold broadcast to; BornsimError where they do not."""
     try:
         return np.broadcast_shapes(np.shape(amps), np.shape(gamma))
     except ValueError:
-        raise InvalidDimensionError(f"amplitude shape {np.shape(amps)} does not broadcast "
-                                    f"against threshold shape {np.shape(gamma)}") from None
+        raise BornsimError(f"amplitude shape {np.shape(amps)} does not broadcast "
+                           f"against threshold shape {np.shape(gamma)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +126,7 @@ def marcum_q1(a, b):
     error is bounded by the unconsumed Poisson tail mass, kept below 5e-16
     of the result. Q1(a, 0) = 1 is exact, and so is Q1(0, b) = exp(-b^2/2):
     the series stops after its first term.
-    ``a`` and ``b`` broadcast against each other (InvalidDimensionError where
+    ``a`` and ``b`` broadcast against each other (BornsimError where
     they do not); two scalars give a float.
     Every element stops at its own tail bound, so a batched call equals the
     one-element calls bit for bit. The series elements run in order of m =
@@ -168,14 +161,13 @@ def marcum_q1(a, b):
 # ---------------------------------------------------------------------------
 # Single-mode probabilities. A threshold is one gamma or an array of them;
 # each function broadcasts amplitude against threshold (shapes that do not
-# broadcast are an InvalidDimensionError), and a scalar pair gives a float
+# broadcast are a BornsimError), and a scalar pair gives a float
 # ---------------------------------------------------------------------------
 
-def _divide(num, den, error=UndefinedConditionalError,
-            message="no single-click events to condition on"):
-    """num / den, raising error(message) where any den vanishes instead of leaving NaN or inf."""
+def _divide(num, den, message="no single-click events to condition on"):
+    """num / den, raising BornsimError(message) where any den vanishes, not giving NaN or inf."""
     if np.any(den == 0.0):
-        raise error(message)
+        raise BornsimError(message)
     return num / den
 
 
@@ -187,7 +179,8 @@ def detect_prob(alpha_abs, th):
 def dark_count_prob(th):
     """Vacuum click probability exp(-2*gamma^2), elementwise over gamma."""
     g = gamma_of(th)
-    return _float_or_array(np.exp(-2.0 * g * g))
+    with np.errstate(over="ignore"):  # past gamma ~ 1.3e154 the square is inf: exp(-inf) = 0
+        return _float_or_array(np.exp(-2.0 * g * g))
 
 
 def born_expansion(alpha_abs, th):
@@ -195,7 +188,7 @@ def born_expansion(alpha_abs, th):
 
     exp(-2 g^2) * (1 + 4 g^2 |a|^2 + 4 g^2 (g^2 - 1) |a|^4), broadcast over
     alpha and gamma; accurate for |alpha|^2 << 1/(4 gamma^2). Raises
-    DomainError where the polynomial overflows to inf or NaN.
+    BornsimError where the polynomial overflows to inf or NaN.
     """
     a, g = _nonnegative("alpha_abs", alpha_abs), gamma_of(th)
     _broadcast_shape(a, g)
@@ -205,7 +198,8 @@ def born_expansion(alpha_abs, th):
         p = dark_count_prob(g) * (1.0 + 4.0 * g2 * a2 + 4.0 * g2 * (g2 - 1.0) * a2 * a2)
     if not np.all(np.isfinite(p)):
         a_bad, g_bad = (float(np.broadcast_to(v, p.shape)[~np.isfinite(p)][0]) for v in (a, g))
-        raise DomainError(f"Born expansion is not finite at |alpha| = {a_bad:g}, gamma = {g_bad:g}")
+        raise BornsimError(f"Born expansion is not finite at |alpha| = {a_bad:g}, "
+                           f"gamma = {g_bad:g}")
     return _float_or_array(p)
 
 
@@ -213,7 +207,7 @@ def visibility_single(alpha_abs, th):
     """Fringe visibility (Q - delta) / (Q + delta) of the click probability, broadcast."""
     q = detect_prob(alpha_abs, th)
     delta = dark_count_prob(th)
-    return _divide(q - delta, q + delta, UndefinedRatioError, "visibility undefined: no clicks")
+    return _divide(q - delta, q + delta, "visibility undefined: no clicks")
 
 
 def visibility_dual(alpha_abs, th):
@@ -224,12 +218,12 @@ def visibility_dual(alpha_abs, th):
     """
     g = gamma_of(th)
     if np.any(g == 0.0):
-        raise SingularThresholdError("dual-mode visibility is undefined at gamma = 0")
+        raise BornsimError("dual-mode visibility is undefined at gamma = 0")
     q = detect_prob(alpha_abs, g)
     delta = dark_count_prob(g)
     num = q * (1.0 - delta) - (1.0 - q) * delta
     den = q * (1.0 - delta) + (1.0 - q) * delta
-    return _divide(num, den, UndefinedRatioError, "visibility undefined: no clicks")
+    return _divide(num, den, "visibility undefined: no clicks")
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +254,7 @@ def _conditional_clicks(amps: np.ndarray, gamma: "float | np.ndarray") -> np.nda
     largest amplitude.
     """
     if np.any(gamma == 0.0):
-        raise SaturatedDetectorError("every mode crosses threshold at gamma = 0")
+        raise BornsimError("every mode crosses threshold at gamma = 0")
     q = detect_prob(amps, gamma)
     amps = np.broadcast_to(amps, q.shape)
     sat = q >= 1.0

@@ -31,7 +31,7 @@ from .detection import (
     visibility_dual,
     visibility_single,
 )
-from .errors import DomainError, UndefinedRatioError
+from .errors import BornsimError
 from .field import CLICK_BLOCK, RngStream, threshold_clicks
 
 __all__ = [
@@ -65,13 +65,13 @@ class ScenarioResult:
         for name, curve in self.analytic.items():
             curve = np.asarray(curve, dtype=float)
             if curve.shape != self.grid.shape:
-                raise DomainError(f"curve {name!r} does not match the grid length")
+                raise BornsimError(f"curve {name!r} does not match the grid length")
             self.analytic[name] = curve
         if self.counts is not None:
             for name, curve in self.counts.items():
                 self.counts[name] = np.asarray(curve)
                 if self.counts[name].shape != self.grid.shape:
-                    raise DomainError(f"counts {name!r} does not match the grid length")
+                    raise BornsimError(f"counts {name!r} does not match the grid length")
 
     def columns(self) -> dict[str, np.ndarray]:
         cols = {self.grid_name: self.grid}
@@ -143,9 +143,9 @@ def polarization_scan(alpha0: float, th: float, thetas_deg: np.ndarray | None = 
     carries into the sampled amplitude alpha0 cos(theta).
     """
     if np.iscomplexobj(alpha0) or not math.isfinite(alpha0):
-        raise DomainError(f"alpha0 must be a finite real amplitude (got {alpha0!r})")
+        raise BornsimError(f"alpha0 must be a finite real amplitude (got {alpha0!r})")
     if n_trials < 1:
-        raise DomainError("n_trials must be >= 1")
+        raise BornsimError("n_trials must be >= 1")
     g = gamma_of(th)
     thetas_deg = DEFAULT_THETA_GRID_DEG if thetas_deg is None else np.asarray(thetas_deg, float)
     signed = alpha0 * np.cos(np.deg2rad(thetas_deg))
@@ -207,7 +207,7 @@ def deviation_scan(alpha0: float, th: float,
     delta = dark_count_prob(g)
     peak = detect_prob(abs(alpha0), g) - delta
     if peak <= 0.0:
-        raise UndefinedRatioError("no signal above dark counts to normalize by")
+        raise BornsimError("no signal above dark counts to normalize by")
     model = (detect_prob(amps, g) - delta) / peak
     with np.errstate(over="ignore"):
         # squared in float64: a huge alpha0 saturates qm at 1 instead of overflowing
@@ -223,12 +223,12 @@ def deviation_scan(alpha0: float, th: float,
 def visibility_scan(alphas: tuple[float, ...], gammas: np.ndarray) -> ScenarioResult:
     """Single-mode fringe visibility versus threshold, one curve per amplitude."""
     if len(alphas) == 0:
-        raise DomainError("alphas must hold at least one amplitude")
+        raise BornsimError("alphas must hold at least one amplitude")
     names = [f"vis_alpha_{a:g}" for a in alphas]
     for i, name in enumerate(names):
         if name in names[:i]:
-            raise DomainError(f"amplitudes {alphas[names.index(name)]!r} and {alphas[i]!r} "
-                              f"share the column label {name!r}")
+            raise BornsimError(f"amplitudes {alphas[names.index(name)]!r} and {alphas[i]!r} "
+                               f"share the column label {name!r}")
     gammas = np.asarray(gammas, float)
     vis = visibility_single(np.asarray(alphas, float)[:, None], gammas)
     return ScenarioResult(grid_name="gamma", grid=gammas, analytic=dict(zip(names, vis)),
@@ -291,8 +291,7 @@ def antibunching_scan(th: float, alphas: np.ndarray) -> ScenarioResult:
     p0 = (1.0 - q) ** 2
     p_single = q * (1.0 - q)
     p_coinc = q * q
-    r = _divide(p_coinc, p_single * p_single, UndefinedRatioError,
-                "single-click probability vanishes; R undefined")
+    r = _divide(p_coinc, p_single * p_single, "single-click probability vanishes; R undefined")
     r_d = p_coinc * (1.0 - p0) / (p_single * p_single)
     return ScenarioResult(
         grid_name="alpha",
@@ -401,9 +400,9 @@ def mach_zehnder_fit(alpha: float, th: float, rng: RngStream, *,
     fitted amplitude A, offset B and phase phi0.
     """
     if n_points < 4:
-        raise DomainError("need at least 4 phase points to fit")
+        raise BornsimError("need at least 4 phase points to fit")
     if sample_size < 1:
-        raise DomainError("sample_size must be >= 1")
+        raise BornsimError("sample_size must be >= 1")
     g = gamma_of(th)
     phis = 2.0 * np.pi * np.arange(n_points) / n_points
     p = _mz_probs(alpha, g, phis)[0]
@@ -422,7 +421,7 @@ def mach_zehnder_fit(alpha: float, th: float, rng: RngStream, *,
     # the conditional fringe peaks at phi = 0 (dark arm in vacuum) and is lowest at pi
     p_max, p_min = map(float, _mz_probs(alpha, g, np.array([0.0, np.pi]))[0])
     delta = dark_count_prob(g)
-    visibility = _divide(p_max - p_min, p_max + p_min - 2.0 * delta, UndefinedRatioError,
+    visibility = _divide(p_max - p_min, p_max + p_min - 2.0 * delta,
                          "visibility undefined: p_max + p_min equals twice the dark counts")
     r_d = float(antibunching_scan(g, [abs(alpha)]).analytic["Rd"][0])
     return ScenarioResult(

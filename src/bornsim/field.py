@@ -16,7 +16,7 @@ import threading
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BornsimError
 
 # Trials per uniform draw in threshold_clicks; bounds memory. A thread of
 # polarization_scan hands the GIL over a few times per block, so 2^15 does so a
@@ -57,7 +57,7 @@ class RngStream:
 
     def __init__(self, seed: int, stream_id: int = 0, _path: tuple[int, ...] = ()):
         if seed < 0 or stream_id < 0:
-            raise DomainError("seed and stream_id must be nonnegative")
+            raise BornsimError("seed and stream_id must be nonnegative")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._path = tuple(int(p) for p in _path)
@@ -83,7 +83,7 @@ class RngStream:
         """
         n = int(n)
         if n < 0:
-            raise DomainError("n must be nonnegative")
+            raise BornsimError("n must be nonnegative")
         pairs = (n + 1) // 2
         u = self._gen.random((pairs, 2))
         r, theta = np.sqrt(-2.0 * np.log1p(-u[:, 0])), (2.0 * np.pi) * u[:, 1]
@@ -113,19 +113,19 @@ def threshold_clicks(a: float, gamma: float, n: int, rng: RngStream) -> int:
     trials when a call needs more; every step runs in place.
     a and gamma are taken as Python floats, so a NumPy scalar gives the same
     count as the float it holds. A complex a, or max(|a|, gamma) above 2^500 (its
-    square nears the float64 overflow at 2^1024), is a DomainError.
+    square nears the float64 overflow at 2^1024), is a BornsimError.
     """
     n = int(n)
     if n < 0:
-        raise DomainError("n must be nonnegative")
+        raise BornsimError("n must be nonnegative")
     if np.iscomplexobj(a) or not math.isfinite(a):
-        raise DomainError(f"a must be finite and real (got {a!r})")
+        raise BornsimError(f"a must be finite and real (got {a!r})")
     if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise DomainError("gamma must be finite and >= 0")
+        raise BornsimError("gamma must be finite and >= 0")
     a, gamma = float(a), float(gamma)
     if max(abs(a), gamma) > 2.0 ** 500:
-        raise DomainError(f"threshold_clicks needs |a| and gamma at most 2^500 "
-                          f"(got a = {a!r}, gamma = {gamma!r})")
+        raise BornsimError(f"threshold_clicks needs |a| and gamma at most 2^500 "
+                           f"(got a = {a!r}, gamma = {gamma!r})")
     a2, g2 = a * a, gamma * gamma
     band = (abs(a) * R_MAX * _COS32_ERR
             + 2.0 ** -48 * (a2 + 0.25 * R_MAX * R_MAX + abs(a) * R_MAX + g2))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CircuitFormatError, DomainError, InvalidDimensionError
+from .errors import BornsimError
 from .field import RngStream
 
 
@@ -29,7 +29,7 @@ def gate_hadamard() -> np.ndarray:
 def gate_phase(phi: float) -> np.ndarray:
     """Phase shifter diag(1, e^{i phi})."""
     if not np.isfinite(phi):
-        raise DomainError("phi must be finite")
+        raise BornsimError("phi must be finite")
     return np.array([[1.0, 0.0], [0.0, np.exp(1j * float(phi))]], dtype=complex)
 
 
@@ -53,7 +53,7 @@ def haar_unitary(d: int, streams: Sequence[RngStream]) -> np.ndarray:
     """
     d = int(d)
     if d < 1:
-        raise InvalidDimensionError("haar_unitary needs d >= 1")
+        raise BornsimError("haar_unitary needs d >= 1")
     z = np.array([s.complex_normals((d, d)) for s in streams], dtype=complex).reshape(-1, d, d)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
@@ -78,29 +78,29 @@ _GATES = {
 def _gate_entry(n: int, entry) -> tuple[np.ndarray, list[int]]:
     """Check entry n of a circuit description; return its gate matrix and wires."""
     if not isinstance(entry, dict) or "gate" not in entry:
-        raise CircuitFormatError(f"entry {n} must be an object with a 'gate' field")
+        raise BornsimError(f"entry {n} must be an object with a 'gate' field")
     name, wires, params = entry["gate"], entry.get("wires", []), entry.get("params", {})
     if not isinstance(name, str) or name not in _GATES:
-        raise CircuitFormatError(f"entry {n}: unknown gate {name!r}")
+        raise BornsimError(f"entry {n}: unknown gate {name!r}")
     unknown = [k for k in entry if k not in ("gate", "wires", "params")]
     if unknown:
-        raise CircuitFormatError(f"entry {n}: unknown key {unknown[0]!r}")
+        raise BornsimError(f"entry {n}: unknown key {unknown[0]!r}")
     # exactly int or float, so no bool; a JSON integer beyond every float fails the comparison
     if (not isinstance(wires, list) or any(type(w) is not int or w < 0 for w in wires)
             or len(set(wires)) != len(wires)):
-        raise CircuitFormatError(f"entry {n}: wires must be a list of distinct nonnegative "
-                                 f"integers (got {wires!r})")
+        raise BornsimError(f"entry {n}: wires must be a list of distinct nonnegative "
+                           f"integers (got {wires!r})")
     counts, takes, build = _GATES[name]
     if counts is not None and len(wires) not in counts:
-        raise CircuitFormatError(f"entry {n}: {name} takes {' or '.join(map(str, counts))} "
-                                 f"wires, got {len(wires)}")
+        raise BornsimError(f"entry {n}: {name} takes {' or '.join(map(str, counts))} "
+                           f"wires, got {len(wires)}")
     phi = params.get("phi", 0.0) if isinstance(params, dict) else None
     if type(phi) not in (int, float) or not abs(phi) <= sys.float_info.max:
-        raise CircuitFormatError(f"entry {n}: params must be an object whose phi is a finite "
-                                 f"number (got {params!r})")
+        raise BornsimError(f"entry {n}: params must be an object whose phi is a finite "
+                           f"number (got {params!r})")
     unknown = [k for k in params if k not in takes]
     if unknown:
-        raise CircuitFormatError(f"entry {n}: {name} takes no parameter {unknown[0]!r}")
+        raise BornsimError(f"entry {n}: {name} takes no parameter {unknown[0]!r}")
     return build(float(phi), len(wires)), wires
 
 
@@ -111,18 +111,18 @@ def circuit_unitary(spec: list[dict], d: int | None = None) -> np.ndarray:
     mode indices ``wires`` in the order given, as many as ``_GATES`` allows.
     Only ``phase`` takes ``params``: ``phi`` (default 0), put as e^{i phi} on its
     last wire. ``d`` defaults to max wire + 1. An unknown key or a malformed
-    entry raises CircuitFormatError.
+    entry raises BornsimError.
     """
     if not isinstance(spec, list):
-        raise CircuitFormatError("circuit description must be a list of gate entries")
+        raise BornsimError("circuit description must be a list of gate entries")
     gates = [_gate_entry(n, entry) for n, entry in enumerate(spec)]
     max_wire = max((w for _, wires in gates for w in wires), default=-1)
     if d is None:
         if max_wire < 0:
-            raise CircuitFormatError("cannot infer mode count from an empty wire set")
+            raise BornsimError("cannot infer mode count from an empty wire set")
         d = max_wire + 1
     if max_wire >= d:
-        raise CircuitFormatError(f"wire {max_wire} out of range for d = {d}")
+        raise BornsimError(f"wire {max_wire} out of range for d = {d}")
 
     total = np.eye(d, dtype=complex)
     for gate, wires in gates:
@@ -137,5 +137,5 @@ def circuit_from_json(path: str | Path, d: int | None = None) -> np.ndarray:
     try:
         spec = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise CircuitFormatError(f"cannot read circuit file {path}: {exc}") from exc
+        raise BornsimError(f"cannot read circuit file {path}: {exc}") from exc
     return circuit_unitary(spec, d=d)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import _conditional_clicks, gamma_of, visibility_single
-from .errors import DimensionMismatchError, DomainError, InvalidDimensionError
+from .errors import BornsimError
 from .experiments import ScenarioResult, _write_csv, _write_json
 from .field import RngStream
 from .optics import haar_unitary
@@ -83,7 +83,7 @@ def build_basis(d: int) -> HermitianBasis:
 
     d = 2 uses the scaled Paulis, d = 4 their pairwise Kronecker products
     (diagonalized by local product settings); any other d, which no
-    scenario measures, is an InvalidDimensionError.
+    scenario measures, is a BornsimError.
     """
     d = int(d)
     if d == 2:
@@ -98,7 +98,7 @@ def build_basis(d: int) -> HermitianBasis:
                 diags.append(np.kron(_PAULI_EIG[p1][0], _PAULI_EIG[p2][0]))
                 eigs.append(np.kron(_PAULI_EIG[p1][1], _PAULI_EIG[p2][1]) / 2.0)
     else:
-        raise InvalidDimensionError(f"build_basis takes d = 2 or 4 (got {d})")
+        raise BornsimError(f"build_basis takes d = 2 or 4 (got {d})")
     # the first matrix with an exactly equal diagonalizer measures for each one
     first = [next(j for j in range(k + 1) if np.array_equal(diags[j], diags[k]))
              for k in range(len(diags))]
@@ -139,11 +139,11 @@ def linear_qst(m: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     if m.shape[-1:] != (basis.size,):
-        raise DimensionMismatchError(f"need {basis.size} expectation values, got shape {m.shape}")
+        raise BornsimError(f"need {basis.size} expectation values, got shape {m.shape}")
     rho = np.einsum("...k,kij->...ij", m, basis.matrices)
     tr = np.real(np.trace(rho, axis1=-2, axis2=-1))
     if np.any(tr <= 0.0):
-        raise DomainError("reconstructed matrix has nonpositive trace")
+        raise BornsimError("reconstructed matrix has nonpositive trace")
     return rho / tr[..., None, None]
 
 
@@ -205,7 +205,7 @@ def fidelity(psi: np.ndarray, rho: np.ndarray) -> float | np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (psi.shape[-1],) * 2:
-        raise DimensionMismatchError(f"rho shape {rho.shape} does not match psi length {psi.shape[-1]}")
+        raise BornsimError(f"rho shape {rho.shape} does not match psi length {psi.shape[-1]}")
     return np.real((psi.conj()[..., None, :] @ rho @ psi[..., :, None])[..., 0, 0])
 
 
@@ -214,7 +214,7 @@ def partial_transpose(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     d_a, d_b = int(d_a), int(d_b)
     if rho.shape[-2:] != (d_a * d_b, d_a * d_b):
-        raise DimensionMismatchError(f"rho shape {rho.shape} does not factor as {d_a}x{d_b}")
+        raise BornsimError(f"rho shape {rho.shape} does not factor as {d_a}x{d_b}")
     lead = rho.shape[:-2]
     r = rho.reshape(lead + (d_a, d_b, d_a, d_b))
     return r.swapaxes(-3, -1).reshape(lead + (d_a * d_b, d_a * d_b))
@@ -228,7 +228,7 @@ def ppt_witness(rho: np.ndarray, d_a: int, d_b: int) -> float | np.ndarray:
 
 def _check_method(method: str) -> None:
     if method not in ("linear", "mle"):
-        raise DomainError(f"method must be 'linear' or 'mle' (got {method!r})")
+        raise BornsimError(f"method must be 'linear' or 'mle' (got {method!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +245,21 @@ def haar_states(n_states: int, rng: RngStream) -> np.ndarray:
     return haar_unitary(4, [rng.substream(s) for s in range(n_states)])[:, :, 0]
 
 
-def bell_witness_scan(alphas: np.ndarray, th: float,
-                      method: str = "mle",
-                      psi: np.ndarray | None = None):
-    """PPT witness (2 x 2 partition) and fidelity of the reconstructed four-mode state
-    ``psi``, the Bell direction by default, versus amplitude."""
+def bell_witness_scan(alphas: np.ndarray, th: float, psi: np.ndarray | None = None):
+    """PPT witness (2 x 2 partition) and fidelity of the constrained reconstruction of
+    the four-mode state ``psi``, the Bell direction by default, versus amplitude."""
     g = gamma_of(th)
     alphas = np.asarray(alphas, dtype=float)
     psi = bell_direction() if psi is None else np.asarray(psi, dtype=complex)
     if psi.shape != (4,):
-        raise DimensionMismatchError(f"the 2 x 2 witness takes a four-mode psi (got shape {psi.shape})")
-    rho = _reconstruct_grid(psi[None], alphas, np.array([g]), method)[0][:, 0, 0]
+        raise BornsimError(f"the 2 x 2 witness takes a four-mode psi (got shape {psi.shape})")
+    rho = _reconstruct_grid(psi[None], alphas, np.array([g]), "mle")[0][:, 0, 0]
     return ScenarioResult(
         grid_name="alpha",
         grid=alphas,
         analytic={"witness": ppt_witness(rho, 2, 2), "fidelity": fidelity(psi, rho),
                   "min_eigenvalue": np.linalg.eigvalsh(rho)[:, 0]},
-        meta={"gamma": g, "method": method, "psi": [repr(c) for c in psi]},
+        meta={"gamma": g, "method": "mle", "psi": [repr(c) for c in psi]},
     )
 
 
@@ -272,7 +270,7 @@ def fidelity_scan(alphas: np.ndarray, th: float, n_states: int,
 
     The ensemble is n_states four-mode Haar states, or the rows of ``psis``
     (n, d), which then set both the ensemble size and the dimension, d = 2 or
-    4; any other d is an InvalidDimensionError, raised before any measurement.
+    4; any other d is a BornsimError, raised before any measurement.
     Returns a ScenarioResult whose per-state curves are fid_state_XX columns,
     with valid_state_XX flags (no negative eigenvalues) for the linear method.
     """
@@ -283,7 +281,7 @@ def fidelity_scan(alphas: np.ndarray, th: float, n_states: int,
         psis = np.asarray(psis, dtype=complex)
         n_states, d = psis.shape
     if n_states < 1:
-        raise DomainError("n_states must be >= 1")
+        raise BornsimError("n_states must be >= 1")
     if psis is None:
         psis = haar_states(n_states, rng)
     rho, indefinite = _reconstruct_grid(psis, alphas, np.array([g]), method)
@@ -338,7 +336,7 @@ class SweepResult:
 
 
 def ensemble_sweep(alphas: np.ndarray, gammas: np.ndarray, n_states: int,
-                   rng: RngStream, method: str = "mle") -> SweepResult:
+                   rng: RngStream) -> SweepResult:
     """Mean tomography metrics over a four-mode Haar ensemble on an (alpha, gamma) grid.
 
     Per grid point: ensemble-mean fidelity, fraction of indefinite linear
@@ -349,11 +347,11 @@ def ensemble_sweep(alphas: np.ndarray, gammas: np.ndarray, n_states: int,
     matching slice of the full one.
     """
     if n_states < 1:
-        raise DomainError("n_states must be >= 1")
+        raise BornsimError("n_states must be >= 1")
     alphas = np.asarray(alphas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     psis = haar_states(n_states, rng)
-    rho, indefinite = _reconstruct_grid(psis, alphas, gammas, method)
+    rho, indefinite = _reconstruct_grid(psis, alphas, gammas, "mle")
     mean_vis = visibility_single(alphas[:, None], gammas)
     per_state = fidelity(psis, rho)
     return SweepResult(
@@ -361,6 +359,6 @@ def ensemble_sweep(alphas: np.ndarray, gammas: np.ndarray, n_states: int,
         frac_invalid=indefinite.mean(axis=-1), mean_visibility=mean_vis,
         mean_ppt_witness=ppt_witness(rho, 2, 2).mean(axis=-1),
         per_state_fidelity=per_state,
-        meta={"d": 4, "n_states": n_states, "method": method,
+        meta={"d": 4, "n_states": n_states, "method": "mle",
               "seed": rng.seed, "stream_id": rng.stream_id},
     )

@@ -26,12 +26,7 @@ from bornsim.detection import (
     detect_prob,
     gamma_of,
 )
-from bornsim.errors import (
-    DimensionMismatchError,
-    DomainError,
-    InvalidDimensionError,
-    SingularThresholdError,
-)
+from bornsim.errors import BornsimError
 
 _NORM_TOL = 1e-12
 
@@ -46,13 +41,13 @@ class CoherentVector:
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=complex).reshape(-1)
         if psi.size < 1:
-            raise InvalidDimensionError("state needs at least one mode")
+            raise BornsimError("state needs at least one mode")
         for name, value in (("alpha", complex(self.alpha)), ("psi", psi)):
             if not np.all(np.isfinite(value)):
-                raise DomainError(f"{name} must be finite (no NaN or Inf)")
+                raise BornsimError(f"{name} must be finite (no NaN or Inf)")
         nrm = float(np.linalg.norm(psi))
         if abs(nrm - 1.0) > _NORM_TOL:
-            raise DomainError(f"psi must be unit norm within {_NORM_TOL} (got {nrm!r})")
+            raise BornsimError(f"psi must be unit norm within {_NORM_TOL} (got {nrm!r})")
         psi.setflags(write=False)
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "psi", psi)
@@ -73,7 +68,7 @@ def realize_batch(state: CoherentVector, n: int, rng: RngStream) -> np.ndarray:
     successive one-row calls on the same stream.
     """
     if int(n) < 0:
-        raise DomainError("n must be nonnegative")
+        raise BornsimError("n must be nonnegative")
     z = rng.complex_normals((int(n), state.d))
     return state.mode_amplitudes()[None, :] + z / np.sqrt(2.0)
 
@@ -104,11 +99,11 @@ def efficiency(th):
     Only meaningful as an efficiency for gamma >~ 0.8; below that it exceeds
     one and the parametric-model interpretation breaks down. Where e^{-2g^2}
     rounds to 1 (gamma = 0 and gamma below about 1e-8) it is a
-    SingularThresholdError.
+    BornsimError.
     """
     g = gamma_of(th)
     delta = dark_count_prob(g)
-    return _divide(4.0 * g * g * delta, 1.0 - delta, SingularThresholdError,
+    return _divide(4.0 * g * g * delta, 1.0 - delta,
                    "efficiency is undefined where exp(-2 gamma^2) rounds to 1")
 
 
@@ -143,7 +138,7 @@ class OutcomeDistribution:
 
     def prob(self, outcome) -> float:
         if len(outcome) != self.d:
-            raise InvalidDimensionError(f"outcome has {len(outcome)} bits, expected {self.d}")
+            raise BornsimError(f"outcome has {len(outcome)} bits, expected {self.d}")
         idx = 0
         for bit in outcome:
             idx = (idx << 1) | int(bit)
@@ -166,7 +161,7 @@ def outcome_distribution(state: CoherentVector, th) -> OutcomeDistribution:
     """Full 2^d outcome table; modes click independently with probabilities q_i."""
     q = mode_crossing_probs(state, th)
     if q.shape != (state.d,):
-        raise InvalidDimensionError(f"an outcome table takes one threshold or one per mode "
+        raise BornsimError(f"an outcome table takes one threshold or one per mode "
                                     f"(got shape {np.shape(th)} for {state.d} modes)")
     table = np.array([1.0])
     for qi in q:
@@ -183,11 +178,11 @@ def apply(u: np.ndarray, state: CoherentVector) -> CoherentVector:
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape != (state.d, state.d):
-        raise DimensionMismatchError(f"gate shape {u.shape} does not match d = {state.d}")
+        raise BornsimError(f"gate shape {u.shape} does not match d = {state.d}")
     psi = u @ state.psi
     nrm = np.linalg.norm(psi)
     if not np.isfinite(nrm) or nrm == 0.0:
-        raise DomainError("transformed direction is not normalizable")
+        raise BornsimError("transformed direction is not normalizable")
     return CoherentVector(state.alpha, psi / nrm)
 
 

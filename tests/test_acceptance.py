@@ -291,7 +291,7 @@ def test_criterion_09_ppt_witness():
     ideal = ppt_witness(np.outer(BELL, BELL.conj()), 2, 2)
     ok_ideal = abs(ideal - (-0.5)) <= 1e-12
     alphas = np.arange(0.7, 3.001, 0.1)
-    scan = bell_witness_scan(alphas, 1.0, method="mle")
+    scan = bell_witness_scan(alphas, 1.0)
     wit = scan.analytic["witness"]
     ok_negative = bool(np.all(wit < 0.0))
     ok_limit = abs(wit[-1] - (-0.5)) <= 0.02
@@ -304,9 +304,9 @@ def test_criterion_09_ppt_witness():
 def test_criterion_10_fidelity_contour():
     t0 = time.monotonic()
     grid = np.arange(0.25, 3.001, 0.25)
-    full = ensemble_sweep(grid, grid, 100, method="mle", rng=RngStream(5))
+    full = ensemble_sweep(grid, grid, 100, rng=RngStream(5))
     a_full, g_full, f_full = argmax_fidelity(full)
-    fast = ensemble_sweep(grid, grid, 20, method="mle", rng=RngStream(5))
+    fast = ensemble_sweep(grid, grid, 20, rng=RngStream(5))
     a_fast, g_fast, f_fast = argmax_fidelity(fast)
     elapsed = time.monotonic() - t0
 

@@ -215,12 +215,18 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
     ("mz", None, ["--n-points", "3"], "need at least 4 phase points"),
     # exp(-2 gamma^2) = 1/2: the fringe extrema sum to twice the dark counts
     ("mz", None, ["--gamma", "0.5887050112577373"], "visibility undefined"),
+    ("mz", None, ["--n-points", "10000000000000"], "10,000,000,000,000"),
+    # gamma^2 overflows in the dark counts, with no warning: exp(-inf) = 0 is exact
+    ("visibility", None, ["--gamma-grid", "1e300:1e300:3e300"], "visibility undefined"),
+    ("hyper", None, ["--gamma-grid", "1e300:1e300:3e300"], "no single-click events"),
+    ("visibility-contour", None, ["--gamma-grid", "1e300:1e300:3e300"], "visibility undefined"),
 ], ids=["wrong-float", "wrong-int", "wrong-list", "bad-alphas-flag", "unknown-key", "nan-grid",
         "bad-format", "empty-alphas", "huge-grid", "expansion-alpha0", "expansion-gamma",
         "clicks-alpha0",
         "unreadable-config", "config-not-json", "config-not-object", "zero-trials",
         "negative-seed", "negative-seed-visibility", "negative-seed-witness",
-        "deviation-zero-alpha0", "mz-three-points", "mz-zero-denominator"])
+        "deviation-zero-alpha0", "mz-three-points", "mz-zero-denominator", "mz-huge-n-points",
+        "visibility-huge-gamma", "hyper-huge-gamma", "visibility-contour-huge-gamma"])
 def test_bad_config_is_one_line_error(tmp_path, capsys, command, config, flags, key):
     argv = [command, "--out-dir", str(tmp_path), *flags]
     if config is not None:
@@ -241,6 +247,13 @@ def test_huge_amplitude_gives_finite_output(tmp_path, argv):
     assert run_cli(argv + ["--format", "csv", "--out-dir", str(tmp_path)]) == 0
     rows = np.loadtxt(next(tmp_path.glob("*.csv")), delimiter=",", skiprows=1)
     assert rows.shape[0] > 1 and np.all(np.isfinite(rows))
+
+
+def test_huge_threshold_runs_without_warning(tmp_path, capsys):
+    # gamma^2 overflows to inf in the dark counts, whose exact limit exp(-inf) = 0 stands
+    argv = ["visibility", "--alphas", "1e300", "--gamma-grid", "1e300:1e300:1e300"]
+    assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_total_size_is_capped_before_any_work(tmp_path, capsys):
@@ -416,7 +429,19 @@ def test_parser_and_manifest_follow_table(tmp_path, capsys, monkeypatch, command
     assert json.loads(manifest.read_text())["config"] == plain
 
 
-def test_reproduce_script_runs_every_command():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_all.sh"
-    runs = re.findall(r"^run ([a-z-]+)", script.read_text(), flags=re.M)
-    assert sorted(runs) == sorted(COMMANDS)
+def test_reproduce_script_runs_every_command(tmp_path):
+    # the script takes its list from COMMANDS; a stand-in python3 logs each CLI run
+    root = Path(__file__).resolve().parents[1]
+    log, fake = tmp_path / "runs.log", tmp_path / "bin" / "python3"
+    fake.parent.mkdir()
+    fake.write_text(f'#!/bin/sh\nif [ "$1" = -m ]; then echo "$*" >> "{log}"; exit 0; fi\n'
+                    f'exec "{sys.executable}" "$@"\n')
+    fake.chmod(0o755)
+    env = dict(os.environ, FAST="1", PATH=f"{fake.parent}{os.pathsep}{os.environ['PATH']}",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    subprocess.run(["bash", str(root / "scripts" / "reproduce_all.sh"), str(tmp_path), "7"],
+                   env=env, check=True, capture_output=True, timeout=60)
+    runs = [line.split() for line in log.read_text().splitlines()]
+    assert [run[2] for run in runs] == list(COMMANDS)
+    assert all(("--fast" in run) == (run[2] == "fidelity-contour") for run in runs)

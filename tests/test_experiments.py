@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bornsim import RngStream, marcum_q1
 from bornsim import experiments
 from bornsim.detection import _conditional_clicks, dark_count_prob, gamma_of, visibility_single
-from bornsim.errors import DomainError, SaturatedDetectorError, UndefinedConditionalError
+from bornsim.errors import BornsimError
 from bornsim.experiments import (
     antibunching_scan,
     deviation_scan,
@@ -130,19 +130,19 @@ class TestPolarizationScan:
                 helper_holds.set()
                 assert caller_holds_later.wait(timeout=30)
                 helper_failed.set()
-                raise DomainError(f"angle {i}")
+                raise BornsimError(f"angle {i}")
             assert helper_holds.wait(timeout=30)
             if i < failed["helper"]:
                 return 0
             failed["caller"] = i
             caller_holds_later.set()
             assert helper_failed.wait(timeout=30)
-            raise DomainError(f"angle {i}")
+            raise BornsimError(f"angle {i}")
 
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(experiments, "threshold_clicks", clicks)
         before = threading.active_count()
-        with pytest.raises(DomainError) as exc:
+        with pytest.raises(BornsimError) as exc:
             polarization_scan(0.707, 1.0, n_trials=CLICK_BLOCK, rng=RngStream(1))
         assert failed["caller"] > failed["helper"]
         assert str(exc.value) == f"angle {failed['helper']}"
@@ -160,7 +160,7 @@ class TestPolarizationScan:
             raise AssertionError("drew or evaluated Q1 before checking the input")
         monkeypatch.setattr(RngStream, "uniforms", no_draws)
         monkeypatch.setattr(experiments, "detect_prob", no_draws)
-        with pytest.raises(DomainError, match=named):
+        with pytest.raises(BornsimError, match=named):
             polarization_scan(alpha0, gamma, n_trials=10, rng=RngStream(1))
 
 
@@ -230,7 +230,7 @@ class TestDualMode:
         assert dm["p0"] + dm["p_h"] + dm["p_v"] + dm["p_hv"] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_threshold_has_no_single_clicks(self):
-        with pytest.raises(UndefinedConditionalError):
+        with pytest.raises(BornsimError, match="no single-click events"):
             dual_mode_point(1.0, 0.3, 0.0)
 
     def test_matches_outcome_distribution(self):
@@ -281,9 +281,9 @@ class TestHyperentangled:
             assert hyper_point(0.0, g)["conditional_rh"] == 0.25
 
     def test_zero_threshold_has_no_single_clicks(self):
-        with pytest.raises(UndefinedConditionalError):
+        with pytest.raises(BornsimError, match="no single-click events"):
             hyper_point(1.0, 0.0)
-        with pytest.raises(UndefinedConditionalError):
+        with pytest.raises(BornsimError, match="no single-click events"):
             hyperentanglement_scan(1.0, np.array([0.0, 0.5, 1.0]))
 
     def test_conditional_approaches_half_at_high_threshold(self):
@@ -327,7 +327,7 @@ class TestConditionalModeProbs:
         assert p[0] > 0.999
 
     def test_zero_threshold_raises(self):
-        with pytest.raises(SaturatedDetectorError):
+        with pytest.raises(BornsimError, match="every mode crosses threshold at gamma = 0"):
             _conditional_clicks(np.array([1.0, 0.0]), 0.0)
 
     def test_matches_outcome_distribution(self):
@@ -425,7 +425,7 @@ class TestScenarioSerialization:
 
     def test_curves_must_match_the_grid(self):
         grid = np.arange(3.0)
-        with pytest.raises(DomainError, match="curve 'p'"):
+        with pytest.raises(BornsimError, match="curve 'p'"):
             experiments.ScenarioResult("x", grid, {"p": np.zeros(2)})
-        with pytest.raises(DomainError, match="counts 'n'"):
+        with pytest.raises(BornsimError, match="counts 'n'"):
             experiments.ScenarioResult("x", grid, {"p": np.zeros(3)}, counts={"n": np.zeros(4)})

@@ -37,6 +37,23 @@ def test_package_imports_exist():
     assert not missing, f"bornsim/__init__.py imports missing names: {missing}"
 
 
+def test_every_raise_names_the_one_exception_type():
+    # the CLI reports every failure as one error line, so no caller tells kinds of
+    # failure apart; a re-raise of a caught exception is no call and stays allowed
+    errors = importlib.import_module("bornsim.errors")
+    classes = [v for v in vars(errors).values()
+               if isinstance(v, type) and v.__module__ == errors.__name__]
+    assert classes == [errors.BornsimError] and issubclass(errors.BornsimError, ValueError)
+    others = []
+    for name in MODULES:
+        path = importlib.import_module(name).__file__
+        for node in ast.walk(ast.parse(Path(path).read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                if ast.unparse(node.exc.func) != "BornsimError":
+                    others.append(f"{name}:{node.lineno} raises {ast.unparse(node.exc.func)}")
+    assert not others, others
+
+
 def test_benchmark_tracer_binds_every_name():
     # benchmarks/tracing.py looks layer functions and methods up by name; a
     # deleted name fails install() before its cleanup runs, so probe it in a

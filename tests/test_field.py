@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornsim import RngStream, haar_unitary
-from bornsim.errors import DomainError, InvalidDimensionError
+from bornsim.errors import BornsimError
 from bornsim.field import _COS32_ERR, CLICK_BLOCK, R_MAX, threshold_clicks
 from oracles import CoherentVector, realize_batch
 
@@ -22,9 +22,9 @@ def test_sample_noise_shape():
 
 def test_sample_noise_rejects_zero_modes():
     # no state has zero modes, so no zero-mode noise can be drawn
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(BornsimError, match="at least one mode"):
         CoherentVector(0.0, np.zeros(0))
-    with pytest.raises(DomainError):
+    with pytest.raises(BornsimError, match="n must be nonnegative"):
         realize_batch(VACUUM_3, -1, RngStream(1))
 
 
@@ -58,7 +58,7 @@ def test_empty_draws_consume_nothing():
     assert z.shape == (0, 3) and z.dtype == complex
     assert threshold_clicks(0.5, 1.0, 0, rng) == 0
     assert np.array_equal(rng.uniforms(4), RngStream(8).uniforms(4))
-    with pytest.raises(DomainError):
+    with pytest.raises(BornsimError, match="n must be nonnegative"):
         threshold_clicks(0.5, 1.0, -1, rng)
 
 
@@ -75,7 +75,7 @@ def test_threshold_clicks_rejects_bad_inputs_before_drawing(a, gamma, named, mon
     def no_draws(*args):
         raise AssertionError("drew before checking the input")
     monkeypatch.setattr(RngStream, "uniforms", no_draws)
-    with pytest.raises(DomainError, match=named):
+    with pytest.raises(BornsimError, match=named):
         threshold_clicks(a, gamma, 1000, RngStream(1))
 
 
@@ -222,20 +222,20 @@ def test_unitary_closure_of_noise():
 
 
 def test_negative_stream_keys_and_counts_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(BornsimError, match="seed and stream_id must be nonnegative"):
         RngStream(-1)
-    with pytest.raises(DomainError):
+    with pytest.raises(BornsimError, match="seed and stream_id must be nonnegative"):
         RngStream(0, -1)
-    with pytest.raises(DomainError):
+    with pytest.raises(BornsimError, match="n must be nonnegative"):
         RngStream(1).standard_normals(-1)
 
 
 def test_state_validation_rejects_nan_and_bad_norm():
-    with pytest.raises(DomainError):
+    with pytest.raises(BornsimError, match=r"^alpha must be finite"):
         CoherentVector(np.nan, np.array([1.0]))
-    with pytest.raises(DomainError):
+    with pytest.raises(BornsimError, match="unit norm"):
         CoherentVector(0.0, np.array([1.0, 1.0]))  # norm sqrt(2)
-    with pytest.raises(DomainError):
+    with pytest.raises(BornsimError, match=r"^psi must be finite"):
         CoherentVector(0.0, np.array([np.inf, 0.0]))
 
 

@@ -8,12 +8,7 @@ from scipy import optimize
 from bornsim import RngStream, marcum_q1
 from bornsim.detection import _conditional_clicks
 from bornsim import tomography
-from bornsim.errors import (
-    DimensionMismatchError,
-    DomainError,
-    InvalidDimensionError,
-    SaturatedDetectorError,
-)
+from bornsim.errors import BornsimError
 from bornsim.tomography import (
     _constrained_fit,
     _measure_batch,
@@ -122,13 +117,13 @@ class TestBasis:
         # only the Pauli bases, d = 2 and d = 4, are built; a scan of three-mode
         # states fails before it measures any
         for d in (1, 3, 5):
-            with pytest.raises(InvalidDimensionError, match=f"d = 2 or 4 \\(got {d}\\)"):
+            with pytest.raises(BornsimError, match=f"d = 2 or 4 \\(got {d}\\)"):
                 build_basis(d)
 
         def no_measure(*args):
             raise AssertionError("measured before checking the dimension")
         monkeypatch.setattr(tomography, "_measure_batch", no_measure)
-        with pytest.raises(InvalidDimensionError, match=r"\(got 3\)"):
+        with pytest.raises(BornsimError, match=r"\(got 3\)"):
             fidelity_scan(np.array([1.0]), 1.0, 1, RngStream(1), method="mle",
                           psis=np.eye(3, dtype=complex)[:1])
 
@@ -199,9 +194,9 @@ class TestMeasurement:
             assert np.array_equal(b.diagonalizers[k], b.diagonalizers[b.settings[b.setting_of[k]]])
 
     def test_zero_threshold_in_an_array_rejected(self):
-        with pytest.raises(SaturatedDetectorError):
+        with pytest.raises(BornsimError, match="every mode crosses threshold at gamma = 0"):
             _conditional_clicks(np.ones((2, 3)), np.array([[1.0], [0.0]]))
-        with pytest.raises(SaturatedDetectorError):
+        with pytest.raises(BornsimError, match="every mode crosses threshold at gamma = 0"):
             _measure_batch(np.eye(4)[:1].astype(complex), 1.0, np.array([1.0, 0.0]), build_basis(4))
 
     def test_monte_carlo_post_selection_matches(self):
@@ -244,11 +239,11 @@ class TestLinearInversion:
         assert np.linalg.eigvalsh(rho).min() < -1e-6
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(BornsimError, match=r"need 4 expectation values, got shape \(5,\)"):
             linear_qst(np.zeros(5), build_basis(2))
 
     def test_zero_trace_rejected(self):
-        with pytest.raises(DomainError, match="nonpositive trace"):
+        with pytest.raises(BornsimError, match="nonpositive trace"):
             linear_qst(np.zeros(4), build_basis(2))
 
 
@@ -328,7 +323,7 @@ class TestFidelityAndWitness:
         assert -1e-12 <= fidelity(psi, rho) <= 1.0 + 1e-12
 
     def test_fidelity_dimension_check(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(BornsimError, match=r"does not match psi length 2"):
             fidelity(np.array([1.0, 0.0]), np.eye(4) / 4)
 
     def test_partial_transpose_involution(self):
@@ -336,7 +331,7 @@ class TestFidelityAndWitness:
         assert np.array_equal(partial_transpose(partial_transpose(rho, 2, 2), 2, 2), rho)
 
     def test_partial_transpose_shape_check(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(BornsimError, match="does not factor as 3x2"):
             partial_transpose(np.eye(4), 3, 2)
 
     def test_product_state_is_ppt(self):
@@ -367,16 +362,15 @@ class TestReportsAndSweeps:
         assert np.isfinite(ppt_witness(fit, 2, 2))
         assert 0.0 <= fidelity(psi, fit) <= 1.0 + 1e-9
 
-    @pytest.mark.parametrize("method", ["linear", "mle"])
-    def test_bell_witness_scan_equals_per_alpha_reconstruction(self, method):
+    def test_bell_witness_scan_equals_per_alpha_reconstruction(self):
         alphas = np.round(0.1 * np.arange(31), 12)
-        scan = bell_witness_scan(alphas, 1.0, method=method)
+        scan = bell_witness_scan(alphas, 1.0)
         b = build_basis(4)
         psi = bell_direction()
         cols = {"witness": [], "fidelity": [], "min_eigenvalue": []}
         for a in alphas:
             m = _measure_batch(psi[None], a, 1.0, b)[0]
-            rho = linear_qst(m, b) if method == "linear" else _constrained_fit(m, b)[0]
+            rho = _constrained_fit(m, b)[0]
             cols["witness"].append(ppt_witness(rho, 2, 2))
             cols["fidelity"].append(fidelity(psi, rho))
             cols["min_eigenvalue"].append(np.linalg.eigvalsh(rho)[0])
@@ -421,21 +415,18 @@ class TestReportsAndSweeps:
         assert res.per_state_fidelity[0, 0] == pytest.approx([0.25] * 4, abs=1e-12)
 
     @pytest.mark.parametrize("scan", [
-        lambda method: bell_witness_scan(np.array([1.0]), 1.0, method=method),
         lambda method: fidelity_scan(np.array([1.0]), 1.0, 2, RngStream(1), method=method),
-        lambda method: ensemble_sweep(np.array([1.0]), np.array([1.0]), 2, method=method,
-                                      rng=RngStream(1)),
-    ], ids=["bell_witness_scan", "fidelity_scan", "ensemble_sweep"])
+    ], ids=["fidelity_scan"])
     def test_unknown_method_rejected_before_measurement(self, monkeypatch, scan):
         def measure(*args):
             raise AssertionError("measured before the method was checked")
 
         monkeypatch.setattr(tomography, "_measure_batch", measure)
-        with pytest.raises(DomainError, match="linaer"):
+        with pytest.raises(BornsimError, match="linaer"):
             scan("linaer")
 
     def test_empty_ensemble_sweep_rejected(self):
-        with pytest.raises(DomainError, match="n_states must be >= 1"):
+        with pytest.raises(BornsimError, match="n_states must be >= 1"):
             ensemble_sweep(np.array([1.0]), np.array([1.0]), 0, RngStream(1))
 
     def test_bell_witness_scan_takes_four_modes(self, monkeypatch):
@@ -444,7 +435,7 @@ class TestReportsAndSweeps:
         def no_measure(*args):
             raise AssertionError("measured before checking psi")
         monkeypatch.setattr(tomography, "_measure_batch", no_measure)
-        with pytest.raises(DimensionMismatchError, match=r"four-mode psi \(got shape \(2,\)\)"):
+        with pytest.raises(BornsimError, match=r"four-mode psi \(got shape \(2,\)\)"):
             bell_witness_scan(np.linspace(0.0, 3.0, 31), 1.0, psi=np.array([1.0, 0.0]))
 
     def test_sweep_csv_schema(self, tmp_path):
