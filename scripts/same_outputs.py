@@ -7,7 +7,9 @@ OLD_SRC and NEW_SRC are directories that hold a ``bornsim`` package, such as
 the ``src/`` of two checkouts. Every run is a fresh ``python -m bornsim.cli``
 process, once under each tree and once per seed. By default the runs are
 every command of ``cli.COMMANDS`` (in NEW_SRC) with its defaults, plus
-``counts --n 200000`` and ``fidelity-contour --fast``; ``--commands`` replaces
+``counts --n 200000``, ``fidelity-contour --fast``, and ``fidelity``,
+``fidelity-mle`` and ``witness`` with ``--circuit`` set to a Bell-state circuit
+that the script writes into its temporary directory; ``--commands`` replaces
 them with a comma-separated list of command lines, such as
 ``"fidelity-contour --fast,witness"``. Every file a run writes, except its
 manifest (which holds the wall-clock time), is compared byte for byte. The
@@ -20,6 +22,7 @@ Linux).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +31,11 @@ import time
 from pathlib import Path
 
 EXTRA_RUNS = ["counts --n 200000", "fidelity-contour --fast"]
+CIRCUIT_COMMANDS = ["fidelity", "fidelity-mle", "witness"]
+# prepares the Bell direction (|RH> + |DV>)/sqrt(2) from mode 1
+BELL_CIRCUIT = [{"gate": "hadamard", "wires": [0, 2]},
+                {"gate": "hadamard", "wires": [1, 3]},
+                {"gate": "x", "wires": [2, 3]}]
 
 
 def _env(src: Path) -> dict[str, str]:
@@ -36,12 +44,14 @@ def _env(src: Path) -> dict[str, str]:
     return env
 
 
-def default_runs(src: Path) -> list[str]:
-    """Every command of the tree's table with its defaults, then EXTRA_RUNS."""
+def default_runs(src: Path, circuit: Path) -> list[str]:
+    """Every command of the tree's table with its defaults, then EXTRA_RUNS, then
+    CIRCUIT_COMMANDS reading the circuit file ``circuit``."""
     listing = subprocess.run(
         [sys.executable, "-c", "import bornsim.cli as c; print('\\n'.join(c.COMMANDS))"],
         env=_env(src), capture_output=True, text=True, check=True)
-    return listing.stdout.split() + EXTRA_RUNS
+    return (listing.stdout.split() + EXTRA_RUNS
+            + [f"{command} --circuit {circuit}" for command in CIRCUIT_COMMANDS])
 
 
 def run_tree(src: Path, run: str, seed: int, out_dir: Path) -> tuple[str | None, float, float]:
@@ -80,14 +90,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--seeds", default="42", help="comma-separated seeds (default 42)")
     parser.add_argument("--commands", help="comma-separated command lines (default: every "
-                                           "command, counts --n 200000, fidelity-contour --fast)")
+                                           "command, counts --n 200000, fidelity-contour "
+                                           "--fast, three --circuit runs)")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    runs = ([r.strip() for r in args.commands.split(",")] if args.commands
-            else default_runs(args.new_src))
 
     bad = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        circuit = Path(tmp, "bell.json")
+        circuit.write_text(json.dumps(BELL_CIRCUIT))
+        runs = ([r.strip() for r in args.commands.split(",")] if args.commands
+                else default_runs(args.new_src, circuit))
         for seed in seeds:
             for n, run in enumerate(runs):
                 dirs = [Path(tmp, side, str(seed), str(n)) for side in ("old", "new")]

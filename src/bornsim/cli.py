@@ -32,6 +32,8 @@ from .optics import circuit_from_json
 
 FORMATS = ("csv", "json", "both")
 MAX_GRID_POINTS = 1_000_000
+MAX_TRIALS = 10 ** 10  # counts' sampled trials: about 2.7 min on one core
+FAST_STATES = 20
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -97,9 +99,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags, plus the command name.
 
     Every key must be a parameter of the command, every value must have the
-    type of that parameter's default, and the seed must be >= 0 even for a
-    command that never draws. A command whose scenario is
-    undefined at gamma = 0 needs gamma and every gamma_grid point above 0.
+    type of that parameter's default, the seed must be >= 0 even for a
+    command that never draws, and n_states >= 1 even where --fast or --circuit
+    overrides it. A command whose scenario is undefined at gamma = 0 needs gamma
+    and every gamma_grid point above 0.
     """
     command = args.command
     defaults = {k: default for k, (default, _) in {**COMMON, **COMMANDS[command].params}.items()}
@@ -136,6 +139,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
                            f"(got {params['format']!r})")
     if params["seed"] < 0:  # RngStream's rule, checked here for the commands that never draw
         raise BornsimError("seed and stream_id must be nonnegative")
+    if params.get("n_states", 1) < 1:
+        raise BornsimError("n_states must be >= 1")
     for key in ("gamma", "gamma_grid") if COMMANDS[command].positive_gamma else ():
         if key in params:
             points = parse_grid(params[key]) if key == "gamma_grid" else [params[key]]
@@ -161,8 +166,8 @@ def _state_from_circuit(path: str | None) -> np.ndarray | None:
 def _fidelity(p, method: str):
     psi = _state_from_circuit(p["circuit"])
     return tomography.fidelity_scan(p["alpha_grid"], p["gamma"], p["n_states"],
-                                    RngStream(p["seed"]),
-                                    method=method, psis=None if psi is None else psi[None])
+                                    RngStream(p["seed"]), method=method,
+                                    psis=None if psi is None else psi[None])
 
 
 def _mach_zehnder(p):
@@ -255,9 +260,9 @@ COMMANDS: dict[str, Command] = {
     "fidelity-contour": Command(
         "mean tomography fidelity over (alpha, gamma)",
         {"alpha_grid": ("0.25:0.25:3", ALPHA_GRID), "gamma_grid": ("0.25:0.25:3", GAMMA_GRID),
-         "n_states": (100, ENSEMBLE), "fast": (False, "reduced ensemble (20 states)")},
-        lambda p: tomography.ensemble_sweep(p["alpha_grid"], p["gamma_grid"],
-                                            20 if p["fast"] else p["n_states"],
+         "n_states": (100, ENSEMBLE),
+         "fast": (False, f"reduced ensemble ({FAST_STATES} states)")},
+        lambda p: tomography.ensemble_sweep(p["alpha_grid"], p["gamma_grid"], p["n_states"],
                                             RngStream(p["seed"]))),
     "visibility-contour": Command(
         "fringe visibility over (alpha, gamma)",
@@ -267,13 +272,24 @@ COMMANDS: dict[str, Command] = {
 
 
 def _run_scenario(cfg: dict):
-    """Parse the grids, check the run's total size against MAX_GRID_POINTS, run the scenario."""
+    """Parse the grids, set n_states to what --fast or --circuit measures, check the
+    run's size (MAX_GRID_POINTS points, MAX_TRIALS trials), run the scenario."""
     params = {k: parse_grid(v) if k.endswith("_grid") else v for k, v in cfg.items()}
-    points = math.prod(len(v) for k, v in params.items() if k.endswith("_grid") or k == "alphas")
-    points *= params.get("n_states", 1) * params.get("n_points", 1)
+    if params.get("fast"):
+        params["n_states"] = FAST_STATES
+    if params.get("circuit") and "n_states" in params:
+        params["n_states"] = 1
+    sizes = {k: len(v) for k, v in params.items() if k.endswith("_grid") or k == "alphas"}
+    sizes.update((k, params[k]) for k in ("n_states", "n_points") if k in params)
+    points = math.prod(sizes.values())
     if points > MAX_GRID_POINTS:
-        raise BornsimError(f"{cfg['command']} would evaluate {points:,} grid points x states; "
-                           f"the limit is {MAX_GRID_POINTS:,}")
+        raise BornsimError(f"{cfg['command']} would evaluate {points:,} points "
+                           f"({' x '.join(sizes)}); the limit is {MAX_GRID_POINTS:,}")
+    angles = len(experiments.DEFAULT_THETA_GRID_DEG)
+    trials = angles * params.get("n_trials", 0)
+    if trials > MAX_TRIALS:
+        raise BornsimError(f"{cfg['command']} would draw {trials:,} trials "
+                           f"({angles} angles x n_trials); the limit is {MAX_TRIALS:,}")
     return COMMANDS[cfg["command"]].run(params)
 
 

@@ -1,21 +1,21 @@
 """Density-matrix inference from post-selected click statistics.
 
-A state is probed in d^2 Hermitian basis directions: for each basis matrix
-the mode direction is rotated into the matrix's eigenbasis, the conditional
-single-click probabilities are computed exactly, and their eigenvalue-
-weighted sum estimates the expectation value. Linear inversion reconstructs
-rho = sum_k m_k B_k (possibly indefinite). The constrained fit minimizes the
+A four-mode state is probed in the 16 Pauli-product directions: for each
+basis matrix the mode direction is rotated into the matrix's eigenbasis, the
+conditional single-click probabilities are computed exactly, and their
+eigenvalue-weighted sum estimates the expectation value. Both reconstructions
+start from S = sum_k m_k B_k and its one eigendecomposition. Linear inversion
+returns S / Tr S (possibly indefinite). The constrained fit minimizes the
 squared expectation residuals over density matrices; because the basis is
 Hilbert-Schmidt orthonormal and complete, its exact minimizer keeps the
-eigenvectors of sum_k m_k B_k and projects the eigenvalues onto the
-probability simplex (Smolin, Gambetta & Smith, PRL 108, 070502, 2012; the
-projection of Duchi et al., ICML 2008), exactly. Measurement, reconstruction,
-fidelity and the PPT witness act on stacks of states; one state is one row.
+eigenvectors of S and projects the eigenvalues onto the probability simplex
+(Smolin, Gambetta & Smith, PRL 108, 070502, 2012; the projection of Duchi et
+al., ICML 2008), exactly. Measurement, reconstruction, fidelity and the PPT
+witness act on stacks of states; one state is one row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "HermitianBasis",
     "SweepResult",
     "build_basis",
-    "linear_qst",
     "fidelity",
     "partial_transpose",
     "ppt_witness",
@@ -59,46 +58,29 @@ _PAULI_ORDER = "IXYZ"
 
 @dataclass(frozen=True)
 class HermitianBasis:
-    """d^2 Hermitian matrices, orthonormal under Tr[B_j^dag B_k], with eigensystems:
-    the scaled Paulis (d = 2) or their pairwise Kronecker products (d = 4).
+    """The 16 Pauli products / 2, orthonormal under Tr[B_j^dag B_k], with eigensystems.
 
     Matrices that share a diagonalizer share its measurement setting: settings
     indexes one matrix per distinct diagonalizer, and setting_of maps each
     matrix to its setting's position in settings.
     """
 
-    matrices: np.ndarray       # (d^2, d, d)
-    diagonalizers: np.ndarray  # (d^2, d, d); U_k^dag B_k U_k = diag(eigenvalues[k])
-    eigenvalues: np.ndarray    # (d^2, d)
-    settings: np.ndarray       # (s,); diagonalizers[settings] are the distinct ones
-    setting_of: np.ndarray     # (d^2,); diagonalizers[k] == diagonalizers[settings[setting_of[k]]]
-
-    @property
-    def size(self) -> int:
-        return self.matrices.shape[0]
+    matrices: np.ndarray       # (16, 4, 4)
+    diagonalizers: np.ndarray  # (16, 4, 4); U_k^dag B_k U_k = diag(eigenvalues[k])
+    eigenvalues: np.ndarray    # (16, 4)
+    settings: np.ndarray       # (9,); diagonalizers[settings] are the distinct ones
+    setting_of: np.ndarray     # (16,); diagonalizers[k] == diagonalizers[settings[setting_of[k]]]
 
 
-def build_basis(d: int) -> HermitianBasis:
-    """Hilbert-Schmidt-orthonormal Hermitian basis with precomputed eigensystems.
-
-    d = 2 uses the scaled Paulis, d = 4 their pairwise Kronecker products
-    (diagonalized by local product settings); any other d, which no
-    scenario measures, is a BornsimError.
-    """
-    d = int(d)
-    if d == 2:
-        mats = [_PAULI[p] / math.sqrt(2.0) for p in _PAULI_ORDER]
-        diags = [_PAULI_EIG[p][0] for p in _PAULI_ORDER]
-        eigs = [_PAULI_EIG[p][1] / math.sqrt(2.0) for p in _PAULI_ORDER]
-    elif d == 4:
-        mats, diags, eigs = [], [], []
-        for p1 in _PAULI_ORDER:
-            for p2 in _PAULI_ORDER:
-                mats.append(np.kron(_PAULI[p1], _PAULI[p2]) / 2.0)
-                diags.append(np.kron(_PAULI_EIG[p1][0], _PAULI_EIG[p2][0]))
-                eigs.append(np.kron(_PAULI_EIG[p1][1], _PAULI_EIG[p2][1]) / 2.0)
-    else:
-        raise BornsimError(f"build_basis takes d = 2 or 4 (got {d})")
+def build_basis() -> HermitianBasis:
+    """The four-mode basis: pairwise Kronecker products of the Paulis, halved,
+    each diagonalized by a local product setting."""
+    mats, diags, eigs = [], [], []
+    for p1 in _PAULI_ORDER:
+        for p2 in _PAULI_ORDER:
+            mats.append(np.kron(_PAULI[p1], _PAULI[p2]) / 2.0)
+            diags.append(np.kron(_PAULI_EIG[p1][0], _PAULI_EIG[p2][0]))
+            eigs.append(np.kron(_PAULI_EIG[p1][1], _PAULI_EIG[p2][1]) / 2.0)
     # the first matrix with an exactly equal diagonalizer measures for each one
     first = [next(j for j in range(k + 1) if np.array_equal(diags[j], diags[k]))
              for k in range(len(diags))]
@@ -117,10 +99,10 @@ def build_basis(d: int) -> HermitianBasis:
 # ---------------------------------------------------------------------------
 
 def _measure_batch(psis: np.ndarray, alpha, gamma, basis: HermitianBasis) -> np.ndarray:
-    """m vectors (..., n, d^2) for n states (n, d); one Marcum evaluation per call.
+    """m vectors (..., n, 16) for n states (n, 4); one Marcum evaluation per call.
 
     alpha and gamma broadcast against each other to the leading shape (...);
-    two scalars give (n, d^2). The click probabilities are computed once per
+    two scalars give (n, 16). The click probabilities are computed once per
     distinct setting and shared by every matrix that setting diagonalizes.
     """
     alpha, gamma = np.abs(np.asarray(alpha)), np.asarray(gamma)
@@ -131,33 +113,23 @@ def _measure_batch(psis: np.ndarray, alpha, gamma, basis: HermitianBasis) -> np.
     return np.einsum("...nki,ki->...nk", p[..., basis.setting_of, :], basis.eigenvalues)
 
 
-def linear_qst(m: np.ndarray, basis: HermitianBasis) -> np.ndarray:
-    """Linear inversion rho = sum_k m_k B_k, rescaled to unit trace.
+def _reconstruct(m: np.ndarray, basis: HermitianBasis,
+                 method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Density matrices (..., 4, 4) from expectation vectors stacked as (..., 16), and
+    the least eigenvalue of the linear inversion (...), w_0(S) / Tr S.
 
-    m may stack expectation vectors as (..., d^2); rho is then (..., d, d).
-    Hermitian by construction; eigenvalues may be negative.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape[-1:] != (basis.size,):
-        raise BornsimError(f"need {basis.size} expectation values, got shape {m.shape}")
-    rho = np.einsum("...k,kij->...ij", m, basis.matrices)
-    tr = np.real(np.trace(rho, axis1=-2, axis2=-1))
-    if np.any(tr <= 0.0):
-        raise BornsimError("reconstructed matrix has nonpositive trace")
-    return rho / tr[..., None, None]
-
-
-def _constrained_fit(m: np.ndarray,
-                     basis: HermitianBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form constrained fit of expectation vectors stacked as (..., d^2).
-
-    Returns the density matrices (..., d, d), their objectives (...),
-    sum_k (Tr[rho B_k] - m_k)^2 = ||rho - sum_k m_k B_k||_F^2, which for the
-    shared eigenvectors is the squared shift of the eigenvalues, and the least
-    eigenvalue of the linear inversion (...), w_0(S) / Tr S for S = sum_k m_k B_k.
+    S = sum_k m_k B_k is formed once; a nonpositive Tr S is a BornsimError.
+    "linear" returns S / Tr S, Hermitian and possibly indefinite. "mle" returns
+    the density matrix that minimizes sum_k (Tr[rho B_k] - m_k)^2 = ||rho - S||_F^2.
     """
     s = np.einsum("...k,kij->...ij", m, basis.matrices)
+    tr = np.real(np.trace(s, axis1=-2, axis2=-1))
+    if np.any(tr <= 0.0):
+        raise BornsimError("reconstructed matrix has nonpositive trace")
     w, v = np.linalg.eigh(s)
+    least = w[..., 0] / tr
+    if method == "linear":
+        return s / tr[..., None, None], least
     # Euclidean projection of w onto the probability simplex (Duchi et al.
     # 2008): eigh sorts ascending, and the rule walks the values descending
     u = w[..., ::-1]
@@ -165,34 +137,29 @@ def _constrained_fit(m: np.ndarray,
     n_kept = np.sum(u > shift, axis=-1, keepdims=True)
     lam = np.maximum(w - np.take_along_axis(shift, n_kept - 1, axis=-1), 0.0)
     rho = (v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    least = w[..., 0] / np.real(np.trace(s, axis1=-2, axis2=-1))
-    return rho, np.sum((lam - w) ** 2, axis=-1), least
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2)), least
 
 
-# mode amplitudes (grid points x states x d^2 settings x d modes) per measurement block
+# mode amplitudes (grid points x states x 16 settings x 4 modes) per measurement block
 _BLOCK_AMPLITUDES = 2 ** 16
 
 
 def _reconstruct_grid(psis: np.ndarray, alphas: np.ndarray, gammas: np.ndarray,
                       method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Scored states (n_alpha, n_gamma, n, d, d) and indefinite-linear-inversion flags.
+    """Scored states (n_alpha, n_gamma, n, 4, 4) and indefinite-linear-inversion flags.
 
-    Every state (n, d) is measured at every (alpha, gamma) grid point, in
+    Every state (n, 4) is measured at every (alpha, gamma) grid point, in
     blocks of whole alpha rows of at most _BLOCK_AMPLITUDES mode amplitudes
     (and at least one row); the method is checked before any measurement.
     """
-    _check_method(method)
-    basis = build_basis(psis.shape[-1])
-    ms = np.empty((alphas.size, gammas.size, len(psis), basis.size))
-    rows = max(1, _BLOCK_AMPLITUDES // (gammas.size * psis.size * basis.size))
+    if method not in ("linear", "mle"):
+        raise BornsimError(f"method must be 'linear' or 'mle' (got {method!r})")
+    basis = build_basis()
+    ms = np.empty((alphas.size, gammas.size, len(psis), 16))
+    rows = max(1, _BLOCK_AMPLITUDES // (gammas.size * psis.size * 16))
     for i in range(0, alphas.size, rows):
         ms[i:i + rows] = _measure_batch(psis, alphas[i:i + rows, None], gammas, basis)
-    if method == "linear":
-        rho = linear_qst(ms, basis)
-        return rho, np.linalg.eigvalsh(rho)[..., 0] < -1e-12
-    rho, _, least = _constrained_fit(ms, basis)
-    # least differs from min eig(S / tr S) by rounding, far below its 4.4e-5 margin at seed 42
+    rho, least = _reconstruct(ms, basis, method)
     return rho, least < -1e-12
 
 
@@ -209,26 +176,18 @@ def fidelity(psi: np.ndarray, rho: np.ndarray) -> float | np.ndarray:
     return np.real((psi.conj()[..., None, :] @ rho @ psi[..., :, None])[..., 0, 0])
 
 
-def partial_transpose(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """Transpose the second tensor factor of (a stack of) (d_a x d_b)-partitioned matrices."""
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Transpose the second factor of (a stack of) 4 x 4 matrices, partitioned 2 x 2."""
     rho = np.asarray(rho, dtype=complex)
-    d_a, d_b = int(d_a), int(d_b)
-    if rho.shape[-2:] != (d_a * d_b, d_a * d_b):
-        raise BornsimError(f"rho shape {rho.shape} does not factor as {d_a}x{d_b}")
+    if rho.shape[-2:] != (4, 4):
+        raise BornsimError(f"rho shape {rho.shape} does not factor as 2x2")
     lead = rho.shape[:-2]
-    r = rho.reshape(lead + (d_a, d_b, d_a, d_b))
-    return r.swapaxes(-3, -1).reshape(lead + (d_a * d_b, d_a * d_b))
+    return rho.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(lead + (4, 4))
 
 
-def ppt_witness(rho: np.ndarray, d_a: int, d_b: int) -> float | np.ndarray:
-    """Minimum eigenvalue of the partial transpose, per matrix of a stack;
-    negative certifies entanglement for a 2 x 2 partition."""
-    return np.linalg.eigvalsh(partial_transpose(rho, d_a, d_b)).min(axis=-1)
-
-
-def _check_method(method: str) -> None:
-    if method not in ("linear", "mle"):
-        raise BornsimError(f"method must be 'linear' or 'mle' (got {method!r})")
+def ppt_witness(rho: np.ndarray) -> float | np.ndarray:
+    """Least eigenvalue of the partial transpose, per matrix; negative certifies entanglement."""
+    return np.linalg.eigvalsh(partial_transpose(rho)).min(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,29 +216,29 @@ def bell_witness_scan(alphas: np.ndarray, th: float, psi: np.ndarray | None = No
     return ScenarioResult(
         grid_name="alpha",
         grid=alphas,
-        analytic={"witness": ppt_witness(rho, 2, 2), "fidelity": fidelity(psi, rho),
+        analytic={"witness": ppt_witness(rho), "fidelity": fidelity(psi, rho),
                   "min_eigenvalue": np.linalg.eigvalsh(rho)[:, 0]},
         meta={"gamma": g, "method": "mle", "psi": [repr(c) for c in psi]},
     )
 
 
-def fidelity_scan(alphas: np.ndarray, th: float, n_states: int,
-                  rng: RngStream, method: str,
+def fidelity_scan(alphas: np.ndarray, th: float, n_states: int, rng: RngStream, method: str,
                   psis: np.ndarray | None = None):
     """Reconstruction fidelity of an ensemble of pure states versus amplitude.
 
     The ensemble is n_states four-mode Haar states, or the rows of ``psis``
-    (n, d), which then set both the ensemble size and the dimension, d = 2 or
-    4; any other d is a BornsimError, raised before any measurement.
+    (n, 4), which then set the ensemble size; any other shape is a
+    BornsimError, raised before any measurement.
     Returns a ScenarioResult whose per-state curves are fid_state_XX columns,
     with valid_state_XX flags (no negative eigenvalues) for the linear method.
     """
     g = gamma_of(th)
     alphas = np.asarray(alphas, dtype=float)
-    d = 4
     if psis is not None:
         psis = np.asarray(psis, dtype=complex)
-        n_states, d = psis.shape
+        if psis.shape[1:] != (4,):
+            raise BornsimError(f"psis must be four-mode rows (n, 4) (got shape {psis.shape})")
+        n_states = len(psis)
     if n_states < 1:
         raise BornsimError("n_states must be >= 1")
     if psis is None:
@@ -295,7 +254,7 @@ def fidelity_scan(alphas: np.ndarray, th: float, n_states: int,
         grid_name="alpha",
         grid=alphas,
         analytic=analytic,
-        meta={"gamma": g, "method": method, "n_states": n_states, "d": d,
+        meta={"gamma": g, "method": method, "n_states": n_states, "d": 4,
               "seed": rng.seed, "stream_id": rng.stream_id},
     )
 
@@ -357,7 +316,7 @@ def ensemble_sweep(alphas: np.ndarray, gammas: np.ndarray, n_states: int,
     return SweepResult(
         alphas=alphas, gammas=gammas, mean_fidelity=per_state.mean(axis=-1),
         frac_invalid=indefinite.mean(axis=-1), mean_visibility=mean_vis,
-        mean_ppt_witness=ppt_witness(rho, 2, 2).mean(axis=-1),
+        mean_ppt_witness=ppt_witness(rho).mean(axis=-1),
         per_state_fidelity=per_state,
         meta={"d": 4, "n_states": n_states, "method": "mle",
               "seed": rng.seed, "stream_id": rng.stream_id},

@@ -33,8 +33,8 @@ from bornsim.experiments import (
     polarization_scan,
 )
 from bornsim.tomography import (
-    _constrained_fit,
     _measure_batch,
+    _reconstruct,
     bell_direction,
     bell_witness_scan,
     build_basis,
@@ -42,7 +42,6 @@ from bornsim.tomography import (
     fidelity,
     fidelity_scan,
     haar_states,
-    linear_qst,
     ppt_witness,
 )
 from oracles import (
@@ -221,17 +220,17 @@ def test_criterion_06_mach_zehnder():
 
 
 def test_criterion_07_linear_tomography():
-    basis = build_basis(4)
+    basis = build_basis()
     worst = 0.0
     for seed in range(50):
         rho = random_density(4, seed)
         m = np.real(np.einsum("ij,kji->k", rho, basis.matrices))
-        worst = max(worst, float(np.max(np.abs(linear_qst(m, basis) - rho))))
+        worst = max(worst, float(np.max(np.abs(_reconstruct(m, basis, "linear")[0] - rho))))
     ok_round = worst <= 1e-10
 
     classical = CoherentVector(0.0, np.eye(4)[0].astype(complex))
     m_vac = _measure_batch(classical.psi[None], classical.alpha, 1.0, basis)[0]
-    f_exact = fidelity(classical.psi, linear_qst(m_vac, basis))
+    f_exact = fidelity(classical.psi, _reconstruct(m_vac, basis, "linear")[0])
     res = fidelity_scan(np.array([0.0]), 1.0, 5, RngStream(3), method="linear")
     haar_dev = float(np.max(np.abs([res.analytic[f"fid_state_{s:02d}"][0] - 0.25 for s in range(5)])))
     ok_vacuum = f_exact == 0.25 and haar_dev <= 1e-12
@@ -249,18 +248,20 @@ def test_criterion_07_linear_tomography():
 
 
 def test_criterion_08_constrained_tomography():
-    basis = build_basis(4)
+    basis = build_basis()
     min_eigs = []
     rho = random_density(4, 123)
     m = np.real(np.einsum("ij,kji->k", rho, basis.matrices))
-    rec, rec_objective, _ = _constrained_fit(m, basis)
+    rec = _reconstruct(m, basis, "mle")[0]
+    # sum_k (Tr[rec B_k] - m_k)^2, which the orthonormal basis makes ||rec - S||_F^2
+    rec_objective = float(np.sum(np.abs(rec - np.einsum("k,kij->ij", m, basis.matrices)) ** 2))
     min_eigs.append(np.linalg.eigvalsh(rec).min())
     ok_recover = rec_objective <= 1e-12
 
     alphas = np.arange(0.0, 3.01, 0.1)
     fids = []
     for a in alphas:
-        fit = _constrained_fit(_measure_batch(BELL[None], a, 1.0, basis)[0], basis)[0]
+        fit = _reconstruct(_measure_batch(BELL[None], a, 1.0, basis)[0], basis, "mle")[0]
         min_eigs.append(np.linalg.eigvalsh(fit).min())
         fids.append(fidelity(BELL, fit))
     fids = np.array(fids)
@@ -288,7 +289,7 @@ def test_criterion_08_constrained_tomography():
 
 
 def test_criterion_09_ppt_witness():
-    ideal = ppt_witness(np.outer(BELL, BELL.conj()), 2, 2)
+    ideal = ppt_witness(np.outer(BELL, BELL.conj()))
     ok_ideal = abs(ideal - (-0.5)) <= 1e-12
     alphas = np.arange(0.7, 3.001, 0.1)
     scan = bell_witness_scan(alphas, 1.0)
@@ -320,7 +321,7 @@ def test_criterion_10_fidelity_contour():
     # higher, on a flat ridge whose argmax moves with the ensemble. Pin the
     # value with the closed-form fit of the same expectations, and the
     # location by paired standard errors against the surface maximum.
-    basis = build_basis(4)
+    basis = build_basis()
     oracle = float(np.mean([
         fidelity(psi, closed_form_fit(_measure_batch(psi[None], a_full, g_full, basis)[0], basis))
         for psi in haar_states(100, RngStream(5))

@@ -8,14 +8,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornsim import RngStream, cli
+from bornsim import RngStream, cli, experiments, tomography
 from bornsim.cli import COMMANDS, main, parse_grid
 from bornsim.errors import BornsimError
 from test_exports import small_runs
 
 
+# prepares the Bell direction (|RH> + |DV>)/sqrt(2) from mode 1
+BELL_CIRCUIT = [{"gate": "hadamard", "wires": [0, 2]},
+                {"gate": "hadamard", "wires": [1, 3]},
+                {"gate": "x", "wires": [2, 3]}]
+
+
 def run_cli(args):
     return main(args)
+
+
+def write_bell_circuit(directory: Path) -> Path:
+    path = directory / "bell.json"
+    path.write_text(json.dumps(BELL_CIRCUIT))
+    return path
 
 
 def test_parse_grid():
@@ -215,7 +227,15 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
     ("mz", None, ["--n-points", "3"], "need at least 4 phase points"),
     # exp(-2 gamma^2) = 1/2: the fringe extrema sum to twice the dark counts
     ("mz", None, ["--gamma", "0.5887050112577373"], "visibility undefined"),
-    ("mz", None, ["--n-points", "10000000000000"], "10,000,000,000,000"),
+    ("mz", None, ["--n-points", "10000000000000"],
+     "mz would evaluate 10,000,000,000,000 points (n_points); the limit is 1,000,000"),
+    # 181 angles x 1e20 trials would never end; bounded_kernel below fails at once if it starts
+    ("counts", None, ["--n", "100000000000000000000"],
+     "counts would draw 18,100,000,000,000,000,000,000 trials (181 angles x n_trials); "
+     "the limit is 10,000,000,000"),
+    # --fast measures 20 states, but a negative n_states is refused all the same
+    ("fidelity-contour", None, ["--fast", "--n-states", "-5"], "n_states must be >= 1"),
+    ("fidelity-contour", {"fast": True, "n_states": 0}, [], "n_states must be >= 1"),
     # gamma^2 overflows in the dark counts, with no warning: exp(-inf) = 0 is exact
     ("visibility", None, ["--gamma-grid", "1e300:1e300:3e300"], "visibility undefined"),
     ("hyper", None, ["--gamma-grid", "1e300:1e300:3e300"], "no single-click events"),
@@ -226,8 +246,18 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
         "unreadable-config", "config-not-json", "config-not-object", "zero-trials",
         "negative-seed", "negative-seed-visibility", "negative-seed-witness",
         "deviation-zero-alpha0", "mz-three-points", "mz-zero-denominator", "mz-huge-n-points",
+        "counts-huge-n", "fast-negative-n-states", "fast-zero-n-states-config",
         "visibility-huge-gamma", "hyper-huge-gamma", "visibility-contour-huge-gamma"])
-def test_bad_config_is_one_line_error(tmp_path, capsys, command, config, flags, key):
+def test_bad_config_is_one_line_error(tmp_path, capsys, monkeypatch, command, config, flags,
+                                      key):
+    # a run too long to finish must be refused before the click kernel starts it
+    kernel = experiments.threshold_clicks
+
+    def bounded_kernel(a, gamma, n, rng):
+        assert n <= 10 ** 6, f"the click kernel started {n} trials"
+        return kernel(a, gamma, n, rng)
+
+    monkeypatch.setattr(experiments, "threshold_clicks", bounded_kernel)
     argv = [command, "--out-dir", str(tmp_path), *flags]
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -261,9 +291,47 @@ def test_total_size_is_capped_before_any_work(tmp_path, capsys):
     argv = ["fidelity-contour", "--alpha-grid", "0:1e-6:0.9", "--gamma-grid", "1e-6:1e-6:0.9"]
     assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("bornsim: error: fidelity-contour ")
-    assert f"{cli.MAX_GRID_POINTS:,}" in err[0]
+    assert err == ["bornsim: error: fidelity-contour would evaluate 81,000,090,000,000 points "
+                   f"(alpha_grid x gamma_grid x n_states); the limit is {cli.MAX_GRID_POINTS:,}"]
     assert not list(tmp_path.glob("*.manifest.json"))
+
+
+class Ran(Exception):
+    """Raised by a stand-in runner once the size check has let the run through."""
+
+
+@pytest.mark.parametrize("argv, runner, states", [
+    # 300 x 60 x 20 = 360,000 points; n_states = 100 would count 1,800,000
+    (["fidelity-contour", "--fast", "--alpha-grid", "0.01:0.01:3", "--gamma-grid", "0.05:0.05:3"],
+     "ensemble_sweep", 20),
+    (["fidelity-contour", "--fast", "--n-states", "1000000"], "ensemble_sweep", 20),
+    (["fidelity", "--n-states", "1000000", "--circuit"], "fidelity_scan", 1),
+    (["fidelity-mle", "--n-states", "1000000", "--circuit"], "fidelity_scan", 1),
+], ids=["fast-grid", "fast-n-states", "fidelity-circuit", "fidelity-mle-circuit"])
+def test_run_size_counts_the_states_measured(tmp_path, monkeypatch, argv, runner, states):
+    # --fast measures 20 states and --circuit one, whatever n_states says; the size
+    # check counts those, and the runner is given them
+    if argv[-1] == "--circuit":
+        argv = argv + [str(write_bell_circuit(tmp_path))]
+    given = []
+
+    def stand_in(alphas, gamma, n_states, *args, **kwargs):
+        given.append(n_states)
+        raise Ran
+
+    monkeypatch.setattr(tomography, runner, stand_in)
+    with pytest.raises(Ran):
+        run_cli(argv + ["--out-dir", str(tmp_path)])
+    assert given == [states]
+
+
+@pytest.mark.parametrize("command", ["fidelity", "fidelity-mle"])
+def test_circuit_run_checks_n_states(tmp_path, capsys, command):
+    # the circuit's one state replaces the ensemble, but n_states is still checked
+    argv = [command, "--circuit", str(write_bell_circuit(tmp_path)), "--n-states", "0"]
+    assert run_cli(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["bornsim: error: n_states must be >= 1"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_fidelity_contour_dimension_is_not_a_config_key(tmp_path, capsys):
@@ -349,12 +417,7 @@ def test_unknown_flag_is_usage_error(tmp_path):
 
 
 def test_witness_with_circuit_file_matches_default(tmp_path):
-    circuit = tmp_path / "bell.json"
-    circuit.write_text(json.dumps([
-        {"gate": "hadamard", "wires": [0, 2]},
-        {"gate": "hadamard", "wires": [1, 3]},
-        {"gate": "x", "wires": [2, 3]},
-    ]))
+    circuit = write_bell_circuit(tmp_path)
     assert run_cli(["witness", "--alpha-grid", "0.5:0.5:1.5", "--seed", "9",
                     "--out-dir", str(tmp_path / "default")]) == 0
     assert run_cli(["witness", "--alpha-grid", "0.5:0.5:1.5", "--seed", "9",

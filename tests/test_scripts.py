@@ -4,6 +4,9 @@ import importlib.util
 import re
 from pathlib import Path
 
+from bornsim.cli import COMMANDS
+from test_cli import BELL_CIRCUIT
+
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "scripts" / "same_outputs.py")
 same_outputs = importlib.util.module_from_spec(spec)
@@ -38,3 +41,26 @@ def test_differing_and_missing_files_are_named(tmp_path):
     (new / "moved.csv").write_text("a\n1.0\n")
     (new / "extra.json").write_text("{}")
     assert same_outputs.differing_files(old, new) == ["extra.json", "moved.csv"]
+
+
+def test_default_runs_add_the_circuit_runs(tmp_path):
+    # the Bell circuit of the CLI tests, through every command that takes --circuit
+    circuit = tmp_path / "bell.json"
+    assert same_outputs.BELL_CIRCUIT == BELL_CIRCUIT
+    assert same_outputs.default_runs(ROOT / "src", circuit) == [
+        *COMMANDS, "counts --n 200000", "fidelity-contour --fast",
+        f"fidelity --circuit {circuit}", f"fidelity-mle --circuit {circuit}",
+        f"witness --circuit {circuit}"]
+
+
+def test_circuit_runs_read_the_written_circuit(monkeypatch, capsys):
+    # only the default runs that read the circuit file the script writes
+    runs = same_outputs.default_runs
+    monkeypatch.setattr(same_outputs, "default_runs",
+                        lambda src, circuit: [r for r in runs(src, circuit) if "--circuit" in r])
+    src = str(ROOT / "src")
+    assert same_outputs.main([src, src, "--seeds", "42"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  [")[0].split("--circuit")[0] for line in lines[:-1]] == [
+        "same    seed 42: fidelity ", "same    seed 42: fidelity-mle ", "same    seed 42: witness "]
+    assert lines[-1] == "0 of 3 runs differ or failed"

@@ -1,5 +1,5 @@
 import dataclasses
-import math
+import re
 
 import numpy as np
 import pytest
@@ -10,15 +10,14 @@ from bornsim.detection import _conditional_clicks
 from bornsim import tomography
 from bornsim.errors import BornsimError
 from bornsim.tomography import (
-    _constrained_fit,
     _measure_batch,
+    _reconstruct,
     bell_direction,
     bell_witness_scan,
     build_basis,
     ensemble_sweep,
     fidelity,
     fidelity_scan,
-    linear_qst,
     partial_transpose,
     ppt_witness,
 )
@@ -36,6 +35,11 @@ def random_density(d: int, seed: int) -> np.ndarray:
 def random_direction(d: int, seed: int) -> np.ndarray:
     psi = RngStream(seed).complex_normals(d)
     return psi / np.linalg.norm(psi)
+
+
+def fit_objective(rho: np.ndarray, m: np.ndarray, basis) -> float:
+    """sum_k (Tr[rho B_k] - m_k)^2 = ||rho - sum_k m_k B_k||_F^2 for the orthonormal basis."""
+    return float(np.sum(np.abs(rho - np.einsum("k,kij->ij", m, basis.matrices)) ** 2))
 
 
 def _unpack(x: np.ndarray, d: int) -> np.ndarray:
@@ -66,11 +70,11 @@ def lbfgs_objective(x: np.ndarray, m: np.ndarray, basis) -> tuple[float, np.ndar
 def lbfgs_fit(m: np.ndarray, basis) -> tuple[np.ndarray, float]:
     """Reference constrained fit by L-BFGS over the Cholesky-like factor T.
 
-    An iterative route to the minimum that _constrained_fit reaches in closed form,
-    started from the linear inversion with negative eigenvalues clipped.
+    An iterative route to the minimum that _reconstruct's "mle" reaches in closed
+    form, started from the linear inversion with negative eigenvalues clipped.
     """
     d = basis.matrices.shape[-1]
-    w, v = np.linalg.eigh(linear_qst(m, basis))
+    w, v = np.linalg.eigh(_reconstruct(m, basis, "linear")[0])
     w = np.clip(w, 0.0, None)
     start = np.linalg.cholesky((v * (w / w.sum())) @ v.conj().T + 1e-12 * np.eye(d))
     il = np.tril_indices(d, -1)
@@ -83,29 +87,25 @@ def lbfgs_fit(m: np.ndarray, basis) -> tuple[np.ndarray, float]:
 
 
 class TestBasis:
-    def test_two_mode_is_scaled_paulis(self):
-        b = build_basis(2)
-        assert b.size == 4
-        assert np.allclose(b.matrices[0], np.eye(2) / math.sqrt(2.0), atol=0)
-        assert np.allclose(b.matrices[3], np.diag([1.0, -1.0]) / math.sqrt(2.0), atol=0)
-
-    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("d", [4])
     def test_hilbert_schmidt_orthonormal(self, d):
-        b = build_basis(d)
+        b = build_basis()
+        assert b.matrices.shape == (d * d, d, d)
         g = np.einsum("kij,lji->kl", b.matrices.conj().transpose(0, 2, 1), b.matrices)
         assert np.max(np.abs(g - np.eye(d * d))) < 1e-12
 
-    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("d", [4])
     def test_hermitian_and_diagonalized(self, d):
-        b = build_basis(d)
-        for k in range(b.size):
+        b = build_basis()
+        assert b.eigenvalues.shape == (d * d, d)
+        for k in range(d * d):
             m = b.matrices[k]
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
             u, w = b.diagonalizers[k], b.eigenvalues[k]
             assert np.max(np.abs(u.conj().T @ m @ u - np.diag(w))) < 1e-12
 
     def test_completeness(self):
-        b = build_basis(4)
+        b = build_basis()
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         a = a + a.conj().T
@@ -114,43 +114,41 @@ class TestBasis:
         assert np.max(np.abs(rec - a)) < 1e-10
 
     def test_rejects_small_dimension(self, monkeypatch):
-        # only the Pauli bases, d = 2 and d = 4, are built; a scan of three-mode
-        # states fails before it measures any
-        for d in (1, 3, 5):
-            with pytest.raises(BornsimError, match=f"d = 2 or 4 \\(got {d}\\)"):
-                build_basis(d)
-
+        # only four-mode rows (n, 4) are measured; any other shape of psis fails
+        # before a single state is measured
         def no_measure(*args):
             raise AssertionError("measured before checking the dimension")
         monkeypatch.setattr(tomography, "_measure_batch", no_measure)
-        with pytest.raises(BornsimError, match=r"\(got 3\)"):
-            fidelity_scan(np.array([1.0]), 1.0, 1, RngStream(1), method="mle",
-                          psis=np.eye(3, dtype=complex)[:1])
+        for psis in (np.eye(2)[:1], np.eye(3)[:2], np.eye(5)[:1], np.eye(4)[0], np.eye(4)[None]):
+            with pytest.raises(BornsimError, match=re.escape(f"(got shape {psis.shape})")):
+                fidelity_scan(np.array([1.0]), 1.0, 1, RngStream(1), method="mle",
+                              psis=psis.astype(complex))
 
 
 class TestMeasurement:
     def test_vacuum_gives_uniform_trace_moments(self):
-        b = build_basis(4)
+        b = build_basis()
         m = _measure_batch(np.eye(4)[:1].astype(complex), 0.0, 1.0, b)[0]
         expected = np.array([np.real(np.trace(bk)) / 4 for bk in b.matrices])
         assert m == pytest.approx(expected, abs=1e-14)
 
     def test_bright_state_pins_population_moment(self):
-        # the diag(1,-1)-like element reads +1/sqrt(2) when mode 1 dominates
-        b = build_basis(2)
-        m = _measure_batch(np.array([[1.0 + 0.0j, 0.0j]]), 10.0, 1.0, b)[0]
-        assert m[3] == pytest.approx(1.0 / math.sqrt(2.0), abs=0.01)
+        # the diagonal elements I x Z, Z x I and Z x Z read their +1/2 entry when
+        # mode 1 dominates
+        b = build_basis()
+        m = _measure_batch(np.eye(4)[:1].astype(complex), 10.0, 1.0, b)[0]
+        assert m[[3, 12, 15]] == pytest.approx([0.5] * 3, abs=0.01)
 
     @pytest.mark.parametrize("d, alpha, g, seed", [
-        (2, 0.7, 1.0, 1), (4, 1.0, 1.0, 3), (4, 2.2, 0.8, 4), (4, 0.3, 1.6, 5),
+        (4, 1.0, 1.0, 3), (4, 2.2, 0.8, 4), (4, 0.3, 1.6, 5),
     ])
     def test_matches_outcome_table_oracle(self, d, alpha, g, seed):
         # brute force: the single-click entries of each rotated setting's 2^d table
-        b = build_basis(d)
+        b = build_basis()
         psi = random_direction(d, seed)
         m = _measure_batch(psi[None], alpha, g, b)[0]
-        oracle = np.empty(b.size)
-        for k in range(b.size):
+        oracle = np.empty(d * d)
+        for k in range(d * d):
             psi_k = b.diagonalizers[k].conj().T @ psi
             state_k = CoherentVector(alpha, psi_k / np.linalg.norm(psi_k))
             singles = outcome_distribution(state_k, g).single_detection_probs()
@@ -160,7 +158,7 @@ class TestMeasurement:
     def test_batch_rows_equal_one_state_calls(self):
         # at alpha = 6, gamma = 0.5 some settings saturate a detector and some
         # do not, so one batch mixes limit-rule rows with ordinary ones
-        b = build_basis(4)
+        b = build_basis()
         psis = np.array([random_direction(4, s) for s in range(8)])
         batch = _measure_batch(psis, 6.0, 0.5, b)
         for psi, row in zip(psis, batch):
@@ -169,39 +167,37 @@ class TestMeasurement:
         saturated = (marcum_q1(2.0 * amps, 1.0) == 1.0).any(axis=-1)
         assert saturated.any() and not saturated.all()
 
-    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("d", [4])
     def test_grid_equals_one_point_calls(self, d):
         # alpha = 6, gamma = 0.5 saturates some settings; a basis that measures
         # every matrix in its own setting gives the same bits as the shared settings
-        b = build_basis(d)
-        alone = dataclasses.replace(b, settings=np.arange(b.size), setting_of=np.arange(b.size))
+        b = build_basis()
+        alone = dataclasses.replace(b, settings=np.arange(d * d), setting_of=np.arange(d * d))
         psis = np.array([random_direction(d, s) for s in range(5)])
         alphas, gammas = np.array([0.0, 0.7, 2.2, 6.0]), np.array([0.5, 1.0, 1.6])
         grid = _measure_batch(psis, alphas[:, None], gammas, b)
-        assert grid.shape == (alphas.size, gammas.size, len(psis), b.size)
+        assert grid.shape == (alphas.size, gammas.size, len(psis), d * d)
         assert np.array_equal(grid, _measure_batch(psis, alphas[:, None], gammas, alone))
         for i, a in enumerate(alphas):
             for j, g in enumerate(gammas):
                 assert np.array_equal(grid[i, j], _measure_batch(psis, a, g, b))
 
     def test_shared_settings(self):
-        # I and Z share the identity eigenbasis: 3 of 4 Pauli settings, 9 of 16 products
-        assert build_basis(2).settings.tolist() == [0, 1, 2]
-        assert build_basis(2).setting_of.tolist() == [0, 1, 2, 0]
-        b = build_basis(4)
+        # I and Z share the identity eigenbasis: 9 settings for the 16 products
+        b = build_basis()
         assert b.settings.size == 9
-        for k in range(b.size):
+        for k in range(16):
             assert np.array_equal(b.diagonalizers[k], b.diagonalizers[b.settings[b.setting_of[k]]])
 
     def test_zero_threshold_in_an_array_rejected(self):
         with pytest.raises(BornsimError, match="every mode crosses threshold at gamma = 0"):
             _conditional_clicks(np.ones((2, 3)), np.array([[1.0], [0.0]]))
         with pytest.raises(BornsimError, match="every mode crosses threshold at gamma = 0"):
-            _measure_batch(np.eye(4)[:1].astype(complex), 1.0, np.array([1.0, 0.0]), build_basis(4))
+            _measure_batch(np.eye(4)[:1].astype(complex), 1.0, np.array([1.0, 0.0]), build_basis())
 
     def test_monte_carlo_post_selection_matches(self):
         # estimate the conditional click distribution in one rotated setting
-        b = build_basis(4)
+        b = build_basis()
         alpha, g, n, k = 1.0, 1.0, 300_000, 5
         psi = bell_direction()
         psi_k = b.diagonalizers[k].conj().T @ psi
@@ -220,49 +216,49 @@ class TestMeasurement:
 
 class TestLinearInversion:
     def test_round_trip_on_valid_densities(self):
-        b = build_basis(4)
+        b = build_basis()
         for seed in range(50):
             rho = random_density(4, seed)
             m = np.real(np.einsum("ij,kji->k", rho, b.matrices))
-            assert np.max(np.abs(linear_qst(m, b) - rho)) < 1e-10
+            assert np.max(np.abs(_reconstruct(m, b, "linear")[0] - rho)) < 1e-10
 
     def test_vacuum_reconstructs_maximally_mixed(self):
-        b = build_basis(4)
-        rho = linear_qst(_measure_batch(np.eye(4)[:1].astype(complex), 0.0, 1.0, b)[0], b)
-        assert np.array_equal(rho, np.eye(4) / 4)
+        b = build_basis()
+        m = _measure_batch(np.eye(4)[:1].astype(complex), 0.0, 1.0, b)[0]
+        assert np.array_equal(_reconstruct(m, b, "linear")[0], np.eye(4) / 4)
 
     def test_large_amplitude_goes_indefinite(self):
-        b = build_basis(4)
+        b = build_basis()
         psi = random_direction(4, 11)
         m = _measure_batch(psi[None], 3.0, 1.0, b)[0]
-        rho = linear_qst(m, b)
+        rho, least = _reconstruct(m, b, "linear")
         assert np.linalg.eigvalsh(rho).min() < -1e-6
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(BornsimError, match=r"need 4 expectation values, got shape \(5,\)"):
-            linear_qst(np.zeros(5), build_basis(2))
+        assert least == pytest.approx(np.linalg.eigvalsh(rho).min(), abs=1e-14)
 
     def test_zero_trace_rejected(self):
-        with pytest.raises(BornsimError, match="nonpositive trace"):
-            linear_qst(np.zeros(4), build_basis(2))
+        # both methods divide by Tr S, so both refuse a nonpositive one
+        for method in ("linear", "mle"):
+            for m in (np.zeros(16), np.eye(16)[0] * -0.5):
+                with pytest.raises(BornsimError, match="nonpositive trace"):
+                    _reconstruct(m, build_basis(), method)
 
 
 class TestConstrainedFit:
     def test_recovers_valid_density(self):
-        b = build_basis(4)
+        b = build_basis()
         rho = random_density(4, 42)
         m = np.real(np.einsum("ij,kji->k", rho, b.matrices))
-        fit, objective, _ = _constrained_fit(m, b)
-        assert objective <= 1e-12
+        fit = _reconstruct(m, b, "mle")[0]
+        assert fit_objective(fit, m, b) <= 1e-12
         assert np.max(np.abs(fit - rho)) < 1e-5
 
     def test_output_always_psd_unit_trace_hermitian(self):
-        b = build_basis(4)
+        b = build_basis()
         rng = np.random.default_rng(0)
         for _ in range(20):
             m = rng.normal(scale=0.3, size=16)
             m[0] = 0.5  # identity component fixes the trace
-            fit = _constrained_fit(m, b)[0]
+            fit = _reconstruct(m, b, "mle")[0]
             w = np.linalg.eigvalsh(fit)
             assert w.min() >= -1e-10
             assert np.real(np.trace(fit)) == pytest.approx(1.0, abs=1e-10)
@@ -270,7 +266,7 @@ class TestConstrainedFit:
 
     def test_gradient_matches_finite_differences(self):
         # the L-BFGS reference fit is only as good as its analytic gradient
-        b = build_basis(4)
+        b = build_basis()
         rng = np.random.default_rng(1)
         m = rng.normal(scale=0.3, size=16)
         m[0] = 0.5
@@ -279,12 +275,12 @@ class TestConstrainedFit:
         assert np.max(np.abs(lbfgs_objective(x0, m, b)[1] - numeric)) < 1e-5
 
     def test_deterministic(self):
-        b = build_basis(4)
+        b = build_basis()
         m = _measure_batch(bell_direction()[None], 1.0, 1.0, b)[0]
-        assert np.array_equal(_constrained_fit(m, b)[0], _constrained_fit(m, b)[0])
+        assert np.array_equal(_reconstruct(m, b, "mle")[0], _reconstruct(m, b, "mle")[0])
 
     def test_objective_never_above_lbfgs(self):
-        b = build_basis(4)
+        b = build_basis()
         rng = np.random.default_rng(2)
         cases = []
         for _ in range(12):
@@ -298,11 +294,12 @@ class TestConstrainedFit:
             cases.append(_measure_batch(psi[None], 3.0, 1.0, b)[0])
         indefinite = 0
         for m in cases:
-            least_linear = np.linalg.eigvalsh(linear_qst(m, b)).min()
-            indefinite += least_linear < -1e-12
-            fit, objective, least = _constrained_fit(m, b)
-            assert least == pytest.approx(least_linear, abs=1e-14)
-            assert objective <= lbfgs_fit(m, b)[1] + 1e-12
+            linear, least_linear = _reconstruct(m, b, "linear")
+            indefinite += np.linalg.eigvalsh(linear).min() < -1e-12
+            assert least_linear == pytest.approx(np.linalg.eigvalsh(linear).min(), abs=1e-14)
+            fit, least = _reconstruct(m, b, "mle")
+            assert least == least_linear
+            assert fit_objective(fit, m, b) <= lbfgs_fit(m, b)[1] + 1e-12
             assert np.linalg.eigvalsh(fit).min() >= -1e-12
             assert np.real(np.trace(fit)) == pytest.approx(1.0, abs=1e-12)
         assert indefinite >= 10
@@ -328,19 +325,20 @@ class TestFidelityAndWitness:
 
     def test_partial_transpose_involution(self):
         rho = random_density(4, 9)
-        assert np.array_equal(partial_transpose(partial_transpose(rho, 2, 2), 2, 2), rho)
+        assert np.array_equal(partial_transpose(partial_transpose(rho)), rho)
 
     def test_partial_transpose_shape_check(self):
-        with pytest.raises(BornsimError, match="does not factor as 3x2"):
-            partial_transpose(np.eye(4), 3, 2)
+        for shape in ((6, 6), (4, 2), (2, 4, 3)):
+            with pytest.raises(BornsimError, match="does not factor as 2x2"):
+                partial_transpose(np.zeros(shape))
 
     def test_product_state_is_ppt(self):
         rho = np.kron(random_density(2, 10), random_density(2, 11))
-        assert ppt_witness(rho, 2, 2) >= -1e-10
+        assert ppt_witness(rho) >= -1e-10
 
     def test_ideal_bell_witness(self):
         psi = bell_direction()
-        w = ppt_witness(np.outer(psi, psi.conj()), 2, 2)
+        w = ppt_witness(np.outer(psi, psi.conj()))
         assert w == pytest.approx(-0.5, abs=1e-12)
 
     def test_reconstructed_bell_goes_negative(self):
@@ -351,27 +349,27 @@ class TestFidelityAndWitness:
 
 class TestReportsAndSweeps:
     def test_one_state_reconstruction(self):
-        b = build_basis(4)
+        b = build_basis()
         psi = bell_direction()
         m = _measure_batch(psi[None], 1.0, 1.0, b)[0]
         # the raw linear inversion already has unit trace
         raw_trace = np.real(np.trace(np.einsum("k,kij->ij", m, b.matrices)))
         assert abs(raw_trace - 1.0) < 1e-10
-        fit = _constrained_fit(m, b)[0]
+        fit = _reconstruct(m, b, "mle")[0]
         assert np.linalg.eigvalsh(fit).min() >= -1e-10
-        assert np.isfinite(ppt_witness(fit, 2, 2))
+        assert np.isfinite(ppt_witness(fit))
         assert 0.0 <= fidelity(psi, fit) <= 1.0 + 1e-9
 
     def test_bell_witness_scan_equals_per_alpha_reconstruction(self):
         alphas = np.round(0.1 * np.arange(31), 12)
         scan = bell_witness_scan(alphas, 1.0)
-        b = build_basis(4)
+        b = build_basis()
         psi = bell_direction()
         cols = {"witness": [], "fidelity": [], "min_eigenvalue": []}
         for a in alphas:
             m = _measure_batch(psi[None], a, 1.0, b)[0]
-            rho = _constrained_fit(m, b)[0]
-            cols["witness"].append(ppt_witness(rho, 2, 2))
+            rho = _reconstruct(m, b, "mle")[0]
+            cols["witness"].append(ppt_witness(rho))
             cols["fidelity"].append(fidelity(psi, rho))
             cols["min_eigenvalue"].append(np.linalg.eigvalsh(rho)[0])
         for name, values in cols.items():
@@ -398,7 +396,8 @@ class TestReportsAndSweeps:
         measure, calls = tomography._measure_batch, []
 
         def counted(psis, alpha, gamma, basis):
-            calls.append((alpha.ravel().tolist(), alpha.size * gamma.size * psis.size * basis.size))
+            calls.append((alpha.ravel().tolist(),
+                          alpha.size * gamma.size * psis.size * len(basis.matrices)))
             return measure(psis, alpha, gamma, basis)
 
         monkeypatch.setattr(tomography, "_measure_batch", counted)
@@ -448,10 +447,10 @@ class TestReportsAndSweeps:
 
 def test_measurement_survives_saturated_detectors():
     # far above threshold one mode clicks with certainty at float precision;
-    # the conditional limit concentrates there and the moment stays finite
-    b = build_basis(2)
-    m = _measure_batch(np.array([[1.0 + 0.0j, 0.0j]]), 30.0, 0.5, b)[0]
-    assert m[3] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
+    # the conditional limit concentrates there and the moments stay finite
+    b = build_basis()
+    m = _measure_batch(np.eye(4)[:1].astype(complex), 30.0, 0.5, b)[0]
+    assert m[[3, 12, 15]] == pytest.approx([0.5] * 3, abs=1e-9)
     res = fidelity_scan(np.array([30.0]), 0.5, 2, RngStream(90), method="linear",
-                        psis=np.array([[1.0 + 0.0j, 0.0j], [0.0j, 1.0 + 0.0j]]))
+                        psis=np.eye(4)[:2].astype(complex))
     assert np.all(np.isfinite(res.analytic["fid_mean"]))
