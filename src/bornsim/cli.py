@@ -3,12 +3,13 @@
 One table, COMMANDS, drives the CLI. Each entry names a subcommand's help
 text, its parameters (key -> default and flag help) and the runner that
 sweeps its scenario; the parser, the config checks and the dispatch are
-all built from it, so a parameter lives in exactly one place. Each run
-writes <command>-<seed>.csv and/or .json into the output directory, and
-always writes a manifest (<command>-<seed>.manifest.json) holding the fully
-resolved configuration, package version, and wall-clock time. Flags
-override a JSON config file (--config), which overrides the table defaults.
-Reruns with the same seed produce byte-identical CSV output.
+all built from it, so a parameter lives in exactly one place. resolve_config
+checks a whole run first, so a refused run creates nothing; then run runs it,
+makes the output directory and writes <command>-<seed>.csv and/or .json and a
+manifest (<command>-<seed>.manifest.json) holding the fully resolved
+configuration, package version, and wall-clock time. Flags override a JSON
+config file (--config), which overrides the table defaults. Reruns with the
+same seed produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -95,14 +96,15 @@ def _has_default_type(value, default) -> bool:
     return isinstance(value, kinds) and isinstance(value, bool) == isinstance(default, bool)
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags, plus the command name.
+def resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
+    """Check a whole run and resolve it into (cfg, values).
 
-    Every key must be a parameter of the command, every value must have the
-    type of that parameter's default, the seed must be >= 0 even for a
-    command that never draws, and n_states >= 1 even where --fast or --circuit
-    overrides it. A command whose scenario is undefined at gamma = 0 needs gamma
-    and every gamma_grid point above 0.
+    cfg is defaults < config file < explicit flags, plus the command name, as the
+    manifest records it; values is what the runner takes: every *_grid parsed,
+    n_states as measured (FAST_STATES under --fast, 1 under --circuit) and psi, the
+    state a circuit prepares. Checked here: keys, types, finite numbers, the seed
+    and n_states (also where unused or overridden), gamma > 0 where the scenario is
+    undefined at gamma = 0, and the run's size (MAX_GRID_POINTS, MAX_TRIALS).
     """
     command = args.command
     defaults = {k: default for k, (default, _) in {**COMMON, **COMMANDS[command].params}.items()}
@@ -111,7 +113,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if cfg_path:
         try:
             file_params = json.loads(Path(cfg_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or a >4300-digit int
             raise BornsimError(f"cannot read config file {cfg_path}: {exc}") from exc
         if not isinstance(file_params, dict):
             raise BornsimError("config file must hold a JSON object")
@@ -134,6 +136,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if not _has_default_type(value, defaults[key]):
             expected = _TYPE_NAMES[type(defaults[key])]
             raise BornsimError(f"config key {key!r} must be {expected} (got {value!r})")
+        if isinstance(defaults[key], (float, list)):  # a number, or a list of numbers
+            bad = [v for v in (value if isinstance(value, list) else [value])
+                   if not abs(v) <= sys.float_info.max]  # nan, inf, or an int beyond the floats
+            if bad:
+                raise BornsimError(f"config key {key!r} must be finite (got {bad[0]!r})")
     if params["format"] not in FORMATS:
         raise BornsimError(f"config key 'format' must be one of {', '.join(FORMATS)} "
                            f"(got {params['format']!r})")
@@ -141,33 +148,42 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise BornsimError("seed and stream_id must be nonnegative")
     if params.get("n_states", 1) < 1:
         raise BornsimError("n_states must be >= 1")
+
+    values = {k: parse_grid(v) if k.endswith("_grid") else v for k, v in params.items()}
     for key in ("gamma", "gamma_grid") if COMMANDS[command].positive_gamma else ():
-        if key in params:
-            points = parse_grid(params[key]) if key == "gamma_grid" else [params[key]]
-            bad = [g for g in points if not g > 0]
-            if bad:
-                raise BornsimError(f"config key {key!r} must be > 0 for {command}, where "
-                                   f"every mode clicks at gamma = 0 (got {bad[0]:g})")
-    return {"command": command, **params}
+        bad = [g for g in np.atleast_1d(values.get(key, ())) if not g > 0]
+        if bad:
+            raise BornsimError(f"config key {key!r} must be > 0 for {command}, where "
+                               f"every mode clicks at gamma = 0 (got {bad[0]:g})")
+    if values.get("fast"):
+        values["n_states"] = FAST_STATES
+    if values.get("circuit") is not None:
+        psi = circuit_from_json(values["circuit"], d=4)[:, 0]  # prepared from mode 1
+        values["psi"] = psi / np.linalg.norm(psi)
+        if "n_states" in values:  # its one state replaces the ensemble
+            values["n_states"] = 1
+    sizes = {k: len(v) for k, v in values.items() if k.endswith("_grid") or k == "alphas"}
+    sizes.update((k, values[k]) for k in ("n_states", "n_points") if k in values)
+    points = math.prod(sizes.values())
+    if points > MAX_GRID_POINTS:
+        raise BornsimError(f"{command} would evaluate {points:,} points "
+                           f"({' x '.join(sizes)}); the limit is {MAX_GRID_POINTS:,}")
+    angles = len(experiments.DEFAULT_THETA_GRID_DEG)
+    trials = angles * values.get("n_trials", 0)
+    if trials > MAX_TRIALS:
+        raise BornsimError(f"{command} would draw {trials:,} trials "
+                           f"({angles} angles x n_trials); the limit is {MAX_TRIALS:,}")
+    return {"command": command, **params}, values
 
 
 # ---------------------------------------------------------------------------
 # The command table
 # ---------------------------------------------------------------------------
 
-def _state_from_circuit(path: str | None) -> np.ndarray | None:
-    """The four-mode state a circuit file prepares from mode 1; None without a circuit."""
-    if not path:
-        return None
-    psi = circuit_from_json(path, d=4)[:, 0]
-    return psi / np.linalg.norm(psi)
-
-
 def _fidelity(p, method: str):
-    psi = _state_from_circuit(p["circuit"])
     return tomography.fidelity_scan(p["alpha_grid"], p["gamma"], p["n_states"],
                                     RngStream(p["seed"]), method=method,
-                                    psis=None if psi is None else psi[None])
+                                    psis=p["psi"][None] if "psi" in p else None)
 
 
 def _mach_zehnder(p):
@@ -185,8 +201,9 @@ def _visibility_contour(p):
 
 
 class Command(NamedTuple):
-    """Help, parameters (key -> (default, flag help)), runner (params with *_grid keys
-    parsed), and whether gamma = 0 must be rejected.
+    """Help, parameters (key -> (default, flag help)), runner (resolve_config's values:
+    the parameters with *_grid parsed, n_states as measured, and psi with a circuit),
+    and whether gamma = 0 must be rejected.
 
     Only a runner that draws builds RngStream(p["seed"]); the others never load
     numpy.random.
@@ -255,8 +272,7 @@ COMMANDS: dict[str, Command] = {
     "witness": Command(
         "PPT witness of the reconstructed Bell state",
         {"gamma": GAMMA, "alpha_grid": ("0:0.1:3", ALPHA_GRID), "circuit": CIRCUIT},
-        lambda p: tomography.bell_witness_scan(p["alpha_grid"], p["gamma"],
-                                               psi=_state_from_circuit(p["circuit"]))),
+        lambda p: tomography.bell_witness_scan(p["alpha_grid"], p["gamma"], psi=p.get("psi"))),
     "fidelity-contour": Command(
         "mean tomography fidelity over (alpha, gamma)",
         {"alpha_grid": ("0.25:0.25:3", ALPHA_GRID), "gamma_grid": ("0.25:0.25:3", GAMMA_GRID),
@@ -271,26 +287,9 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def _run_scenario(cfg: dict):
-    """Parse the grids, set n_states to what --fast or --circuit measures, check the
-    run's size (MAX_GRID_POINTS points, MAX_TRIALS trials), run the scenario."""
-    params = {k: parse_grid(v) if k.endswith("_grid") else v for k, v in cfg.items()}
-    if params.get("fast"):
-        params["n_states"] = FAST_STATES
-    if params.get("circuit") and "n_states" in params:
-        params["n_states"] = 1
-    sizes = {k: len(v) for k, v in params.items() if k.endswith("_grid") or k == "alphas"}
-    sizes.update((k, params[k]) for k in ("n_states", "n_points") if k in params)
-    points = math.prod(sizes.values())
-    if points > MAX_GRID_POINTS:
-        raise BornsimError(f"{cfg['command']} would evaluate {points:,} points "
-                           f"({' x '.join(sizes)}); the limit is {MAX_GRID_POINTS:,}")
-    angles = len(experiments.DEFAULT_THETA_GRID_DEG)
-    trials = angles * params.get("n_trials", 0)
-    if trials > MAX_TRIALS:
-        raise BornsimError(f"{cfg['command']} would draw {trials:,} trials "
-                           f"({angles} angles x n_trials); the limit is {MAX_TRIALS:,}")
-    return COMMANDS[cfg["command"]].run(params)
+def _run_scenario(command: str, values: dict):
+    # kept as a function because benchmarks/tracing.py binds it (until ROADMAP item 8)
+    return COMMANDS[command].run(values)
 
 
 def _write_visibility_contour(rows, base: Path, fmt: str) -> list[str]:
@@ -308,13 +307,12 @@ def _write_visibility_contour(rows, base: Path, fmt: str) -> list[str]:
     return files
 
 
-def run(cfg: dict) -> int:
-    """Execute one resolved configuration and write its artifact files."""
+def run(cfg: dict, values: dict) -> int:
+    """Run resolve_config's (cfg, values); only then make the directory and write."""
     t0 = time.monotonic()
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base = out_dir / f"{cfg['command']}-{cfg['seed']}"
-    result = _run_scenario(cfg)
+    result = _run_scenario(cfg["command"], values)
+    base = Path(cfg["out_dir"]) / f"{cfg['command']}-{cfg['seed']}"
+    base.parent.mkdir(parents=True, exist_ok=True)
 
     files: list[str] = []
     fmt = cfg["format"]
@@ -343,7 +341,7 @@ def run(cfg: dict) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return run(resolve_config(args))
+        return run(*resolve_config(args))
     except (BornsimError, OSError) as exc:
         print(f"bornsim: error: {exc}", file=sys.stderr)
         return 1

@@ -136,6 +136,6 @@ def circuit_from_json(path: str | Path, d: int | None = None) -> np.ndarray:
     """Load a circuit description file (JSON list of {gate, params, wires})."""
     try:
         spec = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or a >4300-digit int
         raise BornsimError(f"cannot read circuit file {path}: {exc}") from exc
     return circuit_unitary(spec, d=d)

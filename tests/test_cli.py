@@ -24,6 +24,15 @@ def run_cli(args):
     return main(args)
 
 
+def run_refused(argv, tmp_path, capsys) -> list[str]:
+    """Run argv with an --out-dir that does not exist yet; assert exit code 1 and that
+    nothing was created (no directory, so no file either); return the stderr lines."""
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out-dir", str(out)]) == 1
+    assert not out.exists(), argv
+    return capsys.readouterr().err.splitlines()
+
+
 def write_bell_circuit(directory: Path) -> Path:
     path = directory / "bell.json"
     path.write_text(json.dumps(BELL_CIRCUIT))
@@ -117,10 +126,8 @@ def test_threads_flag_is_usage_error():
 def test_threads_config_key_is_unknown(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"threads": 2}))
-    assert run_cli(["counts", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
-    err = capsys.readouterr().err.splitlines()
+    err = run_refused(["counts", "--config", str(cfg)], tmp_path, capsys)
     assert len(err) == 1 and err[0].startswith("bornsim: error: unknown config key 'threads'")
-    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 def test_threads_environment_is_ignored(tmp_path, monkeypatch):
@@ -138,34 +145,26 @@ def test_threads_environment_is_ignored(tmp_path, monkeypatch):
                                            ("1,1", "vis_alpha_1")])
 def test_visibility_amplitudes_sharing_a_label_are_scenario_error(tmp_path, capsys, alphas,
                                                                    label):
-    argv = ["visibility", "--alphas", alphas, "--format", "csv", "--out-dir", str(tmp_path)]
-    assert run_cli(argv) == 1
-    err = capsys.readouterr().err.splitlines()
+    err = run_refused(["visibility", "--alphas", alphas, "--format", "csv"], tmp_path, capsys)
     first, second = (repr(float(a)) for a in alphas.split(","))
     assert len(err) == 1 and err[0].startswith("bornsim: error: ")
     assert all(part in err[0] for part in (first, second, repr(label))), err[0]
-    assert not list(tmp_path.glob("*"))
 
 
 def test_bad_grid_is_scenario_error(tmp_path, capsys):
-    code = run_cli(["antibunch", "--alpha-grid", "3:0.1:0", "--out-dir", str(tmp_path)])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+    err = run_refused(["antibunch", "--alpha-grid", "3:0.1:0"], tmp_path, capsys)
+    assert len(err) == 1 and "bad grid spec '3:0.1:0'" in err[0]
 
 
 @pytest.mark.parametrize("command", ["fidelity", "fidelity-mle"])
 def test_empty_ensemble_is_scenario_error(tmp_path, capsys, command):
-    code = run_cli([command, "--n-states", "0", "--out-dir", str(tmp_path)])
-    assert code == 1
-    err = capsys.readouterr().err.splitlines()
+    err = run_refused([command, "--n-states", "0"], tmp_path, capsys)
     assert err == ["bornsim: error: n_states must be >= 1"]
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_bad_mz_sample_size_is_scenario_error(tmp_path, capsys, size):
-    code = run_cli(["mz", "--sample-size", size, "--out-dir", str(tmp_path)])
-    assert code == 1
-    err = capsys.readouterr().err.splitlines()
+    err = run_refused(["mz", "--sample-size", size], tmp_path, capsys)
     assert err == ["bornsim: error: sample_size must be >= 1"]
 
 
@@ -184,11 +183,9 @@ def test_bad_mz_sample_size_is_scenario_error(tmp_path, capsys, size):
 ], ids=["hyper", "born-again", "antibunch", "mz", "deviation", "witness", "fidelity-contour",
         "visibility-contour-high", "fidelity-contour-high"])
 def test_degenerate_threshold_is_scenario_error(tmp_path, capsys, argv, named):
-    assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 1
-    err = capsys.readouterr().err.splitlines()
+    err = run_refused(argv, tmp_path, capsys)
     assert len(err) == 1 and err[0].startswith("bornsim: error: ")
     assert all(part in err[0] for part in named), err[0]
-    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -240,6 +237,18 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
     ("visibility", None, ["--gamma-grid", "1e300:1e300:3e300"], "visibility undefined"),
     ("hyper", None, ["--gamma-grid", "1e300:1e300:3e300"], "no single-click events"),
     ("visibility-contour", None, ["--gamma-grid", "1e300:1e300:3e300"], "visibility undefined"),
+    # a number that is not finite is refused by its key, before any scenario sees it
+    ("deviation", None, ["--alpha0", "nan"], "config key 'alpha0' must be finite (got nan)"),
+    ("born-again", None, ["--alpha", "inf"], "config key 'alpha' must be finite (got inf)"),
+    ("visibility", None, ["--alphas", "1,nan"], "config key 'alphas' must be finite (got nan)"),
+    ("counts", '{"alpha0": NaN}', [], "config key 'alpha0' must be finite (got nan)"),
+    ("witness", None, ["--gamma", "nan"], "config key 'gamma' must be finite (got nan)"),
+    ("counts", None, ["--gamma=-inf"], "config key 'gamma' must be finite (got -inf)"),
+    # an integer beyond the floats is as infinite; one beyond 4,300 digits cannot be read
+    ("hyper", {"alpha": 10 ** 400}, [], "config key 'alpha' must be finite (got 1000"),
+    ("deviation", '{"gamma": 1' + "0" * 5000 + "}", [], "cannot read config file"),
+    # an empty path is no circuit to read, not the default ensemble
+    ("fidelity", {"circuit": ""}, [], "cannot read circuit file"),
 ], ids=["wrong-float", "wrong-int", "wrong-list", "bad-alphas-flag", "unknown-key", "nan-grid",
         "bad-format", "empty-alphas", "huge-grid", "expansion-alpha0", "expansion-gamma",
         "clicks-alpha0",
@@ -247,7 +256,9 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
         "negative-seed", "negative-seed-visibility", "negative-seed-witness",
         "deviation-zero-alpha0", "mz-three-points", "mz-zero-denominator", "mz-huge-n-points",
         "counts-huge-n", "fast-negative-n-states", "fast-zero-n-states-config",
-        "visibility-huge-gamma", "hyper-huge-gamma", "visibility-contour-huge-gamma"])
+        "visibility-huge-gamma", "hyper-huge-gamma", "visibility-contour-huge-gamma",
+        "nan-alpha0", "inf-alpha", "nan-alphas", "nan-config", "nan-gamma", "minus-inf-gamma",
+        "huge-int", "too-many-digits", "empty-circuit"])
 def test_bad_config_is_one_line_error(tmp_path, capsys, monkeypatch, command, config, flags,
                                       key):
     # a run too long to finish must be refused before the click kernel starts it
@@ -258,15 +269,13 @@ def test_bad_config_is_one_line_error(tmp_path, capsys, monkeypatch, command, co
         return kernel(a, gamma, n, rng)
 
     monkeypatch.setattr(experiments, "threshold_clicks", bounded_kernel)
-    argv = [command, "--out-dir", str(tmp_path), *flags]
+    argv = [command, *flags]
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         argv += ["--config", str(cfg)]
-    assert run_cli(argv) == 1
-    err = capsys.readouterr().err.splitlines()
+    err = run_refused(argv, tmp_path, capsys)
     assert len(err) == 1 and err[0].startswith("bornsim: error: ") and key in err[0]
-    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 @pytest.mark.parametrize("argv", [["deviation", "--alpha0", "1e160"],
@@ -289,11 +298,9 @@ def test_huge_threshold_runs_without_warning(tmp_path, capsys):
 def test_total_size_is_capped_before_any_work(tmp_path, capsys):
     # about 8.1e11 (alpha, gamma) points x 100 states: the run must stop before it allocates
     argv = ["fidelity-contour", "--alpha-grid", "0:1e-6:0.9", "--gamma-grid", "1e-6:1e-6:0.9"]
-    assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 1
-    err = capsys.readouterr().err.splitlines()
+    err = run_refused(argv, tmp_path, capsys)
     assert err == ["bornsim: error: fidelity-contour would evaluate 81,000,090,000,000 points "
                    f"(alpha_grid x gamma_grid x n_states); the limit is {cli.MAX_GRID_POINTS:,}"]
-    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 class Ran(Exception):
@@ -329,9 +336,20 @@ def test_run_size_counts_the_states_measured(tmp_path, monkeypatch, argv, runner
 def test_circuit_run_checks_n_states(tmp_path, capsys, command):
     # the circuit's one state replaces the ensemble, but n_states is still checked
     argv = [command, "--circuit", str(write_bell_circuit(tmp_path)), "--n-states", "0"]
-    assert run_cli(argv + ["--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.splitlines() == ["bornsim: error: n_states must be >= 1"]
-    assert not (tmp_path / "out").exists()
+    assert run_refused(argv, tmp_path, capsys) == ["bornsim: error: n_states must be >= 1"]
+
+
+@pytest.mark.parametrize("argv, specs", [
+    (["hyper", "--gamma-grid", "1:1:2"], ["1:1:2"]),
+    (["fidelity-contour", "--fast", "--alpha-grid", "0.5:0.5:1", "--gamma-grid", "1:1:2"],
+     ["0.5:0.5:1", "1:1:2"]),
+], ids=["hyper", "fidelity-contour"])
+def test_each_grid_is_parsed_once_per_run(tmp_path, monkeypatch, argv, specs):
+    # the gamma > 0 check and the runner share one parse of gamma_grid
+    parsed = []
+    monkeypatch.setattr(cli, "parse_grid", lambda spec: parsed.append(spec) or parse_grid(spec))
+    assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert sorted(parsed) == specs
 
 
 def test_fidelity_contour_dimension_is_not_a_config_key(tmp_path, capsys):
@@ -436,11 +454,9 @@ def test_malformed_circuit_is_one_line_error(tmp_path, capsys):
     circuit = tmp_path / "bad.json"
     # 1e400 parses to inf: one line, no NaN gate and no RuntimeWarning
     circuit.write_text('[{"gate": "phase", "wires": [1], "params": {"phi": 1e400}}]')
-    assert run_cli(["witness", "--circuit", str(circuit), "--out-dir", str(tmp_path)]) == 1
-    err = capsys.readouterr().err.splitlines()
+    err = run_refused(["witness", "--circuit", str(circuit)], tmp_path, capsys)
     assert err == ["bornsim: error: entry 0: params must be an object whose phi is a finite "
                    "number (got {'phi': inf})"]
-    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 def test_mz_manifest_holds_fit_summary(tmp_path):

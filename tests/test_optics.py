@@ -266,9 +266,11 @@ def test_circuit_format_errors(tmp_path):
     with pytest.raises(BornsimError, match="wire 4 out of range for d = 4"):
         circuit_unitary([{"gate": "x", "wires": [0, 4]}], d=4)
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(BornsimError, match="cannot read circuit file"):
-        circuit_from_json(bad)
+    # not JSON; an integer longer than Python's 4,300-digit conversion limit
+    for text in ("{not json", '[{"gate": "x", "wires": [0, 1' + "0" * 5000 + "]}]"):
+        bad.write_text(text)
+        with pytest.raises(BornsimError, match="cannot read circuit file"):
+            circuit_from_json(bad)
 
 
 def test_constructed_gates_all_unitary():
