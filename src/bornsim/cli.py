@@ -34,6 +34,7 @@ from .optics import circuit_from_json
 FORMATS = ("csv", "json", "both")
 MAX_GRID_POINTS = 1_000_000
 MAX_TRIALS = 10 ** 10  # counts' sampled trials: about 2.7 min on one core
+MAX_NAME_BYTES = 255  # a file name's limit on common file systems (NAME_MAX)
 FAST_STATES = 20
 
 
@@ -62,13 +63,18 @@ def parse_grid(spec: str) -> np.ndarray:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per COMMANDS entry; each flag, type and default comes from the table."""
+    """One subparser per COMMANDS entry; each flag, type and default comes from the table.
+
+    A flag must be spelled in full: an abbreviation such as --n for --n-states is a
+    usage error, not a silent match.
+    """
     parser = argparse.ArgumentParser(
-        prog="bornsim", description="Vacuum-noise threshold-detection experiments as CSV/JSON data.")
+        prog="bornsim", description="Vacuum-noise threshold-detection experiments as CSV/JSON data.",
+        allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"bornsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for key, (default, text) in {**command.params, **COMMON}.items():
             shown = ",".join(map(str, default)) if isinstance(default, list) else default
             kwargs = {"dest": key, "default": None, "help": f"{text} (default {shown})"}
@@ -103,8 +109,9 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
     manifest records it; values is what the runner takes: every *_grid parsed,
     n_states as measured (FAST_STATES under --fast, 1 under --circuit) and psi, the
     state a circuit prepares. Checked here: keys, types, finite numbers, the seed
-    and n_states (also where unused or overridden), gamma > 0 where the scenario is
-    undefined at gamma = 0, and the run's size (MAX_GRID_POINTS, MAX_TRIALS).
+    and n_states (also where unused or overridden), the output file names' length
+    (MAX_NAME_BYTES), gamma > 0 where the scenario is undefined at gamma = 0, and
+    the run's size (MAX_GRID_POINTS, MAX_TRIALS).
     """
     command = args.command
     defaults = {k: default for k, (default, _) in {**COMMON, **COMMANDS[command].params}.items()}
@@ -146,6 +153,10 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
                            f"(got {params['format']!r})")
     if params["seed"] < 0:  # RngStream's rule, checked here for the commands that never draw
         raise BornsimError("seed and stream_id must be nonnegative")
+    name_bytes = len(f"{command}-{params['seed']}.manifest.json".encode())
+    if name_bytes > MAX_NAME_BYTES:
+        raise BornsimError(f"output file name {command}-<seed>.manifest.json would be "
+                           f"{name_bytes} bytes; the limit is {MAX_NAME_BYTES}")
     if params.get("n_states", 1) < 1:
         raise BornsimError("n_states must be >= 1")
 

@@ -11,12 +11,15 @@ Hilbert-Schmidt orthonormal and complete, its exact minimizer keeps the
 eigenvectors of S and projects the eigenvalues onto the probability simplex
 (Smolin, Gambetta & Smith, PRL 108, 070502, 2012; the projection of Duchi et
 al., ICML 2008), exactly. Measurement, reconstruction, fidelity and the PPT
-witness act on stacks of states; one state is one row.
+witness act on stacks of states; one state is one row. The scans measure,
+reconstruct and score a grid one block of whole alpha rows at a time, so only
+their scores, never the expectation vectors or density matrices, are grid-sized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -140,27 +143,37 @@ def _reconstruct(m: np.ndarray, basis: HermitianBasis,
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2)), least
 
 
-# mode amplitudes (grid points x states x 16 settings x 4 modes) per measurement block
-_BLOCK_AMPLITUDES = 2 ** 16
+# Mode amplitudes (grid points x states x 16 settings x 4 modes) per block.
+# Measured over 2^13..2^16 (fresh-process peak RSS, in-process time): 2^14 is the
+# largest cap at which fidelity-contour --fast (one alpha row, 15,360 amplitudes)
+# is scored one row per block, peaking at 39.1 MiB against 40.6 at 2^15 and
+# 41.4 at 2^16; 2^13 lowers only fidelity's peak (38.3 against 39.0 MiB) and
+# costs it 13% more time in twice as many blocks.
+_BLOCK_AMPLITUDES = 2 ** 14
 
 
-def _reconstruct_grid(psis: np.ndarray, alphas: np.ndarray, gammas: np.ndarray,
-                      method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Scored states (n_alpha, n_gamma, n, 4, 4) and indefinite-linear-inversion flags.
+def _scored_grid(psis: np.ndarray, alphas: np.ndarray, gammas: np.ndarray, method: str,
+                 score: Callable) -> list[np.ndarray]:
+    """The arrays score(rho, indefinite) returns, joined over the alpha axis.
 
     Every state (n, 4) is measured at every (alpha, gamma) grid point, in
     blocks of whole alpha rows of at most _BLOCK_AMPLITUDES mode amplitudes
-    (and at least one row); the method is checked before any measurement.
+    (and at least one row). Each block is reconstructed and scored before the
+    next is measured: score gets its density matrices (rows, n_gamma, n, 4, 4)
+    and indefinite-linear-inversion flags (rows, n_gamma, n) and returns a
+    tuple of arrays with leading axis rows, so only the scores outlive a block.
+    The method is checked before any measurement.
     """
     if method not in ("linear", "mle"):
         raise BornsimError(f"method must be 'linear' or 'mle' (got {method!r})")
     basis = build_basis()
-    ms = np.empty((alphas.size, gammas.size, len(psis), 16))
     rows = max(1, _BLOCK_AMPLITUDES // (gammas.size * psis.size * 16))
-    for i in range(0, alphas.size, rows):
-        ms[i:i + rows] = _measure_batch(psis, alphas[i:i + rows, None], gammas, basis)
-    rho, least = _reconstruct(ms, basis, method)
-    return rho, least < -1e-12
+    blocks = []
+    for i in range(0, max(alphas.size, 1), rows):  # an empty grid is one empty block
+        m = _measure_batch(psis, alphas[i:i + rows, None], gammas, basis)
+        rho, least = _reconstruct(m, basis, method)
+        blocks.append(score(rho, least < -1e-12))
+    return [np.concatenate(scores) for scores in zip(*blocks)]
 
 
 def fidelity(psi: np.ndarray, rho: np.ndarray) -> float | np.ndarray:
@@ -212,12 +225,16 @@ def bell_witness_scan(alphas: np.ndarray, th: float, psi: np.ndarray | None = No
     psi = bell_direction() if psi is None else np.asarray(psi, dtype=complex)
     if psi.shape != (4,):
         raise BornsimError(f"the 2 x 2 witness takes a four-mode psi (got shape {psi.shape})")
-    rho = _reconstruct_grid(psi[None], alphas, np.array([g]), "mle")[0][:, 0, 0]
+
+    def score(rho, _):
+        rho = rho[:, 0, 0]
+        return ppt_witness(rho), fidelity(psi, rho), np.linalg.eigvalsh(rho)[:, 0]
+
+    witness, fid, least = _scored_grid(psi[None], alphas, np.array([g]), "mle", score)
     return ScenarioResult(
         grid_name="alpha",
         grid=alphas,
-        analytic={"witness": ppt_witness(rho), "fidelity": fidelity(psi, rho),
-                  "min_eigenvalue": np.linalg.eigvalsh(rho)[:, 0]},
+        analytic={"witness": witness, "fidelity": fid, "min_eigenvalue": least},
         meta={"gamma": g, "method": "mle", "psi": [repr(c) for c in psi]},
     )
 
@@ -243,9 +260,9 @@ def fidelity_scan(alphas: np.ndarray, th: float, n_states: int, rng: RngStream, 
         raise BornsimError("n_states must be >= 1")
     if psis is None:
         psis = haar_states(n_states, rng)
-    rho, indefinite = _reconstruct_grid(psis, alphas, np.array([g]), method)
-    fids = fidelity(psis, rho[:, 0])
-    valid = ~indefinite[:, 0]
+    fids, valid = _scored_grid(psis, alphas, np.array([g]), method,
+                               lambda rho, indefinite: (fidelity(psis, rho[:, 0]),
+                                                        ~indefinite[:, 0]))
     analytic = {"fid_mean": fids.mean(axis=1), "frac_invalid": 1.0 - valid.mean(axis=1)}
     for s in range(n_states):
         analytic[f"fid_state_{s:02d}"] = fids[:, s]
@@ -310,13 +327,14 @@ def ensemble_sweep(alphas: np.ndarray, gammas: np.ndarray, n_states: int,
     alphas = np.asarray(alphas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     psis = haar_states(n_states, rng)
-    rho, indefinite = _reconstruct_grid(psis, alphas, gammas, "mle")
+    per_state, indefinite, witness = _scored_grid(
+        psis, alphas, gammas, "mle",
+        lambda rho, indefinite: (fidelity(psis, rho), indefinite, ppt_witness(rho)))
     mean_vis = visibility_single(alphas[:, None], gammas)
-    per_state = fidelity(psis, rho)
     return SweepResult(
         alphas=alphas, gammas=gammas, mean_fidelity=per_state.mean(axis=-1),
         frac_invalid=indefinite.mean(axis=-1), mean_visibility=mean_vis,
-        mean_ppt_witness=ppt_witness(rho).mean(axis=-1),
+        mean_ppt_witness=witness.mean(axis=-1),
         per_state_fidelity=per_state,
         meta={"d": 4, "n_states": n_states, "method": "mle",
               "seed": rng.seed, "stream_id": rng.stream_id},

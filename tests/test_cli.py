@@ -249,6 +249,9 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
     ("deviation", '{"gamma": 1' + "0" * 5000 + "}", [], "cannot read config file"),
     # an empty path is no circuit to read, not the default ensemble
     ("fidelity", {"circuit": ""}, [], "cannot read circuit file"),
+    # deviation-<seed>.manifest.json with a 240-digit seed is 264 bytes, beyond NAME_MAX
+    ("deviation", {"seed": 10 ** 239}, [],
+     "output file name deviation-<seed>.manifest.json would be 264 bytes; the limit is 255"),
 ], ids=["wrong-float", "wrong-int", "wrong-list", "bad-alphas-flag", "unknown-key", "nan-grid",
         "bad-format", "empty-alphas", "huge-grid", "expansion-alpha0", "expansion-gamma",
         "clicks-alpha0",
@@ -258,7 +261,7 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
         "counts-huge-n", "fast-negative-n-states", "fast-zero-n-states-config",
         "visibility-huge-gamma", "hyper-huge-gamma", "visibility-contour-huge-gamma",
         "nan-alpha0", "inf-alpha", "nan-alphas", "nan-config", "nan-gamma", "minus-inf-gamma",
-        "huge-int", "too-many-digits", "empty-circuit"])
+        "huge-int", "too-many-digits", "empty-circuit", "long-file-name"])
 def test_bad_config_is_one_line_error(tmp_path, capsys, monkeypatch, command, config, flags,
                                       key):
     # a run too long to finish must be refused before the click kernel starts it
@@ -429,9 +432,14 @@ def test_cli_import_does_not_load_thread_pool():
 
 
 def test_unknown_flag_is_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["counts", "--bogus", "1"])
-    assert exc.value.code == 2
+    # an abbreviation is no flag either: --n is not --n-states, nor --gamma
+    # --gamma-grid; counts' own --n is exact and still works
+    for argv in (["counts", "--bogus", "1"], ["fidelity", "--n", "2"], ["hyper", "--gamma", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--out-dir", str(tmp_path / "refused")])
+        assert exc.value.code == 2, argv
+    assert not (tmp_path / "refused").exists()
+    assert run_cli(["counts", "--n", "10", "--out-dir", str(tmp_path / "counts")]) == 0
 
 
 def test_witness_with_circuit_file_matches_default(tmp_path):

@@ -20,7 +20,6 @@ To record the digests again after a deliberate change of outputs:
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import platform
 import re
@@ -30,15 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from bornsim import cli
+from test_scripts import same_outputs
 
-ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("output_digests.json")
 FINGERPRINT_RTOL = 1e-6
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
-
-spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "scripts" / "same_outputs.py")
-same_outputs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(same_outputs)
 
 
 def environment() -> dict:

@@ -409,6 +409,50 @@ class TestReportsAndSweeps:
         assert all(size <= cap or len(rows) == 1 for rows, size in calls)
         assert res.per_state_fidelity.shape == (n_alpha, gammas.size, n_states)
 
+    def test_block_size_does_not_change_scores(self, monkeypatch):
+        # one alpha row per block, or the whole grid in one block: the same bits
+        alphas, gammas = np.linspace(0.0, 3.0, 7), np.array([0.5, 1.0, 1.6])
+
+        def scans():
+            sweep = ensemble_sweep(alphas, gammas, 3, RngStream(64))
+            out = [getattr(sweep, f.name) for f in dataclasses.fields(sweep) if f.name != "meta"]
+            for method in ("linear", "mle"):
+                out += fidelity_scan(alphas, 1.0, 3, RngStream(64), method).analytic.values()
+            return out + list(bell_witness_scan(alphas, 1.0).analytic.values())
+
+        monkeypatch.setattr(tomography, "_BLOCK_AMPLITUDES", 1)
+        rows = scans()
+        monkeypatch.setattr(tomography, "_BLOCK_AMPLITUDES", 2 ** 40)
+        whole = scans()
+        assert len(rows) == len(whole) == 7 + 2 * 8 + 3
+        for a, b in zip(rows, whole):
+            assert np.array_equal(a, b)
+
+    def test_reconstruct_gets_at_most_one_block(self, monkeypatch):
+        # no call reconstructs more density matrices than one block of alpha rows holds
+        reconstruct, sizes = tomography._reconstruct, []
+
+        def counted(m, basis, method):
+            sizes.append(m.size // len(basis.matrices))
+            return reconstruct(m, basis, method)
+
+        monkeypatch.setattr(tomography, "_reconstruct", counted)
+        grid, n_states = np.linspace(0.25, 3.0, 12), 20
+        ensemble_sweep(grid, grid, n_states, RngStream(65))
+        row = grid.size * n_states  # matrices in one alpha row, each 16 settings x 4 modes
+        per_block = max(1, tomography._BLOCK_AMPLITUDES // (row * 16 * 4)) * row
+        assert sum(sizes) == grid.size * row
+        assert max(sizes) <= per_block
+
+    def test_empty_alpha_grid_gives_empty_scores(self):
+        sweep = ensemble_sweep(np.array([]), np.array([1.0, 2.0]), 2, RngStream(66))
+        assert sweep.per_state_fidelity.shape == (0, 2, 2)
+        assert sweep.mean_ppt_witness.shape == (0, 2)
+        scan = fidelity_scan(np.array([]), 1.0, 2, RngStream(66), method="linear")
+        assert all(curve.shape == (0,) for curve in scan.analytic.values())
+        scan = bell_witness_scan(np.array([]), 1.0)
+        assert all(curve.shape == (0,) for curve in scan.analytic.values())
+
     def test_sweep_vacuum_column(self):
         res = ensemble_sweep(np.array([0.0]), np.array([1.0]), 4, rng=RngStream(61))
         assert res.per_state_fidelity[0, 0] == pytest.approx([0.25] * 4, abs=1e-12)
