@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that two source trees write byte-identical data files.
+"""Check that two source trees write byte-identical data files and manifests.
 
     python3 scripts/same_outputs.py OLD_SRC NEW_SRC [--seeds 42,101,...] [--commands ...]
 
@@ -11,12 +11,14 @@ every command of ``cli.COMMANDS`` (in NEW_SRC) with its defaults, plus
 ``fidelity-mle`` and ``witness`` with ``--circuit`` set to a Bell-state circuit
 that the script writes into its temporary directory; ``--commands`` replaces
 them with a comma-separated list of command lines, such as
-``"fidelity-contour --fast,witness"``. Every file a run writes, except its
-manifest (which holds the wall-clock time), is compared byte for byte. The
-files that differ are printed, and the exit code is 1 on any difference or
-failed run. Each run's line also gives the peak resident set size and the wall
-time of both processes, old first, from ``os.wait4`` (ru_maxrss, in KiB on
-Linux).
+``"fidelity-contour --fast,witness"``. Every file a run writes is compared
+byte for byte; a manifest after masking what differs from run to run: the
+values of ``wall_clock_seconds`` and ``out_dir``, and the whole
+``stage_seconds`` member (its ``scenario`` and ``write`` keys checked), which
+trees older than it do not write. The files that differ are printed, and the
+exit code is 1 on any difference or failed run. Each run's line also gives the
+peak resident set size and the wall time of both processes, old first, from
+``os.wait4`` (ru_maxrss, in KiB on Linux).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -73,15 +76,29 @@ def run_tree(src: Path, run: str, seed: int, out_dir: Path) -> tuple[str | None,
     return (stderr.strip().splitlines() or [f"exit code {proc.returncode}"])[-1], peak, wall
 
 
-def differing_files(old_dir: Path, new_dir: Path) -> list[str]:
-    """Names of the non-manifest files missing from one directory or differing in bytes."""
-    def data(d: Path) -> dict[str, Path]:
-        return {p.name: p for p in d.iterdir() if not p.name.endswith(".manifest.json")}
+# what a manifest's bytes may differ in between two runs of the same command
+MANIFEST_MASKS = [(re.compile(rb'("wall_clock_seconds": )[^,\n]+'), rb"\1..."),
+                  (re.compile(rb'("out_dir": )"(?:[^"\\]|\\.)*"'), rb"\1..."),
+                  (re.compile(rb'\n *"stage_seconds": \{\n *"scenario": [^,\n]+,'
+                              rb'\n *"write": [^,\n]+\n *\},?'), b"")]
 
-    old, new = data(old_dir), data(new_dir)
+
+def compared_bytes(path: Path) -> bytes:
+    """A file's bytes; a manifest's with MANIFEST_MASKS applied."""
+    data = path.read_bytes()
+    if path.name.endswith(".manifest.json"):
+        for pattern, mask in MANIFEST_MASKS:
+            data = pattern.sub(mask, data)
+    return data
+
+
+def differing_files(old_dir: Path, new_dir: Path) -> list[str]:
+    """Names of the files missing from one directory or differing in compared_bytes."""
+    old = {p.name: p for p in old_dir.iterdir()}
+    new = {p.name: p for p in new_dir.iterdir()}
     return sorted(name for name in old.keys() | new.keys()
                   if name not in old or name not in new
-                  or old[name].read_bytes() != new[name].read_bytes())
+                  or compared_bytes(old[name]) != compared_bytes(new[name]))
 
 
 def main(argv: list[str] | None = None) -> int:

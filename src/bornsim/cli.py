@@ -7,9 +7,10 @@ all built from it, so a parameter lives in exactly one place. resolve_config
 checks a whole run first, so a refused run creates nothing; then run runs it,
 makes the output directory and writes <command>-<seed>.csv and/or .json and a
 manifest (<command>-<seed>.manifest.json) holding the fully resolved
-configuration, package version, and wall-clock time. Flags override a JSON
-config file (--config), which overrides the table defaults. Reruns with the
-same seed produce byte-identical CSV output.
+configuration, package version, wall-clock time and the seconds of the
+scenario and write stages. Flags override a JSON config file (--config),
+which overrides the table defaults. Reruns with the same seed produce
+byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import __version__, experiments, tomography
 from .detection import visibility_single
 from .errors import BornsimError
-from .experiments import _write_csv, _write_json
+from .experiments import _chunks, _write_csv, _write_json
 from .field import RngStream
 from .optics import circuit_from_json
 
@@ -312,8 +313,8 @@ def _write_visibility_contour(rows, base: Path, fmt: str) -> list[str]:
         files.append(path.name)
     if fmt in ("json", "both"):
         path = base.with_suffix(".json")
-        _write_json(path, {"rows": [dict(zip(names, row.tolist())) for row in rows]},
-                    sort_keys=False)
+        records = (dict(zip(names, row)) for chunk in _chunks(rows) for row in chunk)
+        _write_json(path, {"rows": records}, sort_keys=False)
         files.append(path.name)
     return files
 
@@ -322,8 +323,10 @@ def run(cfg: dict, values: dict) -> int:
     """Run resolve_config's (cfg, values); only then make the directory and write."""
     t0 = time.monotonic()
     result = _run_scenario(cfg["command"], values)
+    scenario_seconds = time.monotonic() - t0
     base = Path(cfg["out_dir"]) / f"{cfg['command']}-{cfg['seed']}"
     base.parent.mkdir(parents=True, exist_ok=True)
+    t_write = time.monotonic()
 
     files: list[str] = []
     fmt = cfg["format"]
@@ -337,11 +340,13 @@ def run(cfg: dict, values: dict) -> int:
             result.to_json(base.with_suffix(".json"))
             files.append(base.with_suffix(".json").name)
 
+    t_end = time.monotonic()
     manifest = {
         "command": cfg["command"],
         "config": {k: v for k, v in cfg.items() if k != "command"},
         "version": __version__,
-        "wall_clock_seconds": time.monotonic() - t0,
+        "wall_clock_seconds": t_end - t0,
+        "stage_seconds": {"scenario": scenario_seconds, "write": t_end - t_write},
         "files": files,
     }
     manifest_path = base.parent / f"{base.name}.manifest.json"

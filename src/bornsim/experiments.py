@@ -12,11 +12,13 @@ one-element grid.
 from __future__ import annotations
 
 import csv
-import json
+import itertools
 import math
 import os
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -84,37 +86,107 @@ class ScenarioResult:
         _write_csv(path, self.columns())
 
     def to_json(self, path: str | Path) -> None:
-        payload = {
-            "meta": self.meta,
-            "grid_name": self.grid_name,
-            "grid": self.grid.tolist(),
-            "analytic": {k: v.tolist() for k, v in self.analytic.items()},
-            "counts": {k: v.tolist() for k, v in self.counts.items()} if self.counts else None,
-        }
-        _write_json(path, payload)
+        _write_json(path, {"meta": self.meta, "grid_name": self.grid_name, "grid": self.grid,
+                           "analytic": self.analytic, "counts": self.counts or None})
+
+
+_CHUNK_VALUES = 256  # Python values a writer makes at a time, but at least one array row
+
+
+def _chunks(items):
+    """items in lists of up to _CHUNK_VALUES; a numpy array as the .tolist() of runs of its
+    leading-axis rows, each run _CHUNK_VALUES values or one row, whichever is larger."""
+    if isinstance(items, np.ndarray):
+        step = max(1, _CHUNK_VALUES // max(1, math.prod(items.shape[1:])))
+        for start in range(0, len(items), step):
+            yield items[start:start + step].tolist()
+        return
+    items = iter(items)
+    while chunk := list(itertools.islice(items, _CHUNK_VALUES)):
+        yield chunk
+
+
+def _json_items(values, pad: str, sort_keys: bool) -> list[str]:
+    """_json_text of each value at pad; a finite float, the common case, without a call."""
+    return [float.__repr__(v) if type(v) is float and math.isfinite(v)
+            else _json_text(v, pad, sort_keys) for v in values]
+
+
+def _json_text(o, pad: str, sort_keys: bool) -> str:
+    """json.dumps(o, indent=2, sort_keys=sort_keys), nested at pad; arrays as .tolist()."""
+    inner = pad + "  "
+    if isinstance(o, dict):
+        items = sorted(o.items()) if sort_keys else o.items()
+        texts = [encode_basestring_ascii(k) + ": " + (  # _json_items' float case, inlined
+            float.__repr__(v) if type(v) is float and math.isfinite(v)
+            else _json_text(v, inner, sort_keys)) for k, v in items]
+        return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "}" if texts else "{}"
+    if isinstance(o, (list, tuple, Iterator)):
+        texts = _json_items(o, inner, sort_keys)
+        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]" if texts else "[]"
+    if isinstance(o, np.ndarray):
+        return _json_text(o.tolist(), pad, sort_keys)
+    if isinstance(o, float):
+        if math.isfinite(o):  # as json: under numpy 2, repr(np.float64(x)) is 'np.float64(x)'
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if isinstance(o, bool):
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise BornsimError(f"cannot write a {type(o).__name__} as JSON")
+
+
+def _json_pieces(o, pad: str, sort_keys: bool):
+    """_json_text(o, pad, sort_keys) in pieces: a dict member by member, and a list, tuple,
+    array or iterator a chunk (_chunks) at a time, each item formatted whole."""
+    inner = pad + "  "
+    if isinstance(o, dict) and o:
+        sep = "{\n" + inner
+        for key in sorted(o) if sort_keys else o:
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _json_pieces(o[key], inner, sort_keys)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif isinstance(o, (list, tuple, Iterator)) or isinstance(o, np.ndarray) and o.ndim:
+        sep = "[\n" + inner
+        for chunk in _chunks(o):
+            yield sep + (",\n" + inner).join(_json_items(chunk, inner, sort_keys))
+            sep = ",\n" + inner
+        yield "[]" if sep[0] == "[" else "\n" + pad + "]"
+    else:
+        yield _json_text(o, pad, sort_keys)
 
 
 def _write_json(path: str | Path, payload, sort_keys: bool = True) -> None:
-    """Stream payload to path as indented JSON plus a newline, never as one string."""
+    """Write json.dump(payload, indent=2, sort_keys=sort_keys)'s bytes plus a newline,
+    arrays as their .tolist(); streamed in row chunks, so no Python copy of it is held."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
+        for piece in _json_pieces(payload, "", sort_keys):
+            fh.write(piece)
         fh.write("\n")
 
 
 def _write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
     """Header, then one row per index: integers as str(int), other values as repr(float).
 
-    Each column becomes Python numbers once; the rows are streamed, never listed.
+    Each column becomes Python numbers _CHUNK_VALUES rows at a time; no column or row is
+    ever listed whole.
     """
-    cells = []
+    chunked = []
     for column in map(np.asarray, columns.values()):
         if not np.issubdtype(column.dtype, np.integer):
             column = column.astype(float, copy=False)
-        cells.append(map(repr, column.tolist()))
+        chunked.append(_chunks(column))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows(zip(*cells))
+        for chunks in zip(*chunked):  # the same rows of every column
+            writer.writerows(zip(*(map(repr, values) for values in chunks)))
 
 
 # ---------------------------------------------------------------------------

@@ -298,17 +298,16 @@ class SweepResult:
                           "mean_ppt_witness": self.mean_ppt_witness.ravel()})
 
     def to_json(self, path) -> None:
-        payload = {
+        _write_json(path, {
             "meta": self.meta,
-            "alphas": self.alphas.tolist(),
-            "gammas": self.gammas.tolist(),
-            "mean_fidelity": self.mean_fidelity.tolist(),
-            "frac_invalid": self.frac_invalid.tolist(),
-            "mean_visibility": self.mean_visibility.tolist(),
-            "mean_ppt_witness": self.mean_ppt_witness.tolist(),
-            "per_state_fidelity": self.per_state_fidelity.tolist(),
-        }
-        _write_json(path, payload)
+            "alphas": self.alphas,
+            "gammas": self.gammas,
+            "mean_fidelity": self.mean_fidelity,
+            "frac_invalid": self.frac_invalid,
+            "mean_visibility": self.mean_visibility,
+            "mean_ppt_witness": self.mean_ppt_witness,
+            "per_state_fidelity": self.per_state_fidelity,
+        })
 
 
 def ensemble_sweep(alphas: np.ndarray, gammas: np.ndarray, n_states: int,

@@ -92,6 +92,10 @@ def test_manifest_records_config_and_files(tmp_path):
     assert "deviation-7.json" in manifest["files"]
     assert manifest["wall_clock_seconds"] >= 0.0
     assert "version" in manifest
+    stages = manifest["stage_seconds"]
+    assert sorted(stages) == ["scenario", "write"]
+    assert min(stages.values()) >= 0.0
+    assert sum(stages.values()) <= manifest["wall_clock_seconds"]
 
 
 def test_format_selects_outputs(tmp_path):

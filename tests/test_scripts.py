@@ -1,9 +1,13 @@
 """scripts/same_outputs.py: two source trees, one set of data files."""
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
+import pytest
+
+from bornsim import cli
 from bornsim.cli import COMMANDS
 from test_cli import BELL_CIRCUIT
 
@@ -31,16 +35,52 @@ def test_failed_run_gives_its_error_line_and_usage(tmp_path):
     assert peak_mib > 1.0 and wall_s > 0.0
 
 
-def test_differing_and_missing_files_are_named(tmp_path):
+def manifests(tmp_path) -> tuple[Path, Path, dict]:
+    """Two deviation runs' output directories and the second one's manifest."""
     old, new = tmp_path / "old", tmp_path / "new"
     for d in (old, new):
-        d.mkdir()
+        assert cli.main(["deviation", "--format", "csv", "--out-dir", str(d)]) == 0
+    return old, new, json.loads((new / "deviation-42.manifest.json").read_text())
+
+
+def test_differing_and_missing_files_are_named(tmp_path):
+    # the manifests differ in out_dir and in their times: masked
+    old, new, _ = manifests(tmp_path)
+    for d in (old, new):
         (d / "same.csv").write_text("a\n1\n")
-        (d / "x-42.manifest.json").write_text(str(d))  # wall-clock time differs: ignored
     (old / "moved.csv").write_text("a\n1\n")
     (new / "moved.csv").write_text("a\n1.0\n")
     (new / "extra.json").write_text("{}")
     assert same_outputs.differing_files(old, new) == ["extra.json", "moved.csv"]
+
+
+def test_manifest_without_stage_seconds_is_the_same(tmp_path):
+    # a tree older than stage_seconds writes the manifest without it
+    old, new, manifest = manifests(tmp_path)
+    del manifest["stage_seconds"]
+    (old / "deviation-42.manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    assert same_outputs.differing_files(old, new) == []
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.update(version="0.0.0"),
+    lambda m: m["config"].update(gamma=2.0),
+    lambda m: m.update(files=[]),
+    lambda m: m.update(stage_seconds={"scenario": 1.0}),
+], ids=["version", "config", "files", "stage-keys"])
+def test_manifest_differing_in_another_field_is_named(tmp_path, edit):
+    old, new, manifest = manifests(tmp_path)
+    edit(manifest)
+    (new / "deviation-42.manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    assert same_outputs.differing_files(old, new) == ["deviation-42.manifest.json"]
+
+
+def test_manifest_layout_slip_is_named(tmp_path):
+    old, new, manifest = manifests(tmp_path)
+    (new / "deviation-42.manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
+    assert same_outputs.differing_files(old, new) == ["deviation-42.manifest.json"]
 
 
 def test_default_runs_add_the_circuit_runs(tmp_path):
