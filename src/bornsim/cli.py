@@ -2,15 +2,15 @@
 
 One table, COMMANDS, drives the CLI. Each entry names a subcommand's help
 text, its parameters (key -> default and flag help) and the runner that
-sweeps its scenario; the parser, the config checks and the dispatch are
-all built from it, so a parameter lives in exactly one place. resolve_config
-checks a whole run first, so a refused run creates nothing; then run runs it,
-makes the output directory and writes <command>-<seed>.csv and/or .json and a
-manifest (<command>-<seed>.manifest.json) holding the fully resolved
-configuration, package version, wall-clock time and the seconds of the
-scenario and write stages. Flags override a JSON config file (--config),
+sweeps its scenario in one call; the parser, the config checks and the
+dispatch are all built from it, so a parameter lives in exactly one place.
+resolve_config checks a whole run first, so a refused run creates nothing;
+then run runs it, makes the output directory and writes <command>-<seed>.csv
+and/or .json and a manifest (<command>-<seed>.manifest.json) holding the fully
+resolved configuration, package version, wall-clock time and the seconds of
+the scenario and write stages. Flags override a JSON config file (--config),
 which overrides the table defaults. Reruns with the same seed produce
-byte-identical CSV output.
+byte-identical data files.
 """
 
 from __future__ import annotations
@@ -198,15 +198,6 @@ def _fidelity(p, method: str):
                                     psis=p["psi"][None] if "psi" in p else None)
 
 
-def _mach_zehnder(p):
-    result = experiments.mach_zehnder(p["alpha"], p["gamma"])
-    fit = experiments.mach_zehnder_fit(p["alpha"], p["gamma"], RngStream(p["seed"]),
-                                       n_points=p["n_points"], sample_size=p["sample_size"])
-    result.meta.update({"seed": p["seed"], "fit": fit.meta, "sample_phis": fit.grid.tolist(),
-                        "samples": fit.analytic["sample"].tolist()})
-    return result
-
-
 def _visibility_contour(p):
     a, g = np.meshgrid(p["alpha_grid"], p["gamma_grid"], indexing="ij")
     return np.column_stack([a.ravel(), g.ravel(), visibility_single(a, g).ravel()])
@@ -270,7 +261,9 @@ COMMANDS: dict[str, Command] = {
         "Mach-Zehnder interference and fringe-fit analysis",
         {"alpha": (0.95, "amplitude"), "gamma": (1.6, GAMMA[1]),
          "n_points": (25, "fitted sample count"), "sample_size": (2600, "photons per sample")},
-        _mach_zehnder),
+        lambda p: experiments.mach_zehnder_fit(p["alpha"], p["gamma"], RngStream(p["seed"]),
+                                               n_points=p["n_points"],
+                                               sample_size=p["sample_size"])),
     "fidelity": Command(
         "linear-inversion tomography fidelity vs amplitude",
         {"gamma": GAMMA, "alpha_grid": ("0:0.1:3", ALPHA_GRID), "n_states": (30, ENSEMBLE),
@@ -314,7 +307,7 @@ def _write_visibility_contour(rows, base: Path, fmt: str) -> list[str]:
     if fmt in ("json", "both"):
         path = base.with_suffix(".json")
         records = (dict(zip(names, row)) for chunk in _chunks(rows) for row in chunk)
-        _write_json(path, {"rows": records}, sort_keys=False)
+        _write_json(path, {"rows": records})
         files.append(path.name)
     return files
 

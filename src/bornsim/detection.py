@@ -63,10 +63,11 @@ def _broadcast_shape(amps, gamma) -> tuple[int, ...]:
 # loop stops when that bound drops under _RTOL times the running sum.
 _RTOL = 5e-16
 _MAX_TERMS = 200_000
-# exp(-t) underflows past ~745.1; beyond that the series cannot start and the
-# far-tail clamps / normal approximation below take over. The default
-# parameters of every command stay below it; `counts --alpha0 20 --gamma 20`
-# does not.
+# exp(-t) is subnormal from t = 708.4: from m or x = 708.4 the series starts subnormal
+# and loses about one bit per unit (relative error against scipy.stats.ncx2.sf, a = b - 1:
+# 2.9e-12 at x = 720, 2.6e-3 at x = 740). Above 745 (exp underflows past ~745.1) the
+# far-tail clamps or _marcum_corner's central-limit approximation, relative error O(1/a),
+# take over. No command's defaults reach 700; `counts --alpha0 20 --gamma 20` does.
 _EXP_UNDERFLOW = 745.0
 _SERIES_CHUNK = 2 ** 14
 
@@ -126,6 +127,10 @@ def marcum_q1(a, b):
     error is bounded by the unconsumed Poisson tail mass, kept below 5e-16
     of the result. Q1(a, 0) = 1 is exact, and so is Q1(0, b) = exp(-b^2/2):
     the series stops after its first term.
+    That bound is the accuracy only while m = a^2/2 and x = b^2/2 stay below 708.4.
+    From there the series starts subnormal and loses about one bit per unit of m or
+    x (relative error 2.9e-12 at x = 720, 2.6e-3 at x = 740); above 745 the value is
+    a central-limit approximation with relative error O(1/a), or a far-tail clamp.
     ``a`` and ``b`` broadcast against each other (BornsimError where
     they do not); two scalars give a float.
     Every element stops at its own tail bound, so a batched call equals the

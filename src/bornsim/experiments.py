@@ -2,16 +2,16 @@
 
 Each scenario mirrors a bench configuration: a polarizer scan, a dual-mode
 polarization analyzer, a beam splitter with coincidence counting, a
-four-mode entangling circuit, and a Mach-Zehnder interferometer family with
-its fringe fit. Each scenario is one array-valued function that returns a
-ScenarioResult carrying the swept grid, named curves, optional Monte Carlo
-counts, and the run metadata needed to reproduce them; a single point is the
-one-element grid.
+four-mode entangling circuit, and a Mach-Zehnder interferometer whose fringe
+fit joins its curves' meta. Each scenario is one array-valued function that
+returns a ScenarioResult (the swept grid, named curves, optional Monte Carlo
+counts and the metadata that reproduces them; a single point is the
+one-element grid), which a command writes as it is: JSON with sorted keys in
+json's indent-2 layout, and CSV rows of cells joined without quoting.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import os
@@ -106,26 +106,25 @@ def _chunks(items):
         yield chunk
 
 
-def _json_items(values, pad: str, sort_keys: bool) -> list[str]:
+def _json_items(values, pad: str) -> list[str]:
     """_json_text of each value at pad; a finite float, the common case, without a call."""
     return [float.__repr__(v) if type(v) is float and math.isfinite(v)
-            else _json_text(v, pad, sort_keys) for v in values]
+            else _json_text(v, pad) for v in values]
 
 
-def _json_text(o, pad: str, sort_keys: bool) -> str:
-    """json.dumps(o, indent=2, sort_keys=sort_keys), nested at pad; arrays as .tolist()."""
+def _json_text(o, pad: str) -> str:
+    """json.dumps(o, indent=2, sort_keys=True), nested at pad; arrays as .tolist()."""
     inner = pad + "  "
     if isinstance(o, dict):
-        items = sorted(o.items()) if sort_keys else o.items()
         texts = [encode_basestring_ascii(k) + ": " + (  # _json_items' float case, inlined
             float.__repr__(v) if type(v) is float and math.isfinite(v)
-            else _json_text(v, inner, sort_keys)) for k, v in items]
+            else _json_text(v, inner)) for k, v in sorted(o.items())]
         return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "}" if texts else "{}"
     if isinstance(o, (list, tuple, Iterator)):
-        texts = _json_items(o, inner, sort_keys)
+        texts = _json_items(o, inner)
         return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]" if texts else "[]"
     if isinstance(o, np.ndarray):
-        return _json_text(o.tolist(), pad, sort_keys)
+        return _json_text(o.tolist(), pad)
     if isinstance(o, float):
         if math.isfinite(o):  # as json: under numpy 2, repr(np.float64(x)) is 'np.float64(x)'
             return float.__repr__(o)
@@ -141,52 +140,50 @@ def _json_text(o, pad: str, sort_keys: bool) -> str:
     raise BornsimError(f"cannot write a {type(o).__name__} as JSON")
 
 
-def _json_pieces(o, pad: str, sort_keys: bool):
-    """_json_text(o, pad, sort_keys) in pieces: a dict member by member, and a list, tuple,
-    array or iterator a chunk (_chunks) at a time, each item formatted whole."""
+def _json_pieces(o, pad: str):
+    """_json_text(o, pad) in pieces: a dict member by member, and a list, tuple, array or
+    iterator a chunk (_chunks) at a time, each item formatted whole."""
     inner = pad + "  "
     if isinstance(o, dict) and o:
         sep = "{\n" + inner
-        for key in sorted(o) if sort_keys else o:
+        for key in sorted(o):
             yield sep + encode_basestring_ascii(key) + ": "
-            yield from _json_pieces(o[key], inner, sort_keys)
+            yield from _json_pieces(o[key], inner)
             sep = ",\n" + inner
         yield "\n" + pad + "}"
     elif isinstance(o, (list, tuple, Iterator)) or isinstance(o, np.ndarray) and o.ndim:
         sep = "[\n" + inner
         for chunk in _chunks(o):
-            yield sep + (",\n" + inner).join(_json_items(chunk, inner, sort_keys))
+            yield sep + (",\n" + inner).join(_json_items(chunk, inner))
             sep = ",\n" + inner
         yield "[]" if sep[0] == "[" else "\n" + pad + "]"
     else:
-        yield _json_text(o, pad, sort_keys)
+        yield _json_text(o, pad)
 
 
-def _write_json(path: str | Path, payload, sort_keys: bool = True) -> None:
-    """Write json.dump(payload, indent=2, sort_keys=sort_keys)'s bytes plus a newline,
-    arrays as their .tolist(); streamed in row chunks, so no Python copy of it is held."""
+def _write_json(path: str | Path, payload) -> None:
+    """Write json.dump(payload, indent=2, sort_keys=True)'s bytes plus a newline, arrays
+    as their .tolist(); streamed in row chunks, so no Python copy of it is held."""
     with open(path, "w") as fh:
-        for piece in _json_pieces(payload, "", sort_keys):
+        for piece in _json_pieces(payload, ""):
             fh.write(piece)
         fh.write("\n")
 
 
 def _write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
-    """Header, then one row per index: integers as str(int), other values as repr(float).
-
-    Each column becomes Python numbers _CHUNK_VALUES rows at a time; no column or row is
-    ever listed whole.
-    """
+    """Header, then one row per index (integers as str(int), other values as repr(float)),
+    cells joined by "," and rows ended by CR LF: csv.writer's bytes, as no cell needs quoting.
+    Each column becomes Python numbers _CHUNK_VALUES rows at a time; none is listed whole."""
     chunked = []
     for column in map(np.asarray, columns.values()):
         if not np.issubdtype(column.dtype, np.integer):
             column = column.astype(float, copy=False)
         chunked.append(_chunks(column))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+        fh.write(",".join(columns) + "\r\n")
         for chunks in zip(*chunked):  # the same rows of every column
-            writer.writerows(zip(*(map(repr, values) for values in chunks)))
+            fh.writelines(",".join(row) + "\r\n"
+                          for row in zip(*(map(repr, values) for values in chunks)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +456,16 @@ def mach_zehnder(alpha: float, th: float,
 
 def mach_zehnder_fit(alpha: float, th: float, rng: RngStream, *,
                      n_points: int, sample_size: int) -> ScenarioResult:
-    """Sample the interference fringe and fit A cos^2(phi/2 + phi0) + B.
+    """mach_zehnder(alpha, th) with a fit of A cos^2(phi/2 + phi0) + B to its sampled fringe.
 
-    Each sample is the conditional probability p_mz at one phase plus
-    Gaussian noise of standard deviation 1/sqrt(sample_size), mimicking a
-    finite photon budget per phase setting. The fit is linear least squares
-    on [1, cos, sin]; the period is fixed at 2 pi. The curves are the samples
-    and the fitted cosine over the sample phases; meta holds the
-    dark-corrected fringe visibility (p_max - p_min) / (p_max + p_min - 2 delta)
-    of the conditional curve, the detected-events coincidence ratio r_d of the
-    open interferometer, the fit's root-mean-square residual rmse, and the
-    fitted amplitude A, offset B and phase phi0.
+    Each sample is the conditional probability p_mz at one of n_points equally
+    spaced phases plus Gaussian noise of standard deviation 1/sqrt(sample_size),
+    mimicking a finite photon budget per phase setting. The fit is linear least
+    squares on [1, cos, sin]; the period is fixed at 2 pi. meta adds the seed,
+    sample_phis, samples and fit: the dark-corrected fringe visibility
+    (p_max - p_min) / (p_max + p_min - 2 delta) of the conditional curve, the
+    detected-events coincidence ratio r_d of the open interferometer, the fit's
+    root-mean-square residual rmse, and the fitted amplitude A, offset B and phase phi0.
     """
     if n_points < 4:
         raise BornsimError("need at least 4 phase points to fit")
@@ -484,11 +480,7 @@ def mach_zehnder_fit(alpha: float, th: float, rng: RngStream, *,
     basis = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
     coef, *_ = np.linalg.lstsq(basis, samples, rcond=None)
     ampl = math.hypot(coef[1], coef[2])
-    fit_a = 2.0 * ampl
-    fit_b = coef[0] - ampl
-    phi0 = 0.5 * math.atan2(-coef[2], coef[1])
-    fitted = basis @ coef
-    rmse = float(np.sqrt(np.mean((samples - fitted) ** 2)))
+    rmse = float(np.sqrt(np.mean((samples - basis @ coef) ** 2)))
 
     # the conditional fringe peaks at phi = 0 (dark arm in vacuum) and is lowest at pi
     p_max, p_min = map(float, _mz_probs(alpha, g, np.array([0.0, np.pi]))[0])
@@ -496,10 +488,8 @@ def mach_zehnder_fit(alpha: float, th: float, rng: RngStream, *,
     visibility = _divide(p_max - p_min, p_max + p_min - 2.0 * delta,
                          "visibility undefined: p_max + p_min equals twice the dark counts")
     r_d = float(antibunching_scan(g, [abs(alpha)]).analytic["Rd"][0])
-    return ScenarioResult(
-        grid_name="phi",
-        grid=phis,
-        analytic={"sample": samples, "fitted": fitted},
-        meta={"visibility": visibility, "r_d": r_d, "rmse": rmse,
-              "amplitude": fit_a, "offset": fit_b, "phase": phi0},
-    )
+    result = mach_zehnder(alpha, g)
+    result.meta.update({"seed": rng.seed, "sample_phis": phis, "samples": samples, "fit": {
+        "visibility": visibility, "r_d": r_d, "rmse": rmse, "amplitude": 2.0 * ampl,
+        "offset": coef[0] - ampl, "phase": 0.5 * math.atan2(-coef[2], coef[1])}})
+    return result

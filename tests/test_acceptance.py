@@ -206,7 +206,7 @@ def test_criterion_06_mach_zehnder():
     b = mach_zehnder(0.95, 1.6, phis + np.pi).analytic["p_mz"]
     comp_dev = float(np.max(np.abs(a + b - 1.0)))
     ok_comp = comp_dev <= 1e-12
-    fit = mach_zehnder_fit(0.95, 1.6, RngStream(2), n_points=25, sample_size=2600).meta
+    fit = mach_zehnder_fit(0.95, 1.6, RngStream(2), n_points=25, sample_size=2600).meta["fit"]
     ok_fit = (abs(fit["visibility"] - 0.94) <= 0.02 and abs(fit["r_d"] - 0.12) <= 0.02
               and abs(fit["rmse"] - 0.04) <= 0.02)
     res = mach_zehnder(1e-3, 1.0)

@@ -480,6 +480,14 @@ def test_mz_manifest_holds_fit_summary(tmp_path):
     assert 0.0 < fit["rmse"] < 0.1
 
 
+def test_mz_json_is_the_scenario_functions(tmp_path):
+    p = {k: default for k, (default, _) in COMMANDS["mz"].params.items()}
+    assert run_cli(["mz", "--seed", "11", "--format", "json", "--out-dir", str(tmp_path)]) == 0
+    experiments.mach_zehnder_fit(p["alpha"], p["gamma"], RngStream(11), n_points=p["n_points"],
+                                 sample_size=p["sample_size"]).to_json(tmp_path / "fit.json")
+    assert (tmp_path / "fit.json").read_bytes() == (tmp_path / "mz-11.json").read_bytes()
+
+
 def test_visibility_contour_rows(tmp_path):
     assert run_cli(["visibility-contour", "--alpha-grid", "1:0.5:2",
                     "--gamma-grid", "1:0.5:2", "--seed", "12",

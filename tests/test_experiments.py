@@ -370,22 +370,27 @@ class TestMachZehnder:
         assert res.analytic["p_total_mz"][0] == pytest.approx(1.0 - dist.prob((0, 0)), abs=1e-12)
 
     def test_fit_analysis_reference_point(self):
-        fit = mach_zehnder_fit(0.95, 1.6, RngStream(40), n_points=25, sample_size=2600).meta
+        fit = mach_zehnder_fit(0.95, 1.6, RngStream(40), n_points=25,
+                               sample_size=2600).meta["fit"]
         assert fit["visibility"] == pytest.approx(0.94, abs=0.02)
         assert fit["r_d"] == pytest.approx(0.12, abs=0.02)
         assert fit["rmse"] == pytest.approx(0.04, abs=0.02)
 
     def test_fit_result_holds_samples_and_summary(self):
         fit = mach_zehnder_fit(0.95, 1.6, RngStream(40), n_points=8, sample_size=2600)
-        assert fit.grid_name == "phi"
-        assert np.array_equal(fit.grid, 2.0 * np.pi * np.arange(8) / 8)
-        assert list(fit.analytic) == ["sample", "fitted"]
-        assert sorted(fit.meta) == ["amplitude", "offset", "phase", "r_d", "rmse", "visibility"]
-        assert fit.meta["r_d"] == antibunching_scan(1.6, [0.95]).analytic["Rd"][0]
+        curves = mach_zehnder(0.95, 1.6)
+        assert fit.grid_name == curves.grid_name and np.array_equal(fit.grid, curves.grid)
+        assert list(fit.analytic) == list(curves.analytic)
+        assert all(np.array_equal(fit.analytic[k], v) for k, v in curves.analytic.items())
+        assert np.array_equal(fit.meta["sample_phis"], 2.0 * np.pi * np.arange(8) / 8)
+        assert len(fit.meta["samples"]) == 8
+        assert sorted(fit.meta["fit"]) == ["amplitude", "offset", "phase", "r_d", "rmse",
+                                           "visibility"]
+        assert fit.meta["fit"]["r_d"] == antibunching_scan(1.6, [0.95]).analytic["Rd"][0]
 
     def test_fit_rmse_stable_across_seeds(self):
         rmses = [mach_zehnder_fit(0.95, 1.6, RngStream(s), n_points=25,
-                                  sample_size=2600).meta["rmse"] for s in range(10)]
+                                  sample_size=2600).meta["fit"]["rmse"] for s in range(10)]
         assert all(0.02 <= r <= 0.06 for r in rmses)
 
     def test_fit_visibility_equals_dense_grid_extrema(self):
@@ -395,7 +400,8 @@ class TestMachZehnder:
             p = mach_zehnder(alpha, g, np.linspace(0.0, 2.0 * np.pi, 721)).analytic["p_mz"]
             delta = dark_count_prob(g)
             dense = (p.max() - p.min()) / (p.max() + p.min() - 2.0 * delta)
-            fit = mach_zehnder_fit(alpha, g, RngStream(1), n_points=4, sample_size=2600).meta
+            fit = mach_zehnder_fit(alpha, g, RngStream(1), n_points=4,
+                                   sample_size=2600).meta["fit"]
             assert fit["visibility"] == dense, (alpha, g)
 
     @given(phi=st.floats(0.0, 2.0 * math.pi), alpha=st.floats(0.05, 2.0),

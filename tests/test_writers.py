@@ -1,4 +1,5 @@
-"""The streaming writers: json's indent-2 bytes and csv.writer's rows, in bounded memory."""
+"""The streaming writers: json's sorted indent-2 bytes and csv.writer's rows, in bounded
+memory."""
 
 import csv
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornsim import cli, experiments
+from bornsim import cli, experiments, tomography
 
 C = experiments._CHUNK_VALUES
 LENGTHS = [0, 1, 2, C - 1, C, C + 1]
@@ -70,12 +71,12 @@ payloads = st.recursive(
     max_leaves=8)
 
 
-@given(payload=payloads, sort_keys=st.booleans())
+@given(payload=payloads)
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_json_writer_gives_json_dumps_bytes(tmp_path_factory, payload, sort_keys):
+def test_json_writer_gives_json_dumps_bytes(tmp_path_factory, payload):
     path = tmp_path_factory.mktemp("json") / "out.json"
-    experiments._write_json(path, for_writer(payload), sort_keys=sort_keys)
-    expected = json.dumps(to_lists(payload), indent=2, sort_keys=sort_keys) + "\n"
+    experiments._write_json(path, for_writer(payload))
+    expected = json.dumps(to_lists(payload), indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == expected.encode()
 
 
@@ -92,7 +93,7 @@ def test_json_writer_spells_edge_values_as_json():
     pieces = "".join(experiments._json_pieces(
         {"b": [np.float64(np.nan), np.inf, -np.inf, np.float64(0.1)], "a": {}, "c": [],
          "d": np.zeros((0, 2)), "e": np.array(3), "f": iter([]), "g": 'q"\\é'},
-        "", True))
+        ""))
     assert pieces == ('{\n  "a": {},\n  "b": [\n    NaN,\n    Infinity,\n    -Infinity,\n'
                       '    0.1\n  ],\n  "c": [],\n  "d": [],\n  "e": 3,\n  "f": [],\n'
                       '  "g": "q\\"\\\\\\u00e9"\n}')
@@ -111,17 +112,43 @@ def csv_by_whole_lists(path, columns):
         writer.writerows(zip(*cells))
 
 
+# visibility's column labels, vis_alpha_{a:g}, for the amplitudes -0.5, -0.0, 1e-300 and 1e300
+LABELS = ["gamma", "vis_alpha_-0.5", "vis_alpha_-0", "vis_alpha_1e-300", "vis_alpha_1e+300"]
+
+
+@pytest.fixture(scope="module")
+def command_headers(tmp_path_factory):
+    """The column names each command passes to the CSV writer at its defaults, and
+    visibility's for --alphas=-0.0,1e-300,1e300 (it refuses a negative amplitude)."""
+    out, headers, write = tmp_path_factory.mktemp("commands"), [], experiments._write_csv
+
+    def spy(path, columns):
+        headers.append(list(columns))
+        write(path, columns)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (experiments, tomography, cli):
+            mp.setattr(module, "_write_csv", spy)
+        for argv in [[c] for c in cli.COMMANDS] + [["visibility", "--alphas=-0.0,1e-300,1e300"]]:
+            assert cli.main(argv + ["--format", "csv", "--out-dir", str(out)]) == 0
+    assert len(headers) == len(cli.COMMANDS) + 1
+    assert headers[-1] == LABELS[:1] + LABELS[2:]
+    return headers + [LABELS]
+
+
 @pytest.mark.parametrize("n", LENGTHS + [2 * C + 1])
-def test_csv_writer_gives_whole_list_bytes(tmp_path, n):
+def test_csv_writer_gives_whole_list_bytes(tmp_path, n, command_headers):
     rng = np.random.default_rng(n)
     floats = rng.standard_normal(n) * 1e-3
     floats[::7] = np.inf
     floats[3::11] = np.nan
     columns = {"x": np.arange(n) / 3.0, "count": rng.integers(-10 ** 12, 10 ** 12, size=n),
                "f32": floats.astype(np.float32), "y": floats, "flag": np.arange(n) % 2 == 0}
-    experiments._write_csv(tmp_path / "chunked.csv", columns)
-    csv_by_whole_lists(tmp_path / "listed.csv", columns)
-    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
+    # the writer joins cells without quoting: no number and no command's column name needs it
+    for columns in [columns] + [dict.fromkeys(names, floats) for names in command_headers]:
+        experiments._write_csv(tmp_path / "chunked.csv", columns)
+        csv_by_whole_lists(tmp_path / "listed.csv", columns)
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
