@@ -39,28 +39,36 @@ MAX_NAME_BYTES = 255  # a file name's limit on common file systems (NAME_MAX)
 FAST_STATES = 20
 
 
+def _decimal_ratio(x: float) -> tuple[int, int]:
+    """repr(x), the shortest decimal that reads back as x, as (numerator, denominator)."""
+    mantissa, _, exponent = repr(x).partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    shift = int(exponent or 0) - len(decimals)
+    return int(whole + decimals) * 10 ** max(shift, 0), 10 ** max(-shift, 0)
+
+
 def parse_grid(spec: str) -> np.ndarray:
-    """min:step:max grid specification, endpoints inclusive, at most MAX_GRID_POINTS points."""
+    """min:step:max grid specification, endpoints inclusive, at most MAX_GRID_POINTS points.
+
+    Point k is (L + k*S) / D rounded once, with L/D, S/D and H/D the shortest decimals of
+    min, step and max: the digits written, for numbers of up to 15 significant digits.
+    """
     try:
         lo, step, hi = (float(p) for p in str(spec).split(":"))
     except ValueError:
         raise BornsimError(f"bad grid spec {spec!r}; expected min:step:max") from None
     if not all(map(math.isfinite, (lo, step, hi))) or step <= 0 or hi < lo:
         raise BornsimError(f"bad grid spec {spec!r}; need finite values, step > 0 and max >= min")
-    span = (hi - lo) / step  # inf once the quotient overflows
-    if not span < MAX_GRID_POINTS - 0.5:
+    ratios = [_decimal_ratio(v) for v in (lo, step, hi)]
+    den = math.lcm(*(d for _, d in ratios))
+    low, step_n, high = (n * (den // d) for n, d in ratios)
+    count = (high - low) // step_n + 1
+    if count > MAX_GRID_POINTS:
         raise BornsimError(f"bad grid spec {spec!r}; more than {MAX_GRID_POINTS:,} points")
-    with np.errstate(over="ignore"):
-        grid = lo + step * np.arange(int(round(span)) + 1)
-    # snap away accumulated float dust (0.1 * 3 -> 0.30000000000000004) so grid
-    # values round-trip cleanly through the CSV output; only below 2^53 / 10^12,
-    # where x 10^12 is exact enough that the rounding removes nothing but dust
-    dusty = np.abs(grid) < 2.0 ** 53 / 1e12
-    grid[dusty] = np.round(grid[dusty], 12)
-    if not (step >= math.ulp(max(abs(lo), abs(hi))) and np.all(np.isfinite(grid))
-            and np.all(np.diff(grid) > 0.0)):
-        raise BornsimError(f"bad grid spec {spec!r}; points overflow or merge at 12 decimals")
-    return grid[grid <= hi + 1e-12 * max(1.0, abs(hi))]
+    grid = np.fromiter(((low + k * step_n) / den for k in range(count)), float, count)
+    if not (step >= math.ulp(max(abs(lo), abs(hi))) and np.all(np.diff(grid) > 0.0)):
+        raise BornsimError(f"bad grid spec {spec!r}; points merge")
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -63,29 +63,15 @@ def _broadcast_shape(amps, gamma) -> tuple[int, ...]:
 # loop stops when that bound drops under _RTOL times the running sum.
 _RTOL = 5e-16
 _MAX_TERMS = 200_000
-# exp(-t) is subnormal from t = 708.4: from m or x = 708.4 the series starts subnormal
-# and loses about one bit per unit (relative error against scipy.stats.ncx2.sf, a = b - 1:
-# 2.9e-12 at x = 720, 2.6e-3 at x = 740). Above 745 (exp underflows past ~745.1) the
-# far-tail clamps or _marcum_corner's central-limit approximation, relative error O(1/a),
-# take over. No command's defaults reach 700; `counts --alpha0 20 --gamma 20` does.
-_EXP_UNDERFLOW = 745.0
+# exp(-t) is a normal double below t = 708.396: the series starts at full precision while
+# m = a^2/2 and x = b^2/2 are below _SERIES_LIMIT (a, b < 37.64). Beyond, Q1 rounds to 1.0
+# where a - b >= _ONE_GAP (1 - Q1 <= e^{-(a-b)^2/2} <= e^-72 < 2^-54) and to 0.0 where
+# b - a >= _ZERO_GAP (Q1 <= e^{-(b-a)^2/2} < 2^-1075); the rest is refused, which spares
+# every gamma < 12.82 (b < 25.64): an a past the limit is then 12 above b.
+_SERIES_LIMIT = 708.39
+_ONE_GAP = 12.0
+_ZERO_GAP = 38.61
 _SERIES_CHUNK = 2 ** 14
-
-
-def _marcum_corner(a: float, b: float) -> float:
-    """Q1(a, b) where a^2/2 or b^2/2 exceeds _EXP_UNDERFLOW. Nothing squares a or b, so
-    no finite argument overflows, and the clamps test a - b, in which no 12 is absorbed."""
-    if a - b >= 12.0:
-        # 1 - Q1 <= (b/a) exp(-(a-b)^2/2) <= e^-72
-        return 1.0
-    if b - a >= 12.0:
-        # Q1 <= exp(-(b-a)^2/2) <= e^-72
-        return 0.0
-    # Both arguments huge and comparable: central-limit approximation to the
-    # noncentral chi-square survival function (relative error O(1/a)), with
-    # (b^2 - a^2)/2 - 1 over sqrt(2 (1 + a^2)); (a + b)/2 halves before adding
-    arg = ((b - a) * (0.5 * a + 0.5 * b) - 1.0) / (math.sqrt(2.0) * math.hypot(1.0, a))
-    return 0.5 * math.erfc(arg)
 
 
 def _marcum_series(m: np.ndarray, x: "float | np.ndarray") -> np.ndarray:
@@ -127,10 +113,9 @@ def marcum_q1(a, b):
     error is bounded by the unconsumed Poisson tail mass, kept below 5e-16
     of the result. Q1(a, 0) = 1 is exact, and so is Q1(0, b) = exp(-b^2/2):
     the series stops after its first term.
-    That bound is the accuracy only while m = a^2/2 and x = b^2/2 stay below 708.4.
-    From there the series starts subnormal and loses about one bit per unit of m or
-    x (relative error 2.9e-12 at x = 720, 2.6e-3 at x = 740); above 745 the value is
-    a central-limit approximation with relative error O(1/a), or a far-tail clamp.
+    Domain: the series where a^2/2 and b^2/2 are below 708.39 (a, b < 37.64);
+    beyond, exactly 1.0 where a - b >= 12, exactly 0.0 where b - a >= 38.61, and
+    BornsimError elsewhere, so Q1(2|alpha|, 2 gamma) refuses no gamma < 12.82.
     ``a`` and ``b`` broadcast against each other (BornsimError where
     they do not); two scalars give a float.
     Every element stops at its own tail bound, so a batched call equals the
@@ -141,7 +126,7 @@ def marcum_q1(a, b):
     """
     a, b = _nonnegative("a", a), _nonnegative("b", b)
     shape = _broadcast_shape(a, b)
-    with np.errstate(over="ignore"):  # an overflowed square is inf, and inf is a corner
+    with np.errstate(over="ignore"):  # an overflowed square is inf, past the limit
         m = np.broadcast_to(0.5 * a * a, shape).ravel()
         x = 0.5 * b * b
     # a shared threshold stays scalar through the series
@@ -150,12 +135,18 @@ def marcum_q1(a, b):
 
     out = np.ones_like(m)           # b = 0
     live = xs > 0.0
-    corner = live & ((m > _EXP_UNDERFLOW) | (xs > _EXP_UNDERFLOW))
-    if np.any(corner):
-        a_flat, b_flat = (np.broadcast_to(v, shape).ravel() for v in (a, b))
-        for i in np.flatnonzero(corner):
-            out[i] = _marcum_corner(float(a_flat[i]), float(b_flat[i]))
-    main = np.flatnonzero(live & ~corner)
+    far = live & ((m >= _SERIES_LIMIT) | (xs >= _SERIES_LIMIT))
+    if np.any(far):
+        a_far, b_far = (np.broadcast_to(v, shape).ravel()[far] for v in (a, b))
+        gap = a_far - b_far
+        inside = np.flatnonzero((gap < _ONE_GAP) & (gap > -_ZERO_GAP))
+        if inside.size:
+            raise BornsimError(
+                f"Marcum Q1(a, b) = Q1(2|alpha|, 2 gamma) is computed only where a, b < "
+                f"{math.sqrt(2.0 * _SERIES_LIMIT):.2f}, a - b >= {_ONE_GAP:g} or b - a >= "
+                f"{_ZERO_GAP:g} (got a = {a_far[inside[0]]:g}, b = {b_far[inside[0]]:g})")
+        out[far] = gap >= _ONE_GAP  # 1.0, or 0.0 where b - a >= _ZERO_GAP
+    main = np.flatnonzero(live & ~far)
     order = main[np.argsort(m[main])]
     for start in range(0, order.size, _SERIES_CHUNK):
         i = order[start:start + _SERIES_CHUNK]

@@ -291,8 +291,8 @@ def deviation_scan(alpha0: float, th: float,
 
 def visibility_scan(alphas: tuple[float, ...], gammas: np.ndarray) -> ScenarioResult:
     """Single-mode fringe visibility versus threshold, one curve per amplitude."""
-    if len(alphas) == 0:
-        raise BornsimError("alphas must hold at least one amplitude")
+    if len(alphas) == 0 or min(alphas) < 0.0:
+        raise BornsimError(f"alphas must be one or more amplitudes >= 0 (got {list(alphas)})")
     names = [f"vis_alpha_{a:g}" for a in alphas]
     for i, name in enumerate(names):
         if name in names[:i]:

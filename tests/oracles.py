@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from bornsim import RngStream
@@ -91,6 +92,29 @@ def mode_crossing_probs(state: CoherentVector, th) -> np.ndarray:
     unequal settings; it broadcasts against the d mode amplitudes.
     """
     return detect_prob(np.abs(state.mode_amplitudes()), th)
+
+
+def marcum_q1_mp(a: float, b: float, dps: int = 40) -> float:
+    """Q1(a, b) from its Poisson series at dps digits, rounded once to a float.
+
+    sum_k P[Pois(a^2/2) = k] Q(k + 1, b^2/2), the series ``detection.marcum_q1``
+    sums in floats, here in mpmath, whose exponent never underflows. It stops once
+    the unconsumed Poisson mass bounds the remainder below 10^-dps of the sum.
+    """
+    with mpmath.workdps(dps):
+        m, x = mpmath.mpf(a) ** 2 / 2, mpmath.mpf(b) ** 2 / 2
+        p = mpmath.exp(-m)          # P[Pois(m) = k]
+        qterm = g = mpmath.exp(-x)  # exp(-x) x^k / k!, and Q(k + 1, x)
+        total, tol, k = p * g, mpmath.mpf(10) ** -dps, 0
+        while True:
+            k += 1
+            p *= m / k
+            qterm *= x / k
+            g += qterm
+            total += p * g
+            ratio = m / (k + 1)
+            if ratio < 1 and p * ratio / (1 - ratio) <= tol * total:
+                return float(total)
 
 
 def efficiency(th):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +52,27 @@ def test_parse_grid():
     # 1e300 points: rejected before any array is built
     with pytest.raises(BornsimError, match="'0:1e-300:1'"):
         parse_grid("0:1e-300:1")
-    # rounding to 12 decimals would overflow to an empty grid, or merge points;
-    # a step below the float spacing at 5e16 (8) merges them unrounded
-    for spec in ("1e300:1:1e300", "0:1e-13:1e-12", "0.5:4e-13:0.5000000000012", "5e16:1:5e16"):
-        with pytest.raises(BornsimError, match=f"'{spec}'"):
+    # a step below the float spacing at 1e300 or at 5e16 (8) would merge points
+    for spec in ("1e300:1:1e300", "5e16:1:5e16"):
+        with pytest.raises(BornsimError, match=f"'{spec}'; points merge"):
             parse_grid(spec)
-    # above 2^53 / 10^12 the 12-decimal snap would move points; they stay exact
+    # each number is read as the shortest decimal of its float, so no exponent or digit
+    # count costs more than that float: 1e-99999999 is 0.0
+    assert parse_grid("1e-99999999:1:2").tolist() == [0.0, 1.0, 2.0]
+    assert parse_grid("0." + "0" * 5000 + "1:1:2").tolist() == [0.0, 1.0, 2.0]
+    # each point is the float nearest its decimal value, at any size and down to the
+    # smallest step, and max is in the grid exactly when min + k * step reaches it
     assert parse_grid("1234567890123:1:1234567890125").tolist() == [
         1234567890123.0, 1234567890124.0, 1234567890125.0]
+    assert parse_grid("450434.2:0.05:450435.2")[3] == 450434.35
+    for spec in ("0:1e-13:1e-12", "0.5:4e-13:0.5000000000012", "450434.2:0.05:450435.2",
+                 "-1.5:0.3:1.5", "0.1:0.7:0.85", "0:5e-324:1e-323"):
+        lo, step, hi = (Fraction(p) for p in spec.split(":"))
+        exact = [lo + k * step for k in range(int((hi - lo) // step) + 1)]
+        assert parse_grid(spec).tolist() == [float(x) for x in exact], spec
+    # zero is +0.0, never -0.0 (which the CSV output would print as -0.0)
+    zero = parse_grid("-18.6:0.6:17.4")[31]
+    assert zero == 0.0 and not np.signbit(zero)
 
 
 def test_counts_outputs_and_determinism(tmp_path):
@@ -245,6 +259,8 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
     ("deviation", None, ["--alpha0", "nan"], "config key 'alpha0' must be finite (got nan)"),
     ("born-again", None, ["--alpha", "inf"], "config key 'alpha' must be finite (got inf)"),
     ("visibility", None, ["--alphas", "1,nan"], "config key 'alphas' must be finite (got nan)"),
+    ("visibility", None, ["--alphas=-0.5,1"],
+     "alphas must be one or more amplitudes >= 0 (got [-0.5, 1.0])"),
     ("counts", '{"alpha0": NaN}', [], "config key 'alpha0' must be finite (got nan)"),
     ("witness", None, ["--gamma", "nan"], "config key 'gamma' must be finite (got nan)"),
     ("counts", None, ["--gamma=-inf"], "config key 'gamma' must be finite (got -inf)"),
@@ -264,8 +280,8 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
         "deviation-zero-alpha0", "mz-three-points", "mz-zero-denominator", "mz-huge-n-points",
         "counts-huge-n", "fast-negative-n-states", "fast-zero-n-states-config",
         "visibility-huge-gamma", "hyper-huge-gamma", "visibility-contour-huge-gamma",
-        "nan-alpha0", "inf-alpha", "nan-alphas", "nan-config", "nan-gamma", "minus-inf-gamma",
-        "huge-int", "too-many-digits", "empty-circuit", "long-file-name"])
+        "nan-alpha0", "inf-alpha", "nan-alphas", "negative-alphas", "nan-config", "nan-gamma",
+        "minus-inf-gamma", "huge-int", "too-many-digits", "empty-circuit", "long-file-name"])
 def test_bad_config_is_one_line_error(tmp_path, capsys, monkeypatch, command, config, flags,
                                       key):
     # a run too long to finish must be refused before the click kernel starts it
@@ -297,9 +313,33 @@ def test_huge_amplitude_gives_finite_output(tmp_path, argv):
 
 def test_huge_threshold_runs_without_warning(tmp_path, capsys):
     # gamma^2 overflows to inf in the dark counts, whose exact limit exp(-inf) = 0 stands
-    argv = ["visibility", "--alphas", "1e300", "--gamma-grid", "1e300:1e300:1e300"]
+    # and Q1(2e301, 2e300) = 1 exactly: a - b is far past 12
+    argv = ["visibility", "--alphas", "1e301", "--gamma-grid", "1e300:1e300:1e300"]
     assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("level", ["19.29", "20"])
+def test_marcum_beyond_its_domain_is_refused(tmp_path, capsys, level):
+    # Q1(2|alpha|, 2 gamma) with both arguments near 40: the series would start
+    # subnormal, and no far tail holds, so the run stops before it writes anything
+    err = run_refused(["counts", "--alpha0", level, "--gamma", level, "--n", "1000"],
+                      tmp_path, capsys)
+    assert len(err) == 1 and err[0].startswith("bornsim: error: Marcum Q1(a, b)")
+    assert "only where a, b < 37.64, a - b >= 12 or b - a >= 38.61 (got a = " in err[0]
+
+
+def test_marcum_far_tail_counts_match_monte_carlo(tmp_path):
+    # gamma = 1 is never refused: from |alpha| = 18.82 on, a = 2|alpha| is past the series
+    # limit and Q1 = 1 exactly, and every analytic count lies within 5 SE of its sampled one
+    argv = ["counts", "--alpha0", "25", "--gamma", "1", "--n", "20000", "--format", "csv"]
+    assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "counts-42.csv", delimiter=",", skiprows=1)
+    analytic, counts = rows[:, 1], rows[:, 3]
+    far = 50.0 * np.abs(np.cos(np.deg2rad(rows[:, 0]))) > 37.65
+    assert np.count_nonzero(far) > 80 and np.all(analytic[far] == 20000)
+    se = np.sqrt(analytic * (1.0 - analytic / 20000))
+    assert np.all(np.abs(counts - analytic) <= 5.0 * se)
 
 
 def test_total_size_is_capped_before_any_work(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from oracles import (
     CoherentVector,
     detect_batch,
     efficiency,
+    marcum_q1_mp,
     mode_crossing_probs,
     outcome_distribution,
     poisson_detection_prob,
@@ -73,10 +75,10 @@ class TestMarcumQ:
             assert np.all(np.diff(vals) <= 1e-14)
 
     def test_vectorized_matches_scalar(self):
-        # a = 0, the series (short and long), and every corner branch: a or b
-        # past the exp underflow with a >> b, b >> a, and both comparable
-        a = np.array([0.0, 0.5, 1.414, 3.3, 8.0, 40.0, 45.0])
-        b = np.array([0.0, 1.7, 2.0, 6.5, 39.0, 41.0])
+        # a = 0, the series (short and long), and both far tails: a or b past the
+        # series limit with a - b >= 12 (1.0) or b - a >= 38.61 (0.0)
+        a = np.array([0.0, 0.5, 1.414, 3.3, 8.0, 60.0, 1e3])
+        b = np.array([0.0, 1.7, 2.0, 6.5, 47.0, 48.0])
         one = np.array([[marcum_q1(x, y) for y in b] for x in a])
         assert np.array_equal(marcum_q1(a[:, None], b), one)
         assert np.array_equal(marcum_q1(a, 1.7), one[:, 1])
@@ -90,11 +92,11 @@ class TestMarcumQ:
     @pytest.mark.parametrize("shared_b", [True, False], ids=["scalar-b", "array-b"])
     def test_sorted_chunks_match_one_element_calls(self, shared_b):
         # more series elements than one chunk, shuffled and repeated, mixed with
-        # corner elements (a or b past the exp underflow) and, for an array b, b = 0
+        # far-tail elements (a or b past the series limit) and, for an array b, b = 0
         rng = np.random.default_rng(23)
         a = np.concatenate([rng.uniform(0.0, 12.0, 150), [0.0, 40.0, 45.0, 1e3]])
         b = 1.7 if shared_b else np.concatenate([rng.uniform(0.0, 12.0, 150),
-                                                 [0.0, 0.0, 41.0, 39.0]])
+                                                 [0.0, 0.0, 90.0, 39.0]])
         one = np.array([marcum_q1(x, b if shared_b else y)
                         for x, y in zip(a, np.broadcast_to(b, a.shape))])
         pick = rng.integers(0, a.size, 2 ** 14 + 3000)
@@ -119,16 +121,71 @@ class TestMarcumQ:
 
     @pytest.mark.parametrize("a", [1.5e17, 3e17, 1e155, 1e200])
     def test_equal_huge_arguments_give_one_half(self, a):
-        # the clamps test a - b, so no 12 is absorbed, and no square overflows
-        assert marcum_q1(a, a) == pytest.approx(0.5, abs=1e-15)
-        assert np.array_equal(marcum_q1(np.array([a, 0.5 * a]), a), [marcum_q1(a, a), 0.0])
+        # Q1(a, a) tends to 1/2, but no double series reaches it: refused, in any array.
+        # The far tails test a - b, so no 12 is absorbed, and no square overflows
+        got = re.escape(f"(got a = {a:g}, b = {a:g})")
+        with pytest.raises(BornsimError, match=got):
+            marcum_q1(a, a)
+        with pytest.raises(BornsimError, match=got):
+            marcum_q1(np.array([a, 0.5 * a, 2.0]), a)
+        assert np.array_equal(marcum_q1(np.array([0.5 * a, 2.0 * a, 2.0]), a), [0.0, 1.0, 0.0])
 
     def test_corner_values_kept(self):
-        # the central-limit corner, written in a and b, keeps every value it had in m and x
-        kept = {(40.0, 39.0): 0.8442748958890767, (40.0, 41.0): 0.16177437153285468,
-                (45.0, 41.0): 0.9999393529002023, (100.0, 100.0): 0.5039891568684226}
-        for (a, b), q in kept.items():
-            assert marcum_q1(a, b) == q
+        # the former central-limit corner's pairs (relative error O(1/a)) are refused,
+        # alone or mixed with series and far-tail elements
+        for a, b in ((40.0, 39.0), (40.0, 41.0), (45.0, 41.0), (100.0, 100.0)):
+            with pytest.raises(BornsimError, match=r"only where a, b < 37\.64, a - b >= 12 or "
+                                                   r"b - a >= 38\.61 \(got a = "):
+                marcum_q1(a, b)
+            with pytest.raises(BornsimError, match=re.escape(f"(got a = {a:g}, b = {b:g})")):
+                marcum_q1([1.0, 60.0, a], [1.0, 2.0, b])
+
+    # the series domain a, b < 37.64 (m, x = a^2/2, b^2/2 < 708.39), with points packed
+    # where m and x near that limit; relative error 1e-13 where Q1 >= 1e-290
+    EDGE = np.sqrt(2.0 * np.linspace(690.0, 708.38, 8))
+    SWEEP = np.concatenate([np.linspace(0.0, 37.0, 75), EDGE])
+
+    def test_series_domain_against_ncx2(self):
+        a, b = np.meshgrid(self.SWEEP, self.SWEEP, indexing="ij")
+        ref = stats.ncx2.sf(b * b, 2, a * a)
+        kept = ref >= 1e-290
+        assert np.count_nonzero(~kept) < 30
+        assert np.max(np.abs(marcum_q1(a, b)[kept] / ref[kept] - 1.0)) <= 1e-13
+
+    def test_series_domain_against_mpmath(self):
+        pairs = [(x, y) for x in self.EDGE[::2] for y in self.EDGE[::2]]
+        pairs += [(x, y) for x in (0.0, 5.0, 20.0, 30.0, 37.6)
+                  for y in (0.5, 10.0, 25.0, 37.0, 37.6)]
+        ref = np.array([marcum_q1_mp(x, y) for x, y in pairs])
+        got = marcum_q1(*np.array(pairs).T)
+        kept = ref >= 1e-290
+        assert np.count_nonzero(kept) > 35
+        assert np.max(np.abs(got[kept] / ref[kept] - 1.0)) <= 1e-13
+
+    def test_far_tails_are_exact_and_the_gap_between_is_refused(self):
+        limit = math.sqrt(2.0 * 708.39)
+        # the series runs up to the limit, and one step past it a comparable pair is refused
+        assert marcum_q1(37.64, 37.64) == pytest.approx(marcum_q1_mp(37.64, 37.64), rel=1e-13)
+        with pytest.raises(BornsimError, match="a, b < 37.64"):
+            marcum_q1(np.nextafter(limit, 38.0), 37.64)
+        # a - b >= 12: exactly 1.0; one ulp inside the gap: refused
+        for a in (40.0, 1e3, 1e15):
+            assert marcum_q1(a, a - 12.0) == 1.0 and marcum_q1(a, 0.0) == 1.0
+            with pytest.raises(BornsimError, match="a - b >= 12"):
+                marcum_q1(a, np.nextafter(a - 12.0, a))
+        # b - a >= 38.61: exactly 0.0; one ulp inside the gap: refused
+        for a in (0.0, 1.0, 8.0):
+            assert marcum_q1(a, a + 38.61) == 0.0 and marcum_q1(a, 1e300) == 0.0
+            with pytest.raises(BornsimError, match="b - a >= 38.61"):
+                marcum_q1(a, np.nextafter(a + 38.61, a))
+        assert marcum_q1(1e3, 1e3 + 38.625) == 0.0
+        with pytest.raises(BornsimError, match="b - a >= 38.61"):
+            marcum_q1(1e3, 1e3 + 38.6)
+        # a threshold below 12.82 (b < 25.64) is never refused, whatever the amplitude
+        b = 2.0 * 12.8199
+        past = np.nextafter(limit, 38.0) * np.array([1.0, 2.0, 1e9])
+        a = np.concatenate([np.linspace(0.0, 37.6, 50), past])
+        assert np.all(np.isfinite(marcum_q1(a, b)))
 
     @given(a=st.floats(0.0, 20.0), b=st.floats(0.0, 20.0))
     @settings(max_examples=200, deadline=None)

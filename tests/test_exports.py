@@ -105,7 +105,7 @@ def test_every_function_in_src_runs_under_the_commands(tmp_path):
         ("hadamard", [0, 2]), ("cnot", [0, 1, 2, 3]), ("x", [2, 3]), ("phase", [1]))]))
     runs = list(small_runs(tmp_path).values())
     runs += [["witness", "--alpha-grid", "1:1:2", "--circuit", str(circuit)],
-             ["counts", "--alpha0", "20", "--gamma", "20", "--n", "50"],  # the Marcum corner
+             ["counts", "--alpha0", "25", "--gamma", "1", "--n", "50"],  # Marcum's far tail
              ["counts", "--n", str(CLICK_BLOCK)]]  # angles counted on every usable CPU
     ran = set()
 
