@@ -207,8 +207,9 @@ def _fidelity(p, method: str):
 
 
 def _visibility_contour(p):
-    a, g = np.meshgrid(p["alpha_grid"], p["gamma_grid"], indexing="ij")
-    return np.column_stack([a.ravel(), g.ravel(), visibility_single(a, g).ravel()])
+    a, g = p["alpha_grid"][:, None], p["gamma_grid"]
+    v = visibility_single(a, g)
+    return np.column_stack([np.broadcast_to(x, v.shape).ravel() for x in (a, g, v)])
 
 
 class Command(NamedTuple):

@@ -74,24 +74,28 @@ _ZERO_GAP = 38.61
 _SERIES_CHUNK = 2 ** 14
 
 
-def _marcum_series(m: np.ndarray, x: "float | np.ndarray") -> np.ndarray:
-    """Q1 of m = a^2/2 (1-D) and x = b^2/2 (a shared scalar or an array like m), in range.
+def _marcum_series(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q1 (r, c) of m = a^2/2 (r, 1) and x = b^2/2 (1, c) or (r, c), in range.
 
-    Each element stops at its own tail bound. Stopped elements stay in the
-    working set: marcum_q1 passes elements of similar m, which stop after
+    Each quantity takes the smallest shape it depends on: the Poisson weight,
+    m / (k + 1) and the tail bound m's, one per amplitude; the incomplete-gamma
+    terms x's, one per threshold; only the running sum and its stop test the
+    result's. Each element stops at its own tail bound, after the float
+    operations of a one-element call in the same order. Stopped elements stay
+    in the working set: marcum_q1 passes rows of similar m, which stop after
     similar numbers of terms, and arrays that keep one size reuse the same
     heap blocks (shrinking them raised a contour sweep's peak RSS by up to 2%)."""
-    out = np.empty_like(m)
-    live = np.ones(m.size, dtype=bool)
     p = np.exp(-m)          # Poisson weight P[Pois(m) = k]
     qterm = np.exp(-x)      # exp(-x) x^k / k!
     g = qterm               # Q(k + 1, x)
     total = p * g
+    out = np.empty_like(total)
+    live = np.ones(total.shape, dtype=bool)
     for k in range(1, _MAX_TERMS + 1):
         p = p * (m / k)
         qterm = qterm * (x / k)
         g = g + qterm
-        total = total + p * g
+        total += p * g
         ratio = m / (k + 1.0)
         remainder = np.where(ratio < 1.0,
                              p * ratio / np.maximum(1.0 - ratio, 1e-300),
@@ -117,27 +121,50 @@ def marcum_q1(a, b):
     beyond, exactly 1.0 where a - b >= 12, exactly 0.0 where b - a >= 38.61, and
     BornsimError elsewhere, so Q1(2|alpha|, 2 gamma) refuses no gamma < 12.82.
     ``a`` and ``b`` broadcast against each other (BornsimError where
-    they do not); two scalars give a float.
-    Every element stops at its own tail bound, so a batched call equals the
-    one-element calls bit for bit. The series elements run in order of m =
-    a^2/2, in chunks of 2^14: elements of similar m stop after similar numbers
-    of terms, so few loop steps carry elements that have already stopped, and
-    no order or chunking changes a bit.
+    they do not); two scalars give a float, arrays a C-contiguous array.
+    The series runs on a (rows, columns) layout: rows are the axes where a
+    varies (those shared with b included), columns the axes where only b
+    varies, so each Poisson weight is computed once per amplitude and each
+    gamma term once per threshold. Rows run in chunks of at most 2^14 elements
+    (at least one row, and at most 2^14 columns), sorted by m = a^2/2 when there
+    is more than one: rows of similar m stop after similar numbers of terms.
+    Every element stops at its own tail bound after the float operations of a
+    one-element call, so no layout, order or chunking changes a bit.
     """
     a, b = _nonnegative("a", a), _nonnegative("b", b)
     shape = _broadcast_shape(a, b)
     with np.errstate(over="ignore"):  # an overflowed square is inf, past the limit
-        m = np.broadcast_to(0.5 * a * a, shape).ravel()
-        x = 0.5 * b * b
-    # a shared threshold stays scalar through the series
-    x = x if np.ndim(x) == 0 else np.broadcast_to(x, shape).ravel()
-    xs = np.broadcast_to(x, m.shape)
+        m, x = (np.reshape(0.5 * v * v, (1,) * (len(shape) - np.ndim(v)) + np.shape(v))
+                for v in (a, b))
+    # rows: a's own elements, over its axes (those shared with b too); columns: b's other axes
+    perm = sorted(range(len(shape)), key=lambda i: m.shape[i] == 1)
+    t_shape, n = tuple(shape[i] for i in perm), len(shape) - m.shape.count(1)
+    n_rows, n_cols = math.prod(t_shape[:n]), math.prod(t_shape[n:])
+    m_rows, x_t = m.transpose(perm).reshape(n_rows, 1), x.transpose(perm)
+    if x_t.shape[:n] != (1,) * n:  # b varies along a row axis too
+        x_t = np.broadcast_to(x_t, t_shape)
+    # elements past the series limit run as b = 0, a short series, and are overwritten below
+    x_t = np.where(x_t < _SERIES_LIMIT, x_t, 0.0).reshape(math.prod(x_t.shape[:n]), n_cols)
 
-    out = np.ones_like(m)           # b = 0
-    live = xs > 0.0
-    far = live & ((m >= _SERIES_LIMIT) | (xs >= _SERIES_LIMIT))
+    out = np.empty((n_rows, n_cols))
+    main = np.flatnonzero((m_rows[:, 0] < _SERIES_LIMIT) & (x_t > 0.0).any(axis=1))
+    cols = max(1, min(n_cols, _SERIES_CHUNK))
+    rows = _SERIES_CHUNK // cols
+    if main.size > rows:  # within one chunk the order changes no bit
+        main = main[np.argsort(m_rows[main, 0])]
+    for start in range(0, main.size, rows):
+        i = main[start:start + rows]
+        for j in range(0, n_cols, cols):
+            c = slice(j, j + cols)
+            out[i, c] = _marcum_series(m_rows[i], x_t[i, c] if len(x_t) > 1 else x_t[:, c])
+    # C order in the broadcast shape: sums over the result depend on its memory layout
+    out = out.reshape(t_shape).transpose([perm.index(i) for i in range(len(shape))])
+    out = np.asarray(out, order="C")
+
+    out[np.broadcast_to(x == 0.0, shape)] = 1.0  # Q1(a, 0) = 1
+    far = ((m >= _SERIES_LIMIT) | (x >= _SERIES_LIMIT)) & (x > 0.0)
     if np.any(far):
-        a_far, b_far = (np.broadcast_to(v, shape).ravel()[far] for v in (a, b))
+        a_far, b_far = (np.broadcast_to(v, shape)[far] for v in (a, b))
         gap = a_far - b_far
         inside = np.flatnonzero((gap < _ONE_GAP) & (gap > -_ZERO_GAP))
         if inside.size:
@@ -146,12 +173,7 @@ def marcum_q1(a, b):
                 f"{math.sqrt(2.0 * _SERIES_LIMIT):.2f}, a - b >= {_ONE_GAP:g} or b - a >= "
                 f"{_ZERO_GAP:g} (got a = {a_far[inside[0]]:g}, b = {b_far[inside[0]]:g})")
         out[far] = gap >= _ONE_GAP  # 1.0, or 0.0 where b - a >= _ZERO_GAP
-    main = np.flatnonzero(live & ~far)
-    order = main[np.argsort(m[main])]
-    for start in range(0, order.size, _SERIES_CHUNK):
-        i = order[start:start + _SERIES_CHUNK]
-        out[i] = _marcum_series(m[i], x if np.ndim(x) == 0 else x[i])
-    return float(out[0]) if not shape else out.reshape(shape)
+    return float(out) if not shape else out
 
 
 # ---------------------------------------------------------------------------

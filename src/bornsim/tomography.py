@@ -87,13 +87,13 @@ def build_basis() -> HermitianBasis:
     # the first matrix with an exactly equal diagonalizer measures for each one
     first = [next(j for j in range(k + 1) if np.array_equal(diags[j], diags[k]))
              for k in range(len(diags))]
-    settings, setting_of = np.unique(first, return_inverse=True)
+    settings = [k for k, j in enumerate(first) if j == k]
     return HermitianBasis(
         matrices=np.array(mats),
         diagonalizers=np.array(diags),
         eigenvalues=np.array(eigs, dtype=float),
-        settings=settings,
-        setting_of=setting_of,
+        settings=np.array(settings),
+        setting_of=np.array([settings.index(j) for j in first]),
     )
 
 
@@ -146,9 +146,9 @@ def _reconstruct(m: np.ndarray, basis: HermitianBasis,
 # Mode amplitudes (grid points x states x 16 settings x 4 modes) per block.
 # Measured over 2^13..2^16 (fresh-process peak RSS, in-process time): 2^14 is the
 # largest cap at which fidelity-contour --fast (one alpha row, 15,360 amplitudes)
-# is scored one row per block, peaking at 39.1 MiB against 40.6 at 2^15 and
-# 41.4 at 2^16; 2^13 lowers only fidelity's peak (38.3 against 39.0 MiB) and
-# costs it 13% more time in twice as many blocks.
+# is scored one row per block, peaking at 38.0 MiB against 38.5 at 2^15 and
+# 39.3 at 2^16, which are 19% and 27% faster; 2^13 lowers only fidelity's peak
+# (37.6 against 37.9 MiB) and costs it 17% more time in twice as many blocks.
 _BLOCK_AMPLITUDES = 2 ** 14
 
 

@@ -1,10 +1,12 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate, special, stats
 
 from bornsim import (
@@ -15,12 +17,14 @@ from bornsim import (
     marcum_q1,
     visibility_single,
 )
+from bornsim import detection
 from bornsim.detection import visibility_dual
 from bornsim.errors import BornsimError
 from oracles import (
     CoherentVector,
     detect_batch,
     efficiency,
+    marcum_q1_elementwise,
     marcum_q1_mp,
     mode_crossing_probs,
     outcome_distribution,
@@ -39,6 +43,44 @@ def marcum_quadrature(a: float, b: float) -> float:
     f = lambda x: x * special.i0e(a * x) * np.exp(-0.5 * (x - a) ** 2)
     val, _ = integrate.quad(f, b, np.inf, epsabs=1e-15, epsrel=1e-13, limit=400)
     return val
+
+
+# Amplitudes: the series, a = 0 and far past the series limit; thresholds: the series,
+# b = 0 and far past it. Every pair is computed or exact (a far a gives 1.0 against every
+# b but 1e300, a far b 0.0 against every series a), none refused.
+A_VALUES = st.one_of(st.floats(0.0, 37.6), st.sampled_from([0.0, 200.0, 1e3]))
+B_VALUES = st.one_of(st.floats(0.0, 25.0), st.sampled_from([0.0, 90.0, 1e300]))
+
+
+@st.composite
+def marcum_operands(draw):
+    """a and b over 0-3 broadcast axes, each of length 0, 1, 2, 3 or 5 and varying in a,
+    b or both; an operand may omit leading length-1 axes, be a Python float, or have
+    negative strides."""
+    axes = draw(st.lists(st.tuples(st.sampled_from([2, 3, 5, 1, 0]),
+                                   st.sampled_from(["a", "b", "ab"])), max_size=3))
+    operands = []
+    for name, values in (("a", A_VALUES), ("b", B_VALUES)):
+        shape = [n if name in who else 1 for n, who in axes]
+        while shape and shape[0] == 1 and draw(st.booleans()):
+            shape.pop(0)
+        v = draw(arrays(float, tuple(shape), elements=values))
+        if not shape and draw(st.booleans()):
+            v = float(v)
+        elif draw(st.booleans()):
+            v = np.flip(np.flip(v).copy())
+        operands.append(v)
+    return operands
+
+
+def outer_past_one_chunk():
+    """1,500 amplitudes (some past the series limit) against 12 thresholds (b = 0 and one
+    past the limit among them): more rows than one chunk of 2^14 elements."""
+    rng = np.random.default_rng(31)
+    a = rng.uniform(0.0, 12.0, (1500, 1))
+    a[::97] = 1e3
+    b = np.concatenate([rng.uniform(0.0, 12.0, 9), [0.0, 90.0, 3.0]])
+    return [a, b]
 
 
 class TestMarcumQ:
@@ -104,6 +146,36 @@ class TestMarcumQ:
         assert np.array_equal(got, one[pick])
         series = (a[pick] < 38.0) & (np.broadcast_to(b, a.shape)[pick] < 38.0)
         assert np.count_nonzero(series) > 2 ** 14 and not series.all()
+
+    @given(ab=marcum_operands(), chunk=st.sampled_from([1, 3, 8, detection._SERIES_CHUNK]))
+    @example(ab=outer_past_one_chunk(), chunk=detection._SERIES_CHUNK)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_every_layout_matches_the_elementwise_oracle(self, ab, chunk):
+        # a-only, b-only and shared axes, 0-d and size-0 operands, negative strides,
+        # b = 0 and far tails, and more rows than one chunk: the same bits, C-contiguous
+        want = marcum_q1_elementwise(*ab)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detection, "_SERIES_CHUNK", chunk)
+            got = marcum_q1(*ab)
+        if isinstance(want, float):
+            assert isinstance(got, float) and got == want
+        else:
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+    def test_block_call_working_set(self):
+        # one fidelity-contour --fast block: 20 states x 9 settings x 4 modes at one
+        # amplitude, against 12 thresholds; each element's own series peaked at 1,193 KiB
+        rng = np.random.default_rng(7)
+        a = 2.0 * 3.0 * rng.uniform(0.0, 1.0, (1, 1, 20, 9, 4))
+        b = 2.0 * np.arange(0.25, 3.01, 0.25)[:, None, None, None]
+        tracemalloc.start()
+        try:
+            marcum_q1(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024, f"{peak / 1024:.0f} KiB"
 
     def test_domain_errors(self):
         with pytest.raises(BornsimError, match="^a must be finite and >= 0"):

@@ -186,6 +186,9 @@ class TestMeasurement:
         # I and Z share the identity eigenbasis: 9 settings for the 16 products
         b = build_basis()
         assert b.settings.size == 9
+        # each setting is the first matrix of its diagonalizer, in order of first index
+        assert b.settings.tolist() == [0, 1, 2, 4, 5, 6, 8, 9, 10]
+        assert b.setting_of.tolist() == [0, 1, 2, 0, 3, 4, 5, 3, 6, 7, 8, 6, 0, 1, 2, 0]
         for k in range(16):
             assert np.array_equal(b.diagonalizers[k], b.diagonalizers[b.settings[b.setting_of[k]]])
 
