@@ -195,7 +195,8 @@ def detect_prob(alpha_abs, th):
 
 
 def dark_count_prob(th):
-    """Vacuum click probability exp(-2*gamma^2), elementwise over gamma."""
+    """Vacuum click probability exp(-2*gamma^2), elementwise over gamma; relative error below
+    (1 + 2 gamma^2) 1.2e-16 (mpmath: 1.3e-15 to gamma = 3), subnormal past gamma = 18.82."""
     g = gamma_of(th)
     with np.errstate(over="ignore"):  # past gamma ~ 1.3e154 the square is inf: exp(-inf) = 0
         return _float_or_array(np.exp(-2.0 * g * g))
@@ -205,8 +206,9 @@ def born_expansion(alpha_abs, th):
     """Fourth-order small-amplitude expansion of the click probability.
 
     exp(-2 g^2) * (1 + 4 g^2 |a|^2 + 4 g^2 (g^2 - 1) |a|^4), broadcast over
-    alpha and gamma; accurate for |alpha|^2 << 1/(4 gamma^2). Raises
-    BornsimError where the polynomial overflows to inf or NaN.
+    alpha and gamma. It is off Q1 by a relative O(|alpha|^6): at gamma = 1, 8.5e-7 at
+    |alpha|^2 = 0.01, 6.0e-4 at 0.1 and 3.0e-2 at 0.5 (6.5e-4 at 0.01 for gamma = 3).
+    Raises BornsimError where the polynomial overflows to inf or NaN.
     """
     a, g = _nonnegative("alpha_abs", alpha_abs), gamma_of(th)
     _broadcast_shape(a, g)
@@ -222,7 +224,9 @@ def born_expansion(alpha_abs, th):
 
 
 def visibility_single(alpha_abs, th):
-    """Fringe visibility (Q - delta) / (Q + delta) of the click probability, broadcast."""
+    """Fringe visibility (Q - delta) / (Q + delta) of the click probability, broadcast.
+    Q - delta cancels for small |alpha| or gamma: relative error 5e-16 Q / (Q - delta), by
+    mpmath 3.0e-12 on |alpha|, gamma in 0.05:0.05:3, 1.6e-10 at (1e-4, 1), 3.8e-5 at (1, 1e-6)."""
     q = detect_prob(alpha_abs, th)
     delta = dark_count_prob(th)
     return _divide(q - delta, q + delta, "visibility undefined: no clicks")
@@ -232,7 +236,10 @@ def visibility_dual(alpha_abs, th):
     """Visibility of the post-selected dual-mode conditional probability.
 
     [Q(1-delta) - (1-Q)delta] / [Q(1-delta) + (1-Q)delta] with
-    Q = Q1(2|alpha|, 2*gamma), broadcast over alpha and gamma.
+    Q = Q1(2|alpha|, 2*gamma), broadcast over alpha and gamma. The numerator cancels
+    as visibility_single's does, and 1 - delta for small gamma (relative 1e-16 / (2 gamma^2)):
+    against mpmath at most 3.0e-12 for |alpha|, gamma in 0.05:0.05:3, 2.7e-9 at (1e-4, 1)
+    and 1.1e-4 at (1, 1e-6). Where 1 - Q cancels, (1 - Q) delta is a small correction.
     """
     g = gamma_of(th)
     if np.any(g == 0.0):
@@ -252,6 +259,10 @@ def _singles_from_q(q: np.ndarray) -> np.ndarray:
     """P[exactly one click, on mode i] = q_i * prod_{j != i} (1 - q_j), over the last axis.
 
     The closed form of the outcome tables' single_detection_probs (tests/oracles.py).
+    Each 1 - q_j cancels as q_j nears 1: for q from marcum_q1 its error is about 7e-16,
+    relative 7e-16 / (1 - q_j); by mpmath 8.1e-12 at (|alpha|, gamma) = (3, 1), 6.9e-7 at
+    (4.24, 1) and 4.6e-6 at (2.95, 0.05). Where q_j rounds to 1 (|alpha| >= 5 at gamma = 1)
+    every single that needs mode j dark reads 0.
     """
     d = q.shape[-1]
     comp = np.broadcast_to((1.0 - q)[..., None, :], q.shape + (d,))
@@ -267,9 +278,11 @@ def _conditional_clicks(amps: np.ndarray, gamma: "float | np.ndarray") -> np.nda
     p_i = (q_i / (1 - q_i)) / sum_k (q_k / (1 - q_k)) with q_i = Q1(2|alpha_i|,
     2 gamma), the outcome tables' single_detection_probs (tests/oracles.py)
     renormalized to sum to one. gamma is one threshold or an array that
-    broadcasts against amps. A row where some q_i rounds to 1 takes the
-    limit instead: its mass is shared equally by the saturated modes of
-    largest amplitude.
+    broadcasts against amps. q_i / (1 - q_i) inherits 1 - q_i's relative error
+    7e-16 / (1 - q_i) (_singles_from_q): p is within 7e-13 of mpmath at amplitudes
+    (3, 2.9, 1, 0.5) and gamma = 1. A row where some q_i rounds to 1 shares its mass
+    equally among the saturated modes of largest amplitude, which is wrong while other
+    modes are not saturated: (5, 4.9, 1, 0.5) gives (1, 0, 0, 0), not (0.834, 0.166, ~0, ~0).
     """
     if np.any(gamma == 0.0):
         raise BornsimError("every mode crosses threshold at gamma = 0")

@@ -75,15 +75,8 @@ class ScenarioResult:
                 if self.counts[name].shape != self.grid.shape:
                     raise BornsimError(f"counts {name!r} does not match the grid length")
 
-    def columns(self) -> dict[str, np.ndarray]:
-        cols = {self.grid_name: self.grid}
-        cols.update(self.analytic)
-        if self.counts:
-            cols.update(self.counts)
-        return cols
-
     def to_csv(self, path: str | Path) -> None:
-        _write_csv(path, self.columns())
+        _write_csv(path, {self.grid_name: self.grid, **self.analytic, **(self.counts or {})})
 
     def to_json(self, path: str | Path) -> None:
         _write_json(path, {"meta": self.meta, "grid_name": self.grid_name, "grid": self.grid,
@@ -106,25 +99,8 @@ def _chunks(items):
         yield chunk
 
 
-def _json_items(values, pad: str) -> list[str]:
-    """_json_text of each value at pad; a finite float, the common case, without a call."""
-    return [float.__repr__(v) if type(v) is float and math.isfinite(v)
-            else _json_text(v, pad) for v in values]
-
-
-def _json_text(o, pad: str) -> str:
-    """json.dumps(o, indent=2, sort_keys=True), nested at pad; arrays as .tolist()."""
-    inner = pad + "  "
-    if isinstance(o, dict):
-        texts = [encode_basestring_ascii(k) + ": " + (  # _json_items' float case, inlined
-            float.__repr__(v) if type(v) is float and math.isfinite(v)
-            else _json_text(v, inner)) for k, v in sorted(o.items())]
-        return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "}" if texts else "{}"
-    if isinstance(o, (list, tuple, Iterator)):
-        texts = _json_items(o, inner)
-        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]" if texts else "[]"
-    if isinstance(o, np.ndarray):
-        return _json_text(o.tolist(), pad)
+def _json_scalar(o) -> str:
+    """json.dumps(o) of a number, string, None or boolean."""
     if isinstance(o, float):
         if math.isfinite(o):  # as json: under numpy 2, repr(np.float64(x)) is 'np.float64(x)'
             return float.__repr__(o)
@@ -141,24 +117,29 @@ def _json_text(o, pad: str) -> str:
 
 
 def _json_pieces(o, pad: str):
-    """_json_text(o, pad) in pieces: a dict member by member, and a list, tuple, array or
-    iterator a chunk (_chunks) at a time, each item formatted whole."""
+    """json.dumps(o, indent=2, sort_keys=True), nested at pad, in pieces: a dict member by
+    member, and a list, tuple, array or iterator a chunk (_chunks) at a time; arrays as
+    their .tolist()."""
     inner = pad + "  "
-    if isinstance(o, dict) and o:
+    if isinstance(o, np.ndarray) and not o.ndim:
+        o = o.tolist()
+    if isinstance(o, dict):
         sep = "{\n" + inner
         for key in sorted(o):
             yield sep + encode_basestring_ascii(key) + ": "
             yield from _json_pieces(o[key], inner)
             sep = ",\n" + inner
-        yield "\n" + pad + "}"
-    elif isinstance(o, (list, tuple, Iterator)) or isinstance(o, np.ndarray) and o.ndim:
+        yield "{}" if sep[0] == "{" else "\n" + pad + "}"
+    elif isinstance(o, (list, tuple, Iterator, np.ndarray)):
         sep = "[\n" + inner
-        for chunk in _chunks(o):
-            yield sep + (",\n" + inner).join(_json_items(chunk, inner))
+        for chunk in _chunks(o):  # a finite float, the common item, without a call
+            yield sep + (",\n" + inner).join(
+                float.__repr__(v) if type(v) is float and math.isfinite(v)
+                else "".join(_json_pieces(v, inner)) for v in chunk)
             sep = ",\n" + inner
         yield "[]" if sep[0] == "[" else "\n" + pad + "]"
     else:
-        yield _json_text(o, pad)
+        yield _json_scalar(o)
 
 
 def _write_json(path: str | Path, payload) -> None:

@@ -428,6 +428,10 @@ class TestScenarioSerialization:
         payload = json.loads(json_path.read_text())
         assert payload["grid_name"] == "theta_deg"
         assert len(payload["analytic"]["model"]) == 7
+        # a numpy integer is not a Python int: the writer refuses it instead of guessing
+        res.meta["n"] = np.int64(1)
+        with pytest.raises(BornsimError, match="cannot write a int64 as JSON"):
+            res.to_json(json_path)
 
     def test_curves_must_match_the_grid(self):
         grid = np.arange(3.0)

@@ -12,6 +12,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bornsim
@@ -124,3 +125,26 @@ def test_every_function_in_src_runs_under_the_commands(tmp_path):
     assert codes == [0] * len(runs)
     idle = sorted(n for n, where in defined.items() if where not in ran)
     assert not idle, f"functions no command runs: {idle}"
+
+
+SWEEP_METRICS = ("mean_fidelity", "frac_invalid", "mean_visibility", "mean_ppt_witness")
+
+
+def test_each_command_json_holds_its_csv_numbers(tmp_path):
+    # a run's two data files lay out one result: the JSON holds exactly the CSV's numbers
+    for name, argv in small_runs(tmp_path).items():
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / f"{name}-42.csv").read_text().splitlines()
+        cells = np.array([row.split(",") for row in rows], dtype=float)
+        table = dict(zip(header.split(","), cells.T))
+        data = json.loads((tmp_path / f"{name}-42.json").read_text())
+        if name == "visibility-contour":
+            held = {key: [row[key] for row in data["rows"]] for key in data["rows"][0]}
+        elif "grid" in data:  # a ScenarioResult
+            held = {data["grid_name"]: data["grid"], **data["analytic"], **(data["counts"] or {})}
+        else:  # a SweepResult, one CSV row per (alpha, gamma) point
+            alphas, gammas = np.meshgrid(data["alphas"], data["gammas"], indexing="ij")
+            held = {"alpha": alphas, "gamma": gammas, **{k: data[k] for k in SWEEP_METRICS}}
+        assert sorted(held) == sorted(table), name
+        for key, column in table.items():
+            assert np.array_equal(np.ravel(held[key]), column, equal_nan=True), (name, key)

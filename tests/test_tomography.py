@@ -474,6 +474,9 @@ class TestReportsAndSweeps:
     def test_empty_ensemble_sweep_rejected(self):
         with pytest.raises(BornsimError, match="n_states must be >= 1"):
             ensemble_sweep(np.array([1.0]), np.array([1.0]), 0, RngStream(1))
+        with pytest.raises(BornsimError, match="n_states must be >= 1"):
+            fidelity_scan(np.array([1.0]), 1.0, 5, RngStream(1), method="linear",
+                          psis=np.zeros((0, 4)))
 
     def test_bell_witness_scan_takes_four_modes(self, monkeypatch):
         # the 2 x 2 witness partition has no two-mode counterpart; the shape is
