@@ -18,7 +18,9 @@ values of ``wall_clock_seconds`` and ``out_dir``, and the whole
 trees older than it do not write. The files that differ are printed, and the
 exit code is 1 on any difference or failed run. Each run's line also gives the
 peak resident set size and the wall time of both processes, old first, from
-``os.wait4`` (ru_maxrss, in KiB on Linux).
+``os.wait4`` (ru_maxrss, in KiB on Linux). The tree that runs first alternates
+from run to run, so that neither side's times always come from the process
+that starts on a cold file cache or a quieter host.
 """
 
 from __future__ import annotations
@@ -118,11 +120,12 @@ def main(argv: list[str] | None = None) -> int:
         circuit.write_text(json.dumps(BELL_CIRCUIT))
         runs = ([r.strip() for r in args.commands.split(",")] if args.commands
                 else default_runs(args.new_src, circuit))
-        for seed in seeds:
+        for i, seed in enumerate(seeds):
             for n, run in enumerate(runs):
                 dirs = [Path(tmp, side, str(seed), str(n)) for side in ("old", "new")]
-                results = [run_tree(src, run, seed, d)
-                           for src, d in zip((args.old_src, args.new_src), dirs)]
+                sides = list(zip((args.old_src, args.new_src), dirs))
+                step = 1 if (len(runs) * i + n) % 2 == 0 else -1  # -1: the new tree first
+                results = [run_tree(src, run, seed, d) for src, d in sides[::step]][::step]
                 errors = [error for error, _, _ in results]
                 label = f"seed {seed}: {run}  [" + " | ".join(
                     f"{side} {peak:.1f} MiB {wall:.3f} s"

@@ -16,6 +16,7 @@ byte-identical data files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -71,18 +72,24 @@ def parse_grid(spec: str) -> np.ndarray:
     return grid
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """One subparser per COMMANDS entry; each flag, type and default comes from the table.
 
-    A flag must be spelled in full: an abbreviation such as --n for --n-states is a
-    usage error, not a silent match.
+    When argv's first word names a command, only that command's subparser is built, and
+    the command list in the usage line is still spelled in full, so every usage, help and
+    error text is the full parser's. A flag must be spelled in full: an abbreviation such
+    as --n for --n-states is a usage error, not a silent match.
     """
     parser = argparse.ArgumentParser(
         prog="bornsim", description="Vacuum-noise threshold-detection experiments as CSV/JSON data.",
         allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"bornsim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
+    named = bool(argv) and argv[0] in COMMANDS
+    # a metavar would also rename the argument in the full parser's "required" error
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if named else None)
+    for name in argv[:1] if named else COMMANDS:
+        command = COMMANDS[name]
         p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for key, (default, text) in {**command.params, **COMMON}.items():
             shown = ",".join(map(str, default)) if isinstance(default, list) else default
@@ -357,12 +364,24 @@ def run(cfg: dict, values: dict) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line; 0 on success, 1 for a refused or failed run, SystemExit(2) for a
+    usage error (and SystemExit(0) after --help or --version).
+
+    Without argv, as the process entry point (python -m bornsim.cli, the bornsim script),
+    it reads sys.argv and, on every exit, freezes the objects alive (gc.freeze), so that
+    the interpreter's exit does not collect the import graph it is about to drop.
+    """
+    words = sys.argv[1:] if argv is None else argv
     try:
-        return run(*resolve_config(args))
-    except (BornsimError, OSError) as exc:
-        print(f"bornsim: error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser(words).parse_args(words)
+        try:
+            return run(*resolve_config(args))
+        except (BornsimError, OSError) as exc:
+            print(f"bornsim: error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

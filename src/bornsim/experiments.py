@@ -126,8 +126,12 @@ def _json_pieces(o, pad: str):
     if isinstance(o, dict):
         sep = "{\n" + inner
         for key in sorted(o):
-            yield sep + encode_basestring_ascii(key) + ": "
-            yield from _json_pieces(o[key], inner)
+            value, head = o[key], sep + encode_basestring_ascii(key) + ": "
+            if type(value) is float and math.isfinite(value):  # as a list item: no call
+                yield head + float.__repr__(value)
+            else:
+                yield head
+                yield from _json_pieces(value, inner)
             sep = ",\n" + inner
         yield "{}" if sep[0] == "{" else "\n" + pad + "}"
     elif isinstance(o, (list, tuple, Iterator, np.ndarray)):
@@ -442,11 +446,12 @@ def mach_zehnder_fit(alpha: float, th: float, rng: RngStream, *,
     Each sample is the conditional probability p_mz at one of n_points equally
     spaced phases plus Gaussian noise of standard deviation 1/sqrt(sample_size),
     mimicking a finite photon budget per phase setting. The fit is linear least
-    squares on [1, cos, sin]; the period is fixed at 2 pi. meta adds the seed,
-    sample_phis, samples and fit: the dark-corrected fringe visibility
-    (p_max - p_min) / (p_max + p_min - 2 delta) of the conditional curve, the
-    detected-events coincidence ratio r_d of the open interferometer, the fit's
-    root-mean-square residual rmse, and the fitted amplitude A, offset B and phase phi0.
+    squares on [1, cos, sin], in closed form as the phases are equally spaced; the
+    period is fixed at 2 pi. meta adds the seed, sample_phis, samples and fit: the
+    dark-corrected fringe visibility (p_max - p_min) / (p_max + p_min - 2 delta) of the
+    conditional curve, the detected-events coincidence ratio r_d of the open
+    interferometer, the fit's root-mean-square residual rmse, and the fitted amplitude A,
+    offset B and phase phi0.
     """
     if n_points < 4:
         raise BornsimError("need at least 4 phase points to fit")
@@ -458,10 +463,12 @@ def mach_zehnder_fit(alpha: float, th: float, rng: RngStream, *,
     sigma = 1.0 / math.sqrt(sample_size)
     samples = p + sigma * rng.standard_normals(n_points)
 
-    basis = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
-    coef, *_ = np.linalg.lstsq(basis, samples, rcond=None)
-    ampl = math.hypot(coef[1], coef[2])
-    rmse = float(np.sqrt(np.mean((samples - basis @ coef) ** 2)))
+    # at the phases 2 pi k / n (n >= 3) the columns [1, cos, sin] are orthogonal, with
+    # squared norms n, n/2 and n/2, so the least-squares fit is three means
+    cos, sin = np.cos(phis), np.sin(phis)
+    mean, c, s = np.mean(samples), 2.0 * np.mean(samples * cos), 2.0 * np.mean(samples * sin)
+    ampl = math.hypot(c, s)
+    rmse = float(np.sqrt(np.mean((samples - mean - c * cos - s * sin) ** 2)))
 
     # the conditional fringe peaks at phi = 0 (dark arm in vacuum) and is lowest at pi
     p_max, p_min = map(float, _mz_probs(alpha, g, np.array([0.0, np.pi]))[0])
@@ -472,5 +479,5 @@ def mach_zehnder_fit(alpha: float, th: float, rng: RngStream, *,
     result = mach_zehnder(alpha, g)
     result.meta.update({"seed": rng.seed, "sample_phis": phis, "samples": samples, "fit": {
         "visibility": visibility, "r_d": r_d, "rmse": rmse, "amplitude": 2.0 * ampl,
-        "offset": coef[0] - ampl, "phase": 0.5 * math.atan2(-coef[2], coef[1])}})
+        "offset": mean - ampl, "phase": 0.5 * math.atan2(-s, c)}})
     return result

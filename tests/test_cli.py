@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import re
@@ -484,6 +487,61 @@ def test_unknown_flag_is_usage_error(tmp_path):
         assert exc.value.code == 2, argv
     assert not (tmp_path / "refused").exists()
     assert run_cli(["counts", "--n", "10", "--out-dir", str(tmp_path / "counts")]) == 0
+
+
+def _parsed(parser, argv) -> tuple:
+    """What parsing argv gives: (namespace or exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+    return outcome, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["hyper", "--bogus"], ["hyper", "-h"], ["-h"], ["nosuch"], [], ["--version"],
+    ["hyper", "--alpha", "x"], ["hyper", "--version"], ["counts", "--n", "5"],
+    *([name, "--help"] for name in COMMANDS)], ids=" ".join)
+def test_one_command_parser_prints_what_the_full_parser_prints(argv):
+    # built for argv, the parser holds only argv[0]'s subparser when that names a command
+    parser = cli.build_parser(argv)
+    built = parser._subparsers._group_actions[0].choices
+    assert list(built) == (argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS))
+    assert _parsed(parser, argv) == _parsed(cli.build_parser(), argv)
+
+
+ENTRY_POINT = ("import gc, sys\n"
+               "from bornsim import cli\n"
+               "frozen = gc.get_freeze_count()\n"
+               "try:\n"
+               "    code = cli.main()\n"
+               "except SystemExit as exc:\n"
+               "    code = exc.code\n"
+               "print(code, frozen, gc.get_freeze_count() > 0, file=sys.stderr)")
+
+
+@pytest.mark.parametrize("args,code", [
+    (["hyper", "--gamma-grid", "1:1:2"], 0), (["hyper", "--seed", "-1"], 1),
+    (["hyper", "--bogus"], 2), (["--version"], 0)], ids=["0", "1", "2", "version"])
+def test_entry_point_freezes_the_heap_at_every_exit(tmp_path, args, code):
+    # main() reads sys.argv, as python -m bornsim.cli and the bornsim script call it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", ENTRY_POINT, *args, "--out-dir", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.splitlines()[-1] == f"{code} 0 True"
+
+
+def test_main_with_argv_never_freezes(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert run_cli(["hyper", "--gamma-grid", "1:1:2", "--out-dir", str(tmp_path)]) == 0
+    assert run_cli(["hyper", "--seed", "-1", "--out-dir", str(tmp_path)]) == 1
+    with pytest.raises(SystemExit):
+        run_cli(["hyper", "--bogus"])
+    assert gc.get_freeze_count() == frozen
 
 
 def test_witness_with_circuit_file_matches_default(tmp_path):

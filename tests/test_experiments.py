@@ -388,6 +388,20 @@ class TestMachZehnder:
                                            "visibility"]
         assert fit.meta["fit"]["r_d"] == antibunching_scan(1.6, [0.95]).analytic["Rd"][0]
 
+    def test_fit_is_the_least_squares_fit(self):
+        # the closed form against the general solver, at every sample count from 4 to 64
+        for n in range(4, 65):
+            result = mach_zehnder_fit(0.95, 1.6, RngStream(n), n_points=n, sample_size=2600)
+            phis, samples = result.meta["sample_phis"], result.meta["samples"]
+            basis = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+            coef = np.linalg.lstsq(basis, samples, rcond=None)[0]
+            ampl = math.hypot(coef[1], coef[2])
+            expected = {"amplitude": 2.0 * ampl, "offset": coef[0] - ampl,
+                        "phase": 0.5 * math.atan2(-coef[2], coef[1]),
+                        "rmse": np.sqrt(np.mean((samples - basis @ coef) ** 2))}
+            for key, value in expected.items():
+                assert result.meta["fit"][key] == pytest.approx(value, rel=0, abs=1e-13), (n, key)
+
     def test_fit_rmse_stable_across_seeds(self):
         rmses = [mach_zehnder_fit(0.95, 1.6, RngStream(s), n_points=25,
                                   sample_size=2600).meta["fit"]["rmse"] for s in range(10)]

@@ -29,6 +29,22 @@ def test_checkout_writes_the_same_files_as_itself(capsys):
     assert 1.0 < min(old_mib, new_mib) and 0.0 < min(old_s, new_s)
 
 
+def test_first_tree_alternates_run_by_run(monkeypatch, capsys):
+    # each pair of processes reports old then new, whichever of the two ran first
+    ran = []
+
+    def run_tree(src, run, seed, out_dir):
+        ran.append(str(src))
+        out_dir.mkdir(parents=True)
+        return None, 1.0 if str(src) == "old" else 2.0, 0.5
+    monkeypatch.setattr(same_outputs, "run_tree", run_tree)
+    assert same_outputs.main(["old", "new", "--seeds", "1,2", "--commands", "a,b,c"]) == 0
+    assert ran == ["old", "new", "new", "old"] * 3
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.endswith("[old 1.0 MiB 0.500 s | new 2.0 MiB 0.500 s]") for line in lines[:-1])
+    assert lines[-1] == "0 of 6 runs differ or failed"
+
+
 def test_failed_run_gives_its_error_line_and_usage(tmp_path):
     error, peak_mib, wall_s = same_outputs.run_tree(ROOT / "src", "deviation", -1, tmp_path / "out")
     assert error == "bornsim: error: seed and stream_id must be nonnegative"
