@@ -11,6 +11,7 @@ sample-level click patterns are test oracles, in tests/oracles.py.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numpy as np
 
@@ -255,45 +256,41 @@ def visibility_dual(alpha_abs, th):
 # Multi-mode outcomes
 # ---------------------------------------------------------------------------
 
-def _singles_from_q(q: np.ndarray) -> np.ndarray:
-    """P[exactly one click, on mode i] = q_i * prod_{j != i} (1 - q_j), over the last axis.
+def _click_law(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P[no click] = prod_j (1 - q_j) and the singles q_i prod_{j != i} (1 - q_j), P[one
+    click, on mode i], of modes that click independently with q (..., d), left to right.
 
-    The closed form of the outcome tables' single_detection_probs (tests/oracles.py).
-    Each 1 - q_j cancels as q_j nears 1: for q from marcum_q1 its error is about 7e-16,
-    relative 7e-16 / (1 - q_j); by mpmath 8.1e-12 at (|alpha|, gamma) = (3, 1), 6.9e-7 at
-    (4.24, 1) and 4.6e-6 at (2.95, 0.05). Where q_j rounds to 1 (|alpha| >= 5 at gamma = 1)
-    every single that needs mode j dark reads 0.
+    The one place a no-click probability is formed: the outcome tables' all-dark entry and
+    single_detection_probs (tests/oracles.py) in closed form. 1 - q_j cancels as q_j nears 1:
+    for q from marcum_q1 its error is about 7e-16, relative 7e-16 / (1 - q_j); by mpmath
+    8.1e-12 at (|alpha|, gamma) = (3, 1), 6.9e-7 at (4.24, 1) and 4.6e-6 at (2.95, 0.05).
+    Where q_j rounds to 1 (|alpha| >= 5 at gamma = 1) every value that needs j dark reads 0.
     """
-    d = q.shape[-1]
-    comp = np.broadcast_to((1.0 - q)[..., None, :], q.shape + (d,))
-    # row i multiplies q_i, then 1 - q_0, ..., 1 - q_{d-1} left to right, skipping 1 - q_i
-    factors = np.concatenate([q[..., None], comp], axis=-1)
-    kept = ~np.eye(d, d + 1, k=1, dtype=bool)
-    return np.multiply.reduce(factors[..., kept].reshape(q.shape + (d,)), axis=-1)
+    dark = 1.0 - q
+    singles = q.copy()
+    for i, j in itertools.permutations(range(q.shape[-1]), 2):
+        singles[..., i] *= dark[..., j]
+    return np.prod(dark, axis=-1), singles
 
 
 def _conditional_clicks(amps: np.ndarray, gamma: "float | np.ndarray") -> np.ndarray:
     """Single-click conditionals p_i over the last axis of mode amplitudes |alpha_i| (..., d).
 
-    p_i = (q_i / (1 - q_i)) / sum_k (q_k / (1 - q_k)) with q_i = Q1(2|alpha_i|,
-    2 gamma), the outcome tables' single_detection_probs (tests/oracles.py)
-    renormalized to sum to one. gamma is one threshold or an array that
-    broadcasts against amps. q_i / (1 - q_i) inherits 1 - q_i's relative error
-    7e-16 / (1 - q_i) (_singles_from_q): p is within 7e-13 of mpmath at amplitudes
-    (3, 2.9, 1, 0.5) and gamma = 1. A row where some q_i rounds to 1 shares its mass
-    equally among the saturated modes of largest amplitude, which is wrong while other
-    modes are not saturated: (5, 4.9, 1, 0.5) gives (1, 0, 0, 0), not (0.834, 0.166, ~0, ~0).
+    _click_law's singles divided by their row sum, q_i = Q1(2|alpha_i|, 2 gamma): the outcome
+    tables' single_detection_probs (tests/oracles.py) renormalized. gamma is one threshold or an
+    array that broadcasts against amps. p inherits the singles' relative error
+    7e-16 / (1 - q_j): it is within 7.1e-13 of mpmath at amplitudes (3, 2.9, 1, 0.5), gamma = 1.
+    A row with one mode whose q rounds to 1 reads 1 there and 0 elsewhere, wrong while the
+    others are not saturated: (5, 4.9, 1, 0.5) gives (1, 0, 0, 0), not (0.834, 0.166, ~0, ~0).
+    Two or more such modes make every single and P[no click] 0, and the row a BornsimError.
     """
     if np.any(gamma == 0.0):
         raise BornsimError("every mode crosses threshold at gamma = 0")
-    q = detect_prob(amps, gamma)
-    amps = np.broadcast_to(amps, q.shape)
-    sat = q >= 1.0
-    w = q / np.where(sat, 1.0, 1.0 - q)
-    p = _divide(w, w.sum(axis=-1, keepdims=True))
-    rows = sat.any(axis=-1)
-    s, a = sat[rows], amps[rows]
-    winners = s & (a >= np.max(np.where(s, a, 0.0), axis=-1, keepdims=True) * (1.0 - 1e-12))
-    p[rows] = winners / winners.sum(axis=-1, keepdims=True)
-    return p
-
+    p_none, singles = _click_law(detect_prob(amps, gamma))
+    total = singles.sum(axis=-1, keepdims=True)
+    full = (total[..., 0] == 0.0) & (p_none == 0.0)
+    if np.any(full):
+        a = ", ".join(f"{x:g}" for x in np.broadcast_to(amps, singles.shape)[full][0])
+        raise BornsimError(f"single-click conditionals are refused where two or more modes "
+                           f"click with probability 1 at float precision (|alpha_i| = {a})")
+    return _divide(singles, total)

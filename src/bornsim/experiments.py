@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .detection import (
+    _click_law,
     _divide,
-    _singles_from_q,
     born_expansion,
     dark_count_prob,
     detect_prob,
@@ -312,7 +312,8 @@ def dual_mode_scan(alpha: float, th: float,
     t = np.deg2rad(thetas_deg)
     qh = detect_prob(np.abs(alpha * np.cos(t)), g)
     qv = detect_prob(np.abs(alpha * np.sin(t)), g)
-    ph, pv = np.moveaxis(_singles_from_q(np.stack([qh, qv], axis=-1)), -1, 0)
+    p0, singles = _click_law(np.stack([qh, qv], axis=-1))
+    ph, pv = np.moveaxis(singles, -1, 0)
     p_cond = _divide(ph, ph + pv)
     vis = visibility_dual(abs(alpha), g)
     # zero amplitude has a flat fringe (vis = 0, p_cond = 1/2 identically);
@@ -322,7 +323,7 @@ def dual_mode_scan(alpha: float, th: float,
         grid_name="theta_deg",
         grid=thetas_deg,
         analytic={"born": np.cos(t) ** 2, "p_cond_h": p_cond, "p_cond_h_renorm": p_renorm,
-                  "p0": (1.0 - qh) * (1.0 - qv), "p_h": ph, "p_v": pv, "p_hv": qh * qv},
+                  "p0": p0, "p_h": ph, "p_v": pv, "p_hv": qh * qv},
         meta={"alpha": alpha, "gamma": g, "visibility": vis},
     )
 
@@ -342,8 +343,8 @@ def antibunching_scan(th: float, alphas: np.ndarray) -> ScenarioResult:
     alphas = np.asarray(alphas, float)
     g = gamma_of(th)
     q = detect_prob(np.abs(alphas) * math.sqrt(0.5), g)
-    p0 = (1.0 - q) ** 2
-    p_single = q * (1.0 - q)
+    p0, singles = _click_law(np.stack([q, q], axis=-1))
+    p_single = singles[..., 0]
     p_coinc = q * q
     r = _divide(p_coinc, p_single * p_single, "single-click probability vanishes; R undefined")
     r_d = p_coinc * (1.0 - p0) / (p_single * p_single)
@@ -370,7 +371,7 @@ def hyperentanglement_scan(alpha: float, gammas: np.ndarray) -> ScenarioResult:
     g = gamma_of(gammas)
     q_sig = detect_prob(abs(alpha) * math.sqrt(0.5), g)
     q_dark = dark_count_prob(g)
-    singles = _singles_from_q(np.stack([q_sig, q_dark, q_dark, q_sig], axis=-1))
+    singles = _click_law(np.stack([q_sig, q_dark, q_dark, q_sig], axis=-1))[1]
     pr_rh, pr_rv = singles[..., 0], singles[..., 1]
     return ScenarioResult(
         grid_name="gamma",
@@ -386,7 +387,7 @@ def hyperentanglement_scan(alpha: float, gammas: np.ndarray) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 def _mz_probs(alpha: float, g: float, phis: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Bright-output conditional p_mz and both output click probabilities versus phase.
+    """Bright-output conditional p_mz and P[neither output clicks] versus phase.
 
     The bright and dark arms carry |alpha cos(phi/2)| and |alpha sin(phi/2)|;
     the dark arm uses the identity sin(phi/2) = cos((pi - phi)/2) so the two
@@ -396,8 +397,9 @@ def _mz_probs(alpha: float, g: float, phis: np.ndarray) -> tuple[np.ndarray, ...
     a = abs(alpha)
     q_r = detect_prob(a * np.abs(np.cos(phis / 2.0)), g)
     q_d = detect_prob(a * np.abs(np.cos((np.pi - phis) / 2.0)), g)
-    x, y = np.moveaxis(_singles_from_q(np.stack([q_r, q_d], axis=-1)), -1, 0)
-    return _divide(x, x + y), q_r, q_d
+    p_none, singles = _click_law(np.stack([q_r, q_d], axis=-1))
+    x, y = np.moveaxis(singles, -1, 0)
+    return _divide(x, x + y), p_none
 
 
 def mach_zehnder(alpha: float, th: float,
@@ -413,7 +415,7 @@ def mach_zehnder(alpha: float, th: float,
     """
     g = gamma_of(th)
     phis = DEFAULT_PHI_GRID if phis is None else np.asarray(phis, float)
-    p_mz, q_r, q_d = _mz_probs(alpha, g, phis)
+    p_mz, p_none = _mz_probs(alpha, g, phis)
 
     q_open = detect_prob(abs(alpha) * math.sqrt(0.5), g)
     # open interferometer: both arms carry |alpha|/sqrt(2), so the conditional
@@ -422,8 +424,8 @@ def mach_zehnder(alpha: float, th: float,
     p_dc = np.full_like(phis, 0.5)
     p_ww = np.full_like(phis, 0.25)
 
-    p_total_mz = 1.0 - (1.0 - q_r) * (1.0 - q_d)
-    p_total_dc = np.full_like(phis, 1.0 - (1.0 - q_open) ** 2)
+    p_total_mz = 1.0 - p_none
+    p_total_dc = np.full_like(phis, 1.0 - _click_law(np.array([q_open, q_open]))[0])
     return ScenarioResult(
         grid_name="phi",
         grid=phis,

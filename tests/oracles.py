@@ -2,9 +2,10 @@
 parametric count model.
 
 The package samples clicks only through ``field.threshold_clicks`` and computes
-single-click probabilities only through ``detection._singles_from_q`` and
-``_conditional_clicks``. The tests hold those against the routes below:
-realized complex amplitudes thresholded one by one, and full 2^d outcome tables.
+no-click and single-click probabilities only through ``detection._click_law``,
+whose singles ``_conditional_clicks`` renormalizes. The tests hold those against
+the routes below: realized complex amplitudes thresholded one by one, and full
+2^d outcome tables.
 The detector efficiency and the count model built on it agree with
 ``detection.detect_prob`` to second order in the amplitude, a small-alpha
 cross-check of the Marcum Q click probability. ``detection.marcum_q1`` is held

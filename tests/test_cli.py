@@ -275,6 +275,11 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
     # deviation-<seed>.manifest.json with a 240-digit seed is 264 bytes, beyond NAME_MAX
     ("deviation", {"seed": 10 ** 239}, [],
      "output file name deviation-<seed>.manifest.json would be 264 bytes; the limit is 255"),
+    # two modes of a setting click with probability 1 at float precision: no single is left
+    ("fidelity-mle", None, ["--alpha-grid", "3:1:10", "--n-states", "5"],
+     "two or more modes click with probability 1"),
+    ("fidelity-contour", None, ["--fast", "--alpha-grid", "3:1:8"],
+     "two or more modes click with probability 1"),
 ], ids=["wrong-float", "wrong-int", "wrong-list", "bad-alphas-flag", "unknown-key", "nan-grid",
         "bad-format", "empty-alphas", "huge-grid", "expansion-alpha0", "expansion-gamma",
         "clicks-alpha0",
@@ -284,7 +289,8 @@ def test_zero_threshold_accepted_where_defined(tmp_path, argv):
         "counts-huge-n", "fast-negative-n-states", "fast-zero-n-states-config",
         "visibility-huge-gamma", "hyper-huge-gamma", "visibility-contour-huge-gamma",
         "nan-alpha0", "inf-alpha", "nan-alphas", "negative-alphas", "nan-config", "nan-gamma",
-        "minus-inf-gamma", "huge-int", "too-many-digits", "empty-circuit", "long-file-name"])
+        "minus-inf-gamma", "huge-int", "too-many-digits", "empty-circuit", "long-file-name",
+        "mle-saturated-settings", "contour-saturated-settings"])
 def test_bad_config_is_one_line_error(tmp_path, capsys, monkeypatch, command, config, flags,
                                       key):
     # a run too long to finish must be refused before the click kernel starts it

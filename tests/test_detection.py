@@ -163,15 +163,19 @@ class TestMarcumQ:
             assert got.shape == want.shape and got.flags.c_contiguous
             assert np.array_equal(got, want)
 
-    def test_block_call_working_set(self):
+    @pytest.mark.parametrize("call, scale", [(marcum_q1, 1.0),
+                                             (detection._conditional_clicks, 0.5)],
+                             ids=["marcum_q1", "conditional_clicks"])
+    def test_block_call_working_set(self, call, scale):
         # one fidelity-contour --fast block: 20 states x 9 settings x 4 modes at one
-        # amplitude, against 12 thresholds; each element's own series peaked at 1,193 KiB
+        # amplitude, against 12 thresholds; each element's own series peaked at 1,193 KiB.
+        # The conditionals take |alpha| and gamma, half of Q1's arguments
         rng = np.random.default_rng(7)
-        a = 2.0 * 3.0 * rng.uniform(0.0, 1.0, (1, 1, 20, 9, 4))
-        b = 2.0 * np.arange(0.25, 3.01, 0.25)[:, None, None, None]
+        a = scale * 2.0 * 3.0 * rng.uniform(0.0, 1.0, (1, 1, 20, 9, 4))
+        b = scale * 2.0 * np.arange(0.25, 3.01, 0.25)[:, None, None, None]
         tracemalloc.start()
         try:
-            marcum_q1(a, b)
+            call(a, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornsim import RngStream, marcum_q1
+from bornsim import RngStream, detect_prob, marcum_q1
 from bornsim import experiments
-from bornsim.detection import _conditional_clicks, dark_count_prob, gamma_of, visibility_single
+from bornsim.detection import (
+    _click_law,
+    _conditional_clicks,
+    dark_count_prob,
+    gamma_of,
+    visibility_single,
+)
 from bornsim.errors import BornsimError
 from bornsim.experiments import (
     antibunching_scan,
@@ -331,12 +337,19 @@ class TestConditionalModeProbs:
             _conditional_clicks(np.array([1.0, 0.0]), 0.0)
 
     def test_matches_outcome_distribution(self):
-        psi = RngStream(2).complex_normals(4)
-        psi /= np.linalg.norm(psi)
-        state = CoherentVector(1.3, psi)
-        p = _conditional_clicks(np.abs(state.mode_amplitudes()), 0.8)
-        singles = outcome_distribution(state, 0.8).single_detection_probs()
-        assert p == pytest.approx(singles / singles.sum(), abs=1e-12)
+        # the click law against the 2^d table: its all-dark entry multiplies the same
+        # factors in the same order, each single the same factors in another
+        for d in (2, 4):
+            psi = RngStream(2).complex_normals(d)
+            psi /= np.linalg.norm(psi)
+            state = CoherentVector(1.3, psi)
+            amps = np.abs(state.mode_amplitudes())
+            dist = outcome_distribution(state, 0.8)
+            p_none, singles = _click_law(detect_prob(amps, 0.8))
+            assert p_none == dist.prob((0,) * d)
+            assert singles == pytest.approx(dist.single_detection_probs(), rel=1e-15)
+            p = _conditional_clicks(amps, 0.8)
+            assert p == pytest.approx(singles / singles.sum(), abs=1e-12)
 
 
 class TestMachZehnder:

@@ -55,6 +55,20 @@ def test_every_raise_names_the_one_exception_type():
     assert not others, others
 
 
+def test_only_detection_forms_a_no_click_probability():
+    # detection._click_law is the one place 1 - q of a click probability is taken;
+    # a scenario that subtracts q itself is a second evaluation path of the same law
+    others = []
+    for name in sorted(set(MODULES) - {"bornsim.detection"}):
+        path = importlib.import_module(name).__file__
+        for node in ast.walk(ast.parse(Path(path).read_text())):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                    and isinstance(node.left, ast.Constant) and node.left.value == 1
+                    and isinstance(node.right, ast.Name) and node.right.id.startswith("q")):
+                others.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert not others, others
+
+
 def test_benchmark_tracer_binds_every_name():
     # benchmarks/tracing.py looks layer functions and methods up by name; a
     # deleted name fails install() before its cleanup runs, so probe it in a

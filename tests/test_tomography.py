@@ -157,7 +157,7 @@ class TestMeasurement:
 
     def test_batch_rows_equal_one_state_calls(self):
         # at alpha = 6, gamma = 0.5 some settings saturate a detector and some
-        # do not, so one batch mixes limit-rule rows with ordinary ones
+        # do not, so one batch mixes rows with a certain click and ordinary ones
         b = build_basis()
         psis = np.array([random_direction(4, s) for s in range(8)])
         batch = _measure_batch(psis, 6.0, 0.5, b)
@@ -495,12 +495,16 @@ class TestReportsAndSweeps:
         assert header == "alpha,gamma,mean_fidelity,frac_invalid,mean_visibility,mean_ppt_witness"
 
 
-def test_measurement_survives_saturated_detectors():
-    # far above threshold one mode clicks with certainty at float precision;
-    # the conditional limit concentrates there and the moments stay finite
+def test_measurement_refuses_saturated_detectors():
+    # far above threshold a setting that splits e_0 over two modes makes both click with
+    # probability 1 at float precision: every single-click probability reads 0, so the
+    # measurement is refused instead of conditioned on a limit the floats cannot resolve
     b = build_basis()
-    m = _measure_batch(np.eye(4)[:1].astype(complex), 30.0, 0.5, b)[0]
-    assert m[[3, 12, 15]] == pytest.approx([0.5] * 3, abs=1e-9)
-    res = fidelity_scan(np.array([30.0]), 0.5, 2, RngStream(90), method="linear",
-                        psis=np.eye(4)[:2].astype(complex))
-    assert np.all(np.isfinite(res.analytic["fid_mean"]))
+    refused = "^single-click conditionals are refused where two or more modes click"
+    with pytest.raises(BornsimError, match=refused):
+        _measure_batch(np.eye(4)[:1].astype(complex), 30.0, 0.5, b)
+    with pytest.raises(BornsimError, match=refused):
+        fidelity_scan(np.array([30.0]), 0.5, 2, RngStream(90), method="linear",
+                      psis=np.eye(4)[:2].astype(complex))
+    # one saturated mode still takes all the mass, where the exact law gives mode 1 some
+    assert _conditional_clicks(np.array([5.0, 4.9, 1.0, 0.5]), 1.0).tolist() == [1, 0, 0, 0]
