@@ -7,10 +7,11 @@ OLD_SRC and NEW_SRC are directories that hold a ``bornsim`` package, such as
 the ``src/`` of two checkouts. Every run is a fresh ``python -m bornsim.cli``
 process, once under each tree and once per seed. By default the runs are
 every command of ``cli.COMMANDS`` (in NEW_SRC) with its defaults, plus
-``counts --n 200000``, ``fidelity-contour --fast``, and ``fidelity``,
-``fidelity-mle`` and ``witness`` with ``--circuit`` set to a Bell-state circuit
-that the script writes into its temporary directory; ``--commands`` replaces
-them with a comma-separated list of command lines, such as
+``counts --n 200000``, ``fidelity-contour --fast``, ``mz --alpha 3 --gamma 0.5
+--n-points 7`` (sample phases and fringe extremes off the default grid), and
+``fidelity``, ``fidelity-mle`` and ``witness`` with ``--circuit`` set to a
+Bell-state circuit that the script writes into its temporary directory;
+``--commands`` replaces them with a comma-separated list of command lines, such as
 ``"fidelity-contour --fast,witness"``. Every file a run writes is compared
 byte for byte; a manifest after masking what differs from run to run: the
 values of ``wall_clock_seconds`` and ``out_dir``, and the whole
@@ -35,7 +36,8 @@ import tempfile
 import time
 from pathlib import Path
 
-EXTRA_RUNS = ["counts --n 200000", "fidelity-contour --fast"]
+EXTRA_RUNS = ["counts --n 200000", "fidelity-contour --fast",
+              "mz --alpha 3 --gamma 0.5 --n-points 7"]
 CIRCUIT_COMMANDS = ["fidelity", "fidelity-mle", "witness"]
 # prepares the Bell direction (|RH> + |DV>)/sqrt(2) from mode 1
 BELL_CIRCUIT = [{"gate": "hadamard", "wires": [0, 2]},
@@ -110,7 +112,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", default="42", help="comma-separated seeds (default 42)")
     parser.add_argument("--commands", help="comma-separated command lines (default: every "
                                            "command, counts --n 200000, fidelity-contour "
-                                           "--fast, three --circuit runs)")
+                                           "--fast, an mz run off its defaults, three "
+                                           "--circuit runs)")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
 

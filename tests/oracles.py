@@ -23,7 +23,6 @@ import numpy as np
 
 from bornsim import RngStream
 from bornsim.detection import (
-    _MAX_TERMS,
     _ONE_GAP,
     _RTOL,
     _SERIES_CHUNK,
@@ -125,6 +124,9 @@ def marcum_q1_mp(a: float, b: float, dps: int = 40) -> float:
             ratio = m / (k + 1)
             if ratio < 1 and p * ratio / (1 - ratio) <= tol * total:
                 return float(total)
+
+
+_MAX_TERMS = 200_000  # marcum_q1's term cap at the time of this copy; no element reaches it
 
 
 def _marcum_series_elementwise(m: np.ndarray, x: "float | np.ndarray") -> np.ndarray:

@@ -25,10 +25,10 @@ from scipy import integrate, special, stats
 from bornsim import RngStream, marcum_q1
 from bornsim.detection import _conditional_clicks
 from bornsim.experiments import (
+    _mz_probs,
     antibunching_scan,
     dual_mode_scan,
     hyperentanglement_scan,
-    mach_zehnder,
     mach_zehnder_fit,
     polarization_scan,
 )
@@ -199,17 +199,17 @@ def test_criterion_05_hyperentanglement():
 
 
 def test_criterion_06_mach_zehnder():
-    half = mach_zehnder(0.95, 1.6, np.array([np.pi / 2])).analytic["p_mz"][0]
+    half = _mz_probs(0.95, 1.6, np.array([np.pi / 2]))[0][0]
     ok_half = half == 0.5
     phis = np.linspace(0.0, np.pi, 70)
-    a = mach_zehnder(0.95, 1.6, phis).analytic["p_mz"]
-    b = mach_zehnder(0.95, 1.6, phis + np.pi).analytic["p_mz"]
+    a = _mz_probs(0.95, 1.6, phis)[0]
+    b = _mz_probs(0.95, 1.6, phis + np.pi)[0]
     comp_dev = float(np.max(np.abs(a + b - 1.0)))
     ok_comp = comp_dev <= 1e-12
     fit = mach_zehnder_fit(0.95, 1.6, RngStream(2), n_points=25, sample_size=2600).meta["fit"]
     ok_fit = (abs(fit["visibility"] - 0.94) <= 0.02 and abs(fit["r_d"] - 0.12) <= 0.02
               and abs(fit["rmse"] - 0.04) <= 0.02)
-    res = mach_zehnder(1e-3, 1.0)
+    res = mach_zehnder_fit(1e-3, 1.0, RngStream(2), n_points=25, sample_size=2600)
     ratio_dev = float(np.max(np.abs(res.analytic["p_total_mz"] / res.analytic["p_total_dc"] - 1.0)))
     ok_ratio = ratio_dev <= 1e-4
     ok = ok_half and ok_comp and ok_fit and ok_ratio
@@ -369,12 +369,12 @@ def test_criterion_11_cross_oracle_suite():
                ("hyper cond", abs(hp["conditional_rh"][0] - singles[0] / singles.sum()))]
 
     phi = 0.9
-    mz = mach_zehnder(alpha, g, np.array([phi]))
+    p_mz, p_none = _mz_probs(alpha, g, np.array([phi]))
     psi_mz = np.array([(1 + np.exp(1j * phi)) / 2, (1 - np.exp(1j * phi)) / 2])
     mzdist = outcome_distribution(CoherentVector(alpha, psi_mz), g)
     p10, p01 = mzdist.prob((1, 0)), mzdist.prob((0, 1))
-    checks += [("mz cond", abs(mz.analytic["p_mz"][0] - p10 / (p10 + p01))),
-               ("mz total", abs(mz.analytic["p_total_mz"][0] - (1.0 - mzdist.prob((0, 0)))))]
+    checks += [("mz cond", abs(p_mz[0] - p10 / (p10 + p01))),
+               ("mz total", abs((1.0 - p_none[0]) - (1.0 - mzdist.prob((0, 0)))))]
 
     psi = RngStream(6).complex_normals(4)
     psi /= np.linalg.norm(psi)
@@ -415,7 +415,7 @@ def test_criterion_11_cross_oracle_suite():
 
     a5 = realize_batch(CoherentVector(alpha, psi_mz), n, RngStream(12))
     bits5 = detect_batch(a5, g)
-    mc_pulls.append(("mz any-click", pull(np.mean(bits5.sum(axis=1) > 0), mz.analytic["p_total_mz"][0])))
+    mc_pulls.append(("mz any-click", pull(np.mean(bits5.sum(axis=1) > 0), 1.0 - p_none[0])))
 
     a6 = realize_batch(state, n, RngStream(13))
     bits6 = detect_batch(a6, g)

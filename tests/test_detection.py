@@ -232,6 +232,8 @@ class TestMarcumQ:
         pairs = [(x, y) for x in self.EDGE[::2] for y in self.EDGE[::2]]
         pairs += [(x, y) for x in (0.0, 5.0, 20.0, 30.0, 37.6)
                   for y in (0.5, 10.0, 25.0, 37.0, 37.6)]
+        # the longest series of the domain run near m = 708.4
+        pairs += [(37.63, 0.001), (37.63, 37.4), (37.63, 37.63)]
         ref = np.array([marcum_q1_mp(x, y) for x, y in pairs])
         got = marcum_q1(*np.array(pairs).T)
         kept = ref >= 1e-290

@@ -19,11 +19,12 @@ from bornsim.detection import (
 )
 from bornsim.errors import BornsimError
 from bornsim.experiments import (
+    DEFAULT_PHI_GRID,
+    _mz_probs,
     antibunching_scan,
     deviation_scan,
     dual_mode_scan,
     hyperentanglement_scan,
-    mach_zehnder,
     mach_zehnder_fit,
     polarization_scan,
     visibility_scan,
@@ -354,33 +355,32 @@ class TestConditionalModeProbs:
 
 class TestMachZehnder:
     def test_quadrature_phase_is_exactly_half(self):
-        res = mach_zehnder(0.95, 1.6, np.array([np.pi / 2]))
-        assert res.analytic["p_mz"][0] == 0.5
+        assert _mz_probs(0.95, 1.6, np.array([np.pi / 2]))[0][0] == 0.5
 
     def test_complement_symmetry(self):
         phis = np.linspace(0.0, np.pi, 60)
-        a = mach_zehnder(0.95, 1.6, phis).analytic["p_mz"]
-        b = mach_zehnder(0.95, 1.6, phis + np.pi).analytic["p_mz"]
+        a = _mz_probs(0.95, 1.6, phis)[0]
+        b = _mz_probs(0.95, 1.6, phis + np.pi)[0]
         assert np.max(np.abs(a + b - 1.0)) < 1e-12
 
     def test_open_and_marked_conditionals_flat(self):
-        res = mach_zehnder(0.7, 1.0)
+        res = mach_zehnder_fit(0.7, 1.0, RngStream(0), n_points=4, sample_size=1)
         assert np.all(res.analytic["p_dc"] == 0.5)
         assert np.all(res.analytic["p_ww"] == 0.25)
 
     def test_total_rates_converge_at_small_amplitude(self):
-        res = mach_zehnder(1e-3, 1.0)
+        res = mach_zehnder_fit(1e-3, 1.0, RngStream(0), n_points=4, sample_size=1)
         ratio = res.analytic["p_total_mz"] / res.analytic["p_total_dc"]
         assert np.max(np.abs(ratio - 1.0)) < 1e-4
 
     def test_matches_outcome_distribution(self):
         alpha, g, phi = 0.95, 1.6, 0.9
-        res = mach_zehnder(alpha, g, np.array([phi]))
+        p_mz, p_none = _mz_probs(alpha, g, np.array([phi]))
         psi = np.array([(1 + np.exp(1j * phi)) / 2, (1 - np.exp(1j * phi)) / 2])
         dist = outcome_distribution(CoherentVector(alpha, psi), g)
         p10, p01 = dist.prob((1, 0)), dist.prob((0, 1))
-        assert res.analytic["p_mz"][0] == pytest.approx(p10 / (p10 + p01), abs=1e-12)
-        assert res.analytic["p_total_mz"][0] == pytest.approx(1.0 - dist.prob((0, 0)), abs=1e-12)
+        assert p_mz[0] == pytest.approx(p10 / (p10 + p01), abs=1e-12)
+        assert 1.0 - p_none[0] == pytest.approx(1.0 - dist.prob((0, 0)), abs=1e-12)
 
     def test_fit_analysis_reference_point(self):
         fit = mach_zehnder_fit(0.95, 1.6, RngStream(40), n_points=25,
@@ -391,7 +391,8 @@ class TestMachZehnder:
 
     def test_fit_result_holds_samples_and_summary(self):
         fit = mach_zehnder_fit(0.95, 1.6, RngStream(40), n_points=8, sample_size=2600)
-        curves = mach_zehnder(0.95, 1.6)
+        # the curves depend on neither the draws nor the sampled phases
+        curves = mach_zehnder_fit(0.95, 1.6, RngStream(1), n_points=5, sample_size=1)
         assert fit.grid_name == curves.grid_name and np.array_equal(fit.grid, curves.grid)
         assert list(fit.analytic) == list(curves.analytic)
         assert all(np.array_equal(fit.analytic[k], v) for k, v in curves.analytic.items())
@@ -400,6 +401,25 @@ class TestMachZehnder:
         assert sorted(fit.meta["fit"]) == ["amplitude", "offset", "phase", "r_d", "rmse",
                                            "visibility"]
         assert fit.meta["fit"]["r_d"] == antibunching_scan(1.6, [0.95]).analytic["Rd"][0]
+
+    @pytest.mark.parametrize("alpha, g", [(0.95, 1.6), (3.0, 0.5), (0.01, 1.0)])
+    @pytest.mark.parametrize("n_points", [4, 7, 25])
+    def test_one_fringe_evaluation_gives_curve_samples_and_open_interferometer(
+            self, alpha, g, n_points):
+        seed, sample_size = 17, 2600
+        result = mach_zehnder_fit(alpha, g, RngStream(seed), n_points=n_points,
+                                  sample_size=sample_size)
+        p_mz, p_none = _mz_probs(alpha, g, DEFAULT_PHI_GRID)
+        assert np.array_equal(result.grid, DEFAULT_PHI_GRID)
+        assert np.array_equal(result.analytic["p_mz"], p_mz)
+        assert np.array_equal(result.analytic["p_total_mz"], 1.0 - p_none)
+        phis = result.meta["sample_phis"]
+        noise = (1.0 / math.sqrt(sample_size)) * RngStream(seed).standard_normals(n_points)
+        assert np.array_equal(result.meta["samples"], _mz_probs(alpha, g, phis)[0] + noise)
+        # the open interferometer is the 50/50 beam splitter of antibunching_scan
+        open_bs = antibunching_scan(g, [alpha]).analytic
+        assert np.all(result.analytic["p_total_dc"] == 1.0 - open_bs["p0"][0])
+        assert result.meta["fit"]["r_d"] == open_bs["Rd"][0]
 
     def test_fit_is_the_least_squares_fit(self):
         # the closed form against the general solver, at every sample count from 4 to 64
@@ -424,7 +444,7 @@ class TestMachZehnder:
         # reference: the extrema of the 721-point phase grid the fit once searched
         for alpha, g in itertools.product([0.0, 0.1, 0.5, 0.95, 1.3, 2.0, 3.0, 5.0],
                                           [0.05, 0.5, 1.0, 1.6, 2.5]):
-            p = mach_zehnder(alpha, g, np.linspace(0.0, 2.0 * np.pi, 721)).analytic["p_mz"]
+            p = _mz_probs(alpha, g, np.linspace(0.0, 2.0 * np.pi, 721))[0]
             delta = dark_count_prob(g)
             dense = (p.max() - p.min()) / (p.max() + p.min() - 2.0 * delta)
             fit = mach_zehnder_fit(alpha, g, RngStream(1), n_points=4,
@@ -436,7 +456,7 @@ class TestMachZehnder:
     @settings(max_examples=60, deadline=None)
     def test_complement_property(self, phi, alpha, gamma):
         grid = np.array([phi, phi + np.pi])
-        p = mach_zehnder(alpha, gamma, grid).analytic["p_mz"]
+        p = _mz_probs(alpha, gamma, grid)[0]
         assert p[0] + p[1] == pytest.approx(1.0, abs=1e-12)
 
 

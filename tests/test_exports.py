@@ -56,15 +56,19 @@ def test_every_raise_names_the_one_exception_type():
 
 
 def test_only_detection_forms_a_no_click_probability():
-    # detection._click_law is the one place 1 - q of a click probability is taken;
-    # a scenario that subtracts q itself is a second evaluation path of the same law
+    # detection._click_law is the one place 1 - q of a click probability (or 1 - delta of
+    # the dark-count one) is taken; any other function that subtracts q itself is a second
+    # evaluation path of the same law
     others = []
-    for name in sorted(set(MODULES) - {"bornsim.detection"}):
-        path = importlib.import_module(name).__file__
-        for node in ast.walk(ast.parse(Path(path).read_text())):
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+        if name == "bornsim.detection":
+            tree.body = [node for node in tree.body if getattr(node, "name", None) != "_click_law"]
+        for node in ast.walk(tree):
             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
                     and isinstance(node.left, ast.Constant) and node.left.value == 1
-                    and isinstance(node.right, ast.Name) and node.right.id.startswith("q")):
+                    and isinstance(node.right, ast.Name)
+                    and (node.right.id.startswith("q") or node.right.id == "delta")):
                 others.append(f"{name}:{node.lineno} {ast.unparse(node)}")
     assert not others, others
 

@@ -105,6 +105,7 @@ def test_default_runs_add_the_circuit_runs(tmp_path):
     assert same_outputs.BELL_CIRCUIT == BELL_CIRCUIT
     assert same_outputs.default_runs(ROOT / "src", circuit) == [
         *COMMANDS, "counts --n 200000", "fidelity-contour --fast",
+        "mz --alpha 3 --gamma 0.5 --n-points 7",
         f"fidelity --circuit {circuit}", f"fidelity-mle --circuit {circuit}",
         f"witness --circuit {circuit}"]
 
