@@ -258,10 +258,12 @@ def deviation_scan(alpha0: float, th: float,
     t = np.deg2rad(thetas_deg)
     amps = np.abs(alpha0 * np.cos(t))
     delta = dark_count_prob(g)
-    peak = detect_prob(abs(alpha0), g) - delta
+    # the curve and its peak, |alpha0|, in one Marcum call
+    curve = detect_prob(np.append(amps, abs(alpha0)), g) - delta
+    peak = curve[-1]
     if peak <= 0.0:
         raise BornsimError("no signal above dark counts to normalize by")
-    model = (detect_prob(amps, g) - delta) / peak
+    model = curve[:-1] / peak
     with np.errstate(over="ignore"):
         # squared in float64: a huge alpha0 saturates qm at 1 instead of overflowing
         qm = -np.expm1(-(amps ** 2)) / -math.expm1(-(np.float64(alpha0) ** 2))
@@ -305,6 +307,14 @@ def dual_mode_scan(alpha: float, th: float,
     exact property of the model, 0.0158 at |alpha|^2 = 0.5 and gamma = 1, and
     it vanishes as |alpha|^4 in the weak-signal limit (1.3e-5 at
     |alpha|^2 = 0.01), where the Born rule emerges.
+
+    p_cond_h inherits _click_law's error in 1 - q, and p_cond_h_renorm its error divided
+    by the visibility. Against an 80-digit mpmath model, p_cond_h is within a relative
+    1.0e-15 and p_cond_h_renorm within an absolute 5.6e-16 at the defaults
+    (|alpha|, gamma) = (0.707, 1); 2.3e-16 and 4.9e-9 at (1e-4, 1), where the visibility
+    is 2.3e-8; 4.8e-11 and 2.7e-14 at (3, 1); but 2.7e-3 and 5.0e-4 at (1, 1e-6), where
+    1 - delta and 1 - q cancel. p_cond_h_renorm is compared absolutely: at 90 degrees its
+    model value is about 1e-33, and it reads rounding dust there.
     """
     thetas_deg = DEFAULT_THETA_GRID_DEG if thetas_deg is None else np.asarray(thetas_deg, float)
     g = gamma_of(th)
@@ -371,6 +381,12 @@ def hyperentanglement_scan(alpha: float, gammas: np.ndarray) -> ScenarioResult:
     The prepared direction is (|R,H> + |D,V>)/sqrt(2); modes RH and DV carry
     amplitude alpha/sqrt(2) while RV and DH are vacuum. conditional_rh is the
     probability the single click is on RH given exactly one click anywhere.
+
+    conditional_rh inherits _click_law's error in 1 - q and 1 - delta, which cancel as
+    gamma nears 0. Against an 80-digit mpmath model it is within a relative 2.9e-14 over
+    the default grid (|alpha| = 1, gamma in 0.05:0.05:3; the largest at gamma = 0.05,
+    where 1 - delta = 5.0e-3), 1.8e-16 at (|alpha|, gamma) = (1e-4, 1), 2.8e-17 at (3, 1),
+    but 8.2e-5 at (1, 1e-6).
     """
     gammas = np.asarray(gammas, float)
     g = gamma_of(gammas)

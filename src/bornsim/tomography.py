@@ -1,19 +1,20 @@
 """Density-matrix inference from post-selected click statistics.
 
-A four-mode state is probed in the 16 Pauli-product directions: for each
-basis matrix the mode direction is rotated into the matrix's eigenbasis, the
-conditional single-click probabilities are computed exactly, and their
-eigenvalue-weighted sum estimates the expectation value. Both reconstructions
-start from S = sum_k m_k B_k and its one eigendecomposition. Linear inversion
-returns S / Tr S (possibly indefinite). The constrained fit minimizes the
-squared expectation residuals over density matrices; because the basis is
-Hilbert-Schmidt orthonormal and complete, its exact minimizer keeps the
-eigenvectors of S and projects the eigenvalues onto the probability simplex
-(Smolin, Gambetta & Smith, PRL 108, 070502, 2012; the projection of Duchi et
-al., ICML 2008), exactly. Measurement, reconstruction, fidelity and the PPT
-witness act on stacks of states; one state is one row. The scans measure,
-reconstruct and score a grid one block of whole alpha rows at a time, so only
-their scores, never the expectation vectors or density matrices, are grid-sized.
+A four-mode state is probed in the 16 Pauli-product directions through 9 fixed
+settings, the products of one Z, X or Y eigenbasis per factor: the mode
+direction is rotated into each setting, the conditional single-click
+probabilities are computed exactly, and their eigenvalue-weighted sums estimate
+the 16 expectation values. Both reconstructions start from S = sum_k m_k B_k
+and its one eigendecomposition. Linear inversion returns S / Tr S (possibly
+indefinite). The constrained fit minimizes the squared expectation residuals
+over density matrices; because the basis is Hilbert-Schmidt orthonormal and
+complete, its exact minimizer keeps the eigenvectors of S and projects the
+eigenvalues onto the probability simplex (Smolin, Gambetta & Smith, PRL 108,
+070502, 2012; the projection of Duchi et al., ICML 2008), exactly. Measurement,
+reconstruction, fidelity and the PPT witness act on stacks of states; one state
+is one row. The scans measure, reconstruct and score a grid one block of whole
+alpha rows at a time, so only their scores, never the expectation vectors or
+density matrices, are grid-sized.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from .field import RngStream
 from .optics import haar_unitary
 
 __all__ = [
-    "HermitianBasis",
     "SweepResult",
-    "build_basis",
     "fidelity",
     "partial_transpose",
     "ppt_witness",
@@ -42,82 +41,44 @@ __all__ = [
     "ensemble_sweep",
 ]
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-# Eigenvector matrices (columns) and eigenvalues of each Pauli, fixed once so
-# the measurement settings are local and reproducible.
-_PAULI_EIG = {
-    "I": (np.eye(2, dtype=complex), np.array([1.0, 1.0])),
-    "X": (np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0), np.array([1.0, -1.0])),
-    "Y": (np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2.0), np.array([1.0, -1.0])),
-    "Z": (np.eye(2, dtype=complex), np.array([1.0, -1.0])),
-}
-_PAULI_ORDER = "IXYZ"
+# The measurement, fixed at import. _BASIS holds the 16 Pauli products / 2 in IXYZ x IXYZ
+# order, orthonormal under Tr[B_j^dag B_k]. A factor's Pauli p is measured in the
+# eigenbasis s(p) of Z, X or Y (s(I) = s(Z) = 0, s(X) = 1, s(Y) = 2), so the settings are
+# the 9 products of those eigenbases, stored as U^dag: product k is measured in setting
+# _SETTING_OF[k] = 3 s(p1) + s(p2), where U^dag B_k U = diag(_EIGENVALUES[k]).
+_PAULIS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                   dtype=complex)
+_EIGENBASES = np.array([np.eye(2), [[1, 1], [1, -1]], [[1, 1], [1j, -1j]]], dtype=complex)
+_EIGENBASES[1:] /= np.sqrt(2.0)
+_PAULI_EIGENVALUES = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, -1.0], [1.0, -1.0]])
+_PAULI_SETTING = (0, 1, 2, 0)
 
-
-@dataclass(frozen=True)
-class HermitianBasis:
-    """The 16 Pauli products / 2, orthonormal under Tr[B_j^dag B_k], with eigensystems.
-
-    Matrices that share a diagonalizer share its measurement setting: settings
-    indexes one matrix per distinct diagonalizer, and setting_of maps each
-    matrix to its setting's position in settings.
-    """
-
-    matrices: np.ndarray       # (16, 4, 4)
-    diagonalizers: np.ndarray  # (16, 4, 4); U_k^dag B_k U_k = diag(eigenvalues[k])
-    eigenvalues: np.ndarray    # (16, 4)
-    settings: np.ndarray       # (9,); diagonalizers[settings] are the distinct ones
-    setting_of: np.ndarray     # (16,); diagonalizers[k] == diagonalizers[settings[setting_of[k]]]
-
-
-def build_basis() -> HermitianBasis:
-    """The four-mode basis: pairwise Kronecker products of the Paulis, halved,
-    each diagonalized by a local product setting."""
-    mats, diags, eigs = [], [], []
-    for p1 in _PAULI_ORDER:
-        for p2 in _PAULI_ORDER:
-            mats.append(np.kron(_PAULI[p1], _PAULI[p2]) / 2.0)
-            diags.append(np.kron(_PAULI_EIG[p1][0], _PAULI_EIG[p2][0]))
-            eigs.append(np.kron(_PAULI_EIG[p1][1], _PAULI_EIG[p2][1]) / 2.0)
-    # the first matrix with an exactly equal diagonalizer measures for each one
-    first = [next(j for j in range(k + 1) if np.array_equal(diags[j], diags[k]))
-             for k in range(len(diags))]
-    settings = [k for k, j in enumerate(first) if j == k]
-    return HermitianBasis(
-        matrices=np.array(mats),
-        diagonalizers=np.array(diags),
-        eigenvalues=np.array(eigs, dtype=float),
-        settings=np.array(settings),
-        setting_of=np.array([settings.index(j) for j in first]),
-    )
+_BASIS = np.array([np.kron(a, b) for a in _PAULIS for b in _PAULIS]) / 2.0
+_EIGENVALUES = np.array([np.kron(a, b) for a in _PAULI_EIGENVALUES
+                         for b in _PAULI_EIGENVALUES]) / 2.0
+_SETTINGS = np.array([np.kron(a, b) for a in _EIGENBASES
+                      for b in _EIGENBASES]).conj().transpose(0, 2, 1)
+_SETTING_OF = np.array([3 * s + t for s in _PAULI_SETTING for t in _PAULI_SETTING])
 
 
 # ---------------------------------------------------------------------------
 # Measurement and reconstruction
 # ---------------------------------------------------------------------------
 
-def _measure_batch(psis: np.ndarray, alpha, gamma, basis: HermitianBasis) -> np.ndarray:
+def _measure_batch(psis: np.ndarray, alpha, gamma) -> np.ndarray:
     """m vectors (..., n, 16) for n states (n, 4); one Marcum evaluation per call.
 
     alpha and gamma broadcast against each other to the leading shape (...);
-    two scalars give (n, 16). The click probabilities are computed once per
-    distinct setting and shared by every matrix that setting diagonalizes.
+    two scalars give (n, 16). Each state is rotated into the 9 settings, and the
+    click probabilities of a setting serve every product it diagonalizes.
     """
     alpha, gamma = np.abs(np.asarray(alpha)), np.asarray(gamma)
-    uh = basis.diagonalizers.conj().transpose(0, 2, 1)
-    rotated = np.abs(np.einsum("kij,nj->nki", uh, psis))[:, basis.settings]
-    amps = alpha[..., None, None, None] * rotated
+    amps = alpha[..., None, None, None] * np.abs(np.einsum("kij,nj->nki", _SETTINGS, psis))
     p = _conditional_clicks(amps, gamma[..., None, None, None])
-    return np.einsum("...nki,ki->...nk", p[..., basis.setting_of, :], basis.eigenvalues)
+    return np.einsum("...nki,ki->...nk", p[..., _SETTING_OF, :], _EIGENVALUES)
 
 
-def _reconstruct(m: np.ndarray, basis: HermitianBasis,
-                 method: str) -> tuple[np.ndarray, np.ndarray]:
+def _reconstruct(m: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Density matrices (..., 4, 4) from expectation vectors stacked as (..., 16), and
     the least eigenvalue of the linear inversion (...), w_0(S) / Tr S.
 
@@ -125,7 +86,7 @@ def _reconstruct(m: np.ndarray, basis: HermitianBasis,
     "linear" returns S / Tr S, Hermitian and possibly indefinite. "mle" returns
     the density matrix that minimizes sum_k (Tr[rho B_k] - m_k)^2 = ||rho - S||_F^2.
     """
-    s = np.einsum("...k,kij->...ij", m, basis.matrices)
+    s = np.einsum("...k,kij->...ij", m, _BASIS)
     tr = np.real(np.trace(s, axis1=-2, axis2=-1))
     if np.any(tr <= 0.0):
         raise BornsimError("reconstructed matrix has nonpositive trace")
@@ -143,7 +104,8 @@ def _reconstruct(m: np.ndarray, basis: HermitianBasis,
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2)), least
 
 
-# Mode amplitudes (grid points x states x 16 settings x 4 modes) per block.
+# Mode amplitudes (grid points x states x 16 basis products x 4 modes) per block; the
+# 16 products are measured in 9 settings.
 # Measured over 2^13..2^16 (fresh-process peak RSS, in-process time): 2^14 is the
 # largest cap at which fidelity-contour --fast (one alpha row, 15,360 amplitudes)
 # is scored one row per block, peaking at 38.0 MiB against 38.5 at 2^15 and
@@ -166,12 +128,11 @@ def _scored_grid(psis: np.ndarray, alphas: np.ndarray, gammas: np.ndarray, metho
     """
     if method not in ("linear", "mle"):
         raise BornsimError(f"method must be 'linear' or 'mle' (got {method!r})")
-    basis = build_basis()
     rows = max(1, _BLOCK_AMPLITUDES // (gammas.size * psis.size * 16))
     blocks = []
     for i in range(0, max(alphas.size, 1), rows):  # an empty grid is one empty block
-        m = _measure_batch(psis, alphas[i:i + rows, None], gammas, basis)
-        rho, least = _reconstruct(m, basis, method)
+        m = _measure_batch(psis, alphas[i:i + rows, None], gammas)
+        rho, least = _reconstruct(m, method)
         blocks.append(score(rho, least < -1e-12))
     return [np.concatenate(scores) for scores in zip(*blocks)]
 

@@ -33,11 +33,11 @@ from bornsim.experiments import (
     polarization_scan,
 )
 from bornsim.tomography import (
+    _BASIS,
     _measure_batch,
     _reconstruct,
     bell_direction,
     bell_witness_scan,
-    build_basis,
     ensemble_sweep,
     fidelity,
     fidelity_scan,
@@ -84,7 +84,7 @@ def renormalized_deviation_oracle(alpha: float, gamma: float, thetas_deg: np.nda
     return float(np.max(np.abs(renorm - np.cos(t) ** 2)))
 
 
-def closed_form_fit(m: np.ndarray, basis) -> np.ndarray:
+def closed_form_fit(m: np.ndarray) -> np.ndarray:
     """Constrained least-squares state in closed form (Smolin, Gambetta & Smith 2012).
 
     The basis is Hilbert-Schmidt orthonormal and complete, so the fit objective
@@ -92,7 +92,7 @@ def closed_form_fit(m: np.ndarray, basis) -> np.ndarray:
     over density matrices keeps the eigenvectors of sum_k m_k B_k (trace 1) and
     projects the eigenvalues onto the probability simplex (Duchi et al. 2008).
     """
-    w, v = np.linalg.eigh(np.einsum("k,kij->ij", m, basis.matrices))
+    w, v = np.linalg.eigh(np.einsum("k,kij->ij", m, _BASIS))
     u = np.sort(w)[::-1]
     shift = (np.cumsum(u) - 1.0) / np.arange(1, u.size + 1)
     theta = shift[u - shift > 0.0][-1]
@@ -220,17 +220,16 @@ def test_criterion_06_mach_zehnder():
 
 
 def test_criterion_07_linear_tomography():
-    basis = build_basis()
     worst = 0.0
     for seed in range(50):
         rho = random_density(4, seed)
-        m = np.real(np.einsum("ij,kji->k", rho, basis.matrices))
-        worst = max(worst, float(np.max(np.abs(_reconstruct(m, basis, "linear")[0] - rho))))
+        m = np.real(np.einsum("ij,kji->k", rho, _BASIS))
+        worst = max(worst, float(np.max(np.abs(_reconstruct(m, "linear")[0] - rho))))
     ok_round = worst <= 1e-10
 
     classical = CoherentVector(0.0, np.eye(4)[0].astype(complex))
-    m_vac = _measure_batch(classical.psi[None], classical.alpha, 1.0, basis)[0]
-    f_exact = fidelity(classical.psi, _reconstruct(m_vac, basis, "linear")[0])
+    m_vac = _measure_batch(classical.psi[None], classical.alpha, 1.0)[0]
+    f_exact = fidelity(classical.psi, _reconstruct(m_vac, "linear")[0])
     res = fidelity_scan(np.array([0.0]), 1.0, 5, RngStream(3), method="linear")
     haar_dev = float(np.max(np.abs([res.analytic[f"fid_state_{s:02d}"][0] - 0.25 for s in range(5)])))
     ok_vacuum = f_exact == 0.25 and haar_dev <= 1e-12
@@ -248,20 +247,19 @@ def test_criterion_07_linear_tomography():
 
 
 def test_criterion_08_constrained_tomography():
-    basis = build_basis()
     min_eigs = []
     rho = random_density(4, 123)
-    m = np.real(np.einsum("ij,kji->k", rho, basis.matrices))
-    rec = _reconstruct(m, basis, "mle")[0]
+    m = np.real(np.einsum("ij,kji->k", rho, _BASIS))
+    rec = _reconstruct(m, "mle")[0]
     # sum_k (Tr[rec B_k] - m_k)^2, which the orthonormal basis makes ||rec - S||_F^2
-    rec_objective = float(np.sum(np.abs(rec - np.einsum("k,kij->ij", m, basis.matrices)) ** 2))
+    rec_objective = float(np.sum(np.abs(rec - np.einsum("k,kij->ij", m, _BASIS)) ** 2))
     min_eigs.append(np.linalg.eigvalsh(rec).min())
     ok_recover = rec_objective <= 1e-12
 
     alphas = np.arange(0.0, 3.01, 0.1)
     fids = []
     for a in alphas:
-        fit = _reconstruct(_measure_batch(BELL[None], a, 1.0, basis)[0], basis, "mle")[0]
+        fit = _reconstruct(_measure_batch(BELL[None], a, 1.0)[0], "mle")[0]
         min_eigs.append(np.linalg.eigvalsh(fit).min())
         fids.append(fidelity(BELL, fit))
     fids = np.array(fids)
@@ -321,9 +319,8 @@ def test_criterion_10_fidelity_contour():
     # higher, on a flat ridge whose argmax moves with the ensemble. Pin the
     # value with the closed-form fit of the same expectations, and the
     # location by paired standard errors against the surface maximum.
-    basis = build_basis()
     oracle = float(np.mean([
-        fidelity(psi, closed_form_fit(_measure_batch(psi[None], a_full, g_full, basis)[0], basis))
+        fidelity(psi, closed_form_fit(_measure_batch(psi[None], a_full, g_full)[0]))
         for psi in haar_states(100, RngStream(5))
     ]))
     gap_ref = paired_gap(full, *nearest(1.2, 1.5))

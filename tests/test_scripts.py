@@ -121,3 +121,74 @@ def test_circuit_runs_read_the_written_circuit(monkeypatch, capsys):
     assert [line.split("  [")[0].split("--circuit")[0] for line in lines[:-1]] == [
         "same    seed 42: fidelity ", "same    seed 42: fidelity-mle ", "same    seed 42: witness "]
     assert lines[-1] == "0 of 3 runs differ or failed"
+
+
+# The CSV column each gnuplot script reads, by its 1-based position in `using`
+PLOTTED = {
+    "antibunch.gp": {1: "alpha", 2: "R", 3: "Rd"},
+    "born_again.gp": {1: "theta_deg", 2: "born", 3: "p_cond_h", 4: "p_cond_h_renorm"},
+    "counts.gp": {1: "theta_deg", 2: "analytic", 3: "expansion", 4: "counts"},
+    "deviation.gp": {1: "theta_deg", 2: "born", 3: "model", 4: "qm"},
+    "fidelity.gp": {1: "alpha", 2: "fid_mean",
+                    **{4 + 2 * s: f"fid_state_{s:02d}" for s in range(30)}},
+    "fidelity_contour.gp": {1: "alpha", 2: "gamma", 3: "mean_fidelity"},
+    "fidelity_mle.gp": {1: "alpha", 2: "fid_mean",
+                        **{4 + 2 * s: f"fid_state_{s:02d}" for s in range(5)}},
+    "hyper.gp": {1: "gamma", 2: "pr_rh", 3: "pr_rv", 4: "conditional_rh"},
+    "mz.gp": {1: "phi", 2: "ideal", 3: "p_mz", 4: "p_dc"},
+    "visibility.gp": {1: "gamma", 2: "vis_alpha_0.5", 3: "vis_alpha_1", 4: "vis_alpha_1.5"},
+    "visibility_contour.gp": {1: "alpha", 2: "gamma", 3: "visibility"},
+    "witness.gp": {1: "alpha", 2: "witness"},
+}
+
+
+def _gnuplot_int(text: str, variables: dict) -> int:
+    """An integer expression such as n-1 or 4 + 2*s, which gnuplot and Python read alike."""
+    return int(eval(text, {"__builtins__": {}}, variables))
+
+
+def plotted_columns(script: str) -> tuple[str, dict, set]:
+    """(default datafile, integer variables, every column a plot of datafile reads)."""
+    text = script.replace("\\\n", " ")
+    datafile = re.search(r'^if \(!exists\("datafile"\)\) datafile = "([^"]+)"$', text, re.M)
+    variables = {k: int(v) for k, v in re.findall(r"^(\w+) = (\d+)$", text, re.M)}
+    columns = set()
+    for plot in re.findall(r"^s?plot (.*)$", text, re.M):
+        for element in re.split(r",\s+(?![^\[(]*[\])])", plot):
+            if "datafile" not in element:
+                continue  # a constant line, such as 1 with lines
+            loop = re.match(r"for \[(\w+)=([^:\]]+):([^\]]+)\] ", element)
+            using = re.search(r"\busing (.+?) (?:every|with) ", element).group(1)
+            scopes = [{**variables, loop[1]: s} for s in range(
+                _gnuplot_int(loop[2], variables), _gnuplot_int(loop[3], variables) + 1)
+            ] if loop else [variables]
+            for part in using.split(":"):
+                expression = re.fullmatch(r"\(column\((.+)\)\)", part)
+                columns.update(_gnuplot_int(expression[1] if expression else part, scope)
+                               for scope in scopes)
+    return datafile and datafile[1], variables, columns
+
+
+def test_every_gnuplot_script_is_pinned():
+    assert sorted(p.name for p in (ROOT / "scripts" / "plots").glob("*.gp")) == sorted(PLOTTED)
+
+
+@pytest.mark.parametrize("script", sorted(PLOTTED))
+def test_gnuplot_script_reads_its_commands_columns(tmp_path, script):
+    # each script plots its command's default seed-42 CSV by column position: the column
+    # at each position it reads must carry the pinned header name, and a loop over the
+    # per-state columns must run over the command's default ensemble
+    datafile, variables, columns = plotted_columns((ROOT / "scripts" / "plots" / script).read_text())
+    match = re.fullmatch(r"out/(.+)-(\d+)\.csv", datafile or "")
+    assert match and match[1] in COMMANDS and int(match[2]) == cli.COMMON["seed"][0], datafile
+    command = COMMANDS[match[1]]
+    if "n" in variables:
+        assert variables["n"] == command.params["n_states"][0]
+    small = {"alpha_grid": "1:1:2", "gamma_grid": "1:1:2", "n_trials": 10}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({k: v for k, v in small.items() if k in command.params}))
+    assert cli.main([match[1], "--config", str(config), "--format", "csv",
+                     "--out-dir", str(tmp_path)]) == 0
+    header = (tmp_path / Path(datafile).name).read_text().splitlines()[0].split(",")
+    assert max(columns) <= len(header)
+    assert {c: header[c - 1] for c in columns} == PLOTTED[script]

@@ -10,11 +10,14 @@ from bornsim.detection import _conditional_clicks
 from bornsim import tomography
 from bornsim.errors import BornsimError
 from bornsim.tomography import (
+    _BASIS,
+    _EIGENVALUES,
+    _SETTING_OF,
+    _SETTINGS,
     _measure_batch,
     _reconstruct,
     bell_direction,
     bell_witness_scan,
-    build_basis,
     ensemble_sweep,
     fidelity,
     fidelity_scan,
@@ -37,9 +40,9 @@ def random_direction(d: int, seed: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def fit_objective(rho: np.ndarray, m: np.ndarray, basis) -> float:
+def fit_objective(rho: np.ndarray, m: np.ndarray) -> float:
     """sum_k (Tr[rho B_k] - m_k)^2 = ||rho - sum_k m_k B_k||_F^2 for the orthonormal basis."""
-    return float(np.sum(np.abs(rho - np.einsum("k,kij->ij", m, basis.matrices)) ** 2))
+    return float(np.sum(np.abs(rho - np.einsum("k,kij->ij", m, _BASIS)) ** 2))
 
 
 def _unpack(x: np.ndarray, d: int) -> np.ndarray:
@@ -52,34 +55,34 @@ def _unpack(x: np.ndarray, d: int) -> np.ndarray:
     return t
 
 
-def lbfgs_objective(x: np.ndarray, m: np.ndarray, basis) -> tuple[float, np.ndarray]:
+def lbfgs_objective(x: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray]:
     """sum_k (Tr[rho B_k] - m_k)^2 at rho = T T^dag / Tr[T T^dag], with its gradient."""
-    d = basis.matrices.shape[-1]
+    d = _BASIS.shape[-1]
     t = _unpack(x, d)
     norm = np.real(np.sum(np.abs(t) ** 2))
     rho = (t @ t.conj().T) / norm
-    s = np.real(np.einsum("ij,kji->k", rho, basis.matrices))
+    s = np.real(np.einsum("ij,kji->k", rho, _BASIS))
     r = s - m
-    grad_mat = (2.0 / norm) * (np.einsum("k,kij->ij", r, basis.matrices) @ t - np.sum(r * s) * t)
+    grad_mat = (2.0 / norm) * (np.einsum("k,kij->ij", r, _BASIS) @ t - np.sum(r * s) * t)
     il = np.tril_indices(d, -1)
     grad = np.concatenate([2.0 * np.real(np.diag(grad_mat)),
                            2.0 * np.real(grad_mat[il]), 2.0 * np.imag(grad_mat[il])])
     return float(np.sum(r * r)), grad
 
 
-def lbfgs_fit(m: np.ndarray, basis) -> tuple[np.ndarray, float]:
+def lbfgs_fit(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Reference constrained fit by L-BFGS over the Cholesky-like factor T.
 
     An iterative route to the minimum that _reconstruct's "mle" reaches in closed
     form, started from the linear inversion with negative eigenvalues clipped.
     """
-    d = basis.matrices.shape[-1]
-    w, v = np.linalg.eigh(_reconstruct(m, basis, "linear")[0])
+    d = _BASIS.shape[-1]
+    w, v = np.linalg.eigh(_reconstruct(m, "linear")[0])
     w = np.clip(w, 0.0, None)
     start = np.linalg.cholesky((v * (w / w.sum())) @ v.conj().T + 1e-12 * np.eye(d))
     il = np.tril_indices(d, -1)
     x0 = np.concatenate([np.real(np.diag(start)), np.real(start[il]), np.imag(start[il])])
-    res = optimize.minimize(lbfgs_objective, x0, args=(m, basis), jac=True, method="L-BFGS-B",
+    res = optimize.minimize(lbfgs_objective, x0, args=(m,), jac=True, method="L-BFGS-B",
                             options=dict(maxiter=1000, maxfun=100_000, ftol=1e-16, gtol=1e-12))
     t = _unpack(res.x, d)
     rho = t @ t.conj().T
@@ -89,28 +92,27 @@ def lbfgs_fit(m: np.ndarray, basis) -> tuple[np.ndarray, float]:
 class TestBasis:
     @pytest.mark.parametrize("d", [4])
     def test_hilbert_schmidt_orthonormal(self, d):
-        b = build_basis()
-        assert b.matrices.shape == (d * d, d, d)
-        g = np.einsum("kij,lji->kl", b.matrices.conj().transpose(0, 2, 1), b.matrices)
+        assert _BASIS.shape == (d * d, d, d)
+        g = np.einsum("kij,lji->kl", _BASIS.conj().transpose(0, 2, 1), _BASIS)
         assert np.max(np.abs(g - np.eye(d * d))) < 1e-12
 
     @pytest.mark.parametrize("d", [4])
     def test_hermitian_and_diagonalized(self, d):
-        b = build_basis()
-        assert b.eigenvalues.shape == (d * d, d)
+        # each product is Hermitian, and its setting U^dag diagonalizes it with the
+        # stated eigenvalues: U^dag B_k U = diag(eigenvalues[k])
+        assert _EIGENVALUES.shape == (d * d, d)
         for k in range(d * d):
-            m = b.matrices[k]
+            m = _BASIS[k]
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
-            u, w = b.diagonalizers[k], b.eigenvalues[k]
-            assert np.max(np.abs(u.conj().T @ m @ u - np.diag(w))) < 1e-12
+            uh, w = _SETTINGS[_SETTING_OF[k]], _EIGENVALUES[k]
+            assert np.max(np.abs(uh @ uh.conj().T - np.eye(d))) < 1e-12
+            assert np.max(np.abs(uh @ m @ uh.conj().T - np.diag(w))) < 1e-12
 
     def test_completeness(self):
-        b = build_basis()
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         a = a + a.conj().T
-        rec = np.einsum("k,kij->ij",
-                        np.real(np.einsum("ij,kji->k", a, b.matrices)), b.matrices)
+        rec = np.einsum("k,kij->ij", np.real(np.einsum("ij,kji->k", a, _BASIS)), _BASIS)
         assert np.max(np.abs(rec - a)) < 1e-10
 
     def test_rejects_small_dimension(self, monkeypatch):
@@ -127,16 +129,14 @@ class TestBasis:
 
 class TestMeasurement:
     def test_vacuum_gives_uniform_trace_moments(self):
-        b = build_basis()
-        m = _measure_batch(np.eye(4)[:1].astype(complex), 0.0, 1.0, b)[0]
-        expected = np.array([np.real(np.trace(bk)) / 4 for bk in b.matrices])
+        m = _measure_batch(np.eye(4)[:1].astype(complex), 0.0, 1.0)[0]
+        expected = np.array([np.real(np.trace(bk)) / 4 for bk in _BASIS])
         assert m == pytest.approx(expected, abs=1e-14)
 
     def test_bright_state_pins_population_moment(self):
         # the diagonal elements I x Z, Z x I and Z x Z read their +1/2 entry when
         # mode 1 dominates
-        b = build_basis()
-        m = _measure_batch(np.eye(4)[:1].astype(complex), 10.0, 1.0, b)[0]
+        m = _measure_batch(np.eye(4)[:1].astype(complex), 10.0, 1.0)[0]
         assert m[[3, 12, 15]] == pytest.approx([0.5] * 3, abs=0.01)
 
     @pytest.mark.parametrize("d, alpha, g, seed", [
@@ -144,66 +144,67 @@ class TestMeasurement:
     ])
     def test_matches_outcome_table_oracle(self, d, alpha, g, seed):
         # brute force: the single-click entries of each rotated setting's 2^d table
-        b = build_basis()
         psi = random_direction(d, seed)
-        m = _measure_batch(psi[None], alpha, g, b)[0]
+        m = _measure_batch(psi[None], alpha, g)[0]
         oracle = np.empty(d * d)
         for k in range(d * d):
-            psi_k = b.diagonalizers[k].conj().T @ psi
+            psi_k = _SETTINGS[_SETTING_OF[k]] @ psi
             state_k = CoherentVector(alpha, psi_k / np.linalg.norm(psi_k))
             singles = outcome_distribution(state_k, g).single_detection_probs()
-            oracle[k] = singles / singles.sum() @ b.eigenvalues[k]
+            oracle[k] = singles / singles.sum() @ _EIGENVALUES[k]
         assert np.max(np.abs(m - oracle)) <= 1e-14
 
     def test_batch_rows_equal_one_state_calls(self):
         # at alpha = 6, gamma = 0.5 some settings saturate a detector and some
         # do not, so one batch mixes rows with a certain click and ordinary ones
-        b = build_basis()
         psis = np.array([random_direction(4, s) for s in range(8)])
-        batch = _measure_batch(psis, 6.0, 0.5, b)
+        batch = _measure_batch(psis, 6.0, 0.5)
         for psi, row in zip(psis, batch):
-            assert np.array_equal(row, _measure_batch(psi[None], 6.0, 0.5, b)[0])
-        amps = 6.0 * np.abs(np.einsum("kji,nj->nki", b.diagonalizers.conj(), psis))
+            assert np.array_equal(row, _measure_batch(psi[None], 6.0, 0.5)[0])
+        amps = 6.0 * np.abs(np.einsum("kij,nj->nki", _SETTINGS, psis))
         saturated = (marcum_q1(2.0 * amps, 1.0) == 1.0).any(axis=-1)
         assert saturated.any() and not saturated.all()
 
     @pytest.mark.parametrize("d", [4])
-    def test_grid_equals_one_point_calls(self, d):
-        # alpha = 6, gamma = 0.5 saturates some settings; a basis that measures
-        # every matrix in its own setting gives the same bits as the shared settings
-        b = build_basis()
-        alone = dataclasses.replace(b, settings=np.arange(d * d), setting_of=np.arange(d * d))
+    def test_grid_equals_one_point_calls(self, monkeypatch, d):
+        # alpha = 6, gamma = 0.5 saturates some settings; measuring every product in
+        # its own copy of its setting gives the same bits as the shared settings
         psis = np.array([random_direction(d, s) for s in range(5)])
         alphas, gammas = np.array([0.0, 0.7, 2.2, 6.0]), np.array([0.5, 1.0, 1.6])
-        grid = _measure_batch(psis, alphas[:, None], gammas, b)
+        grid = _measure_batch(psis, alphas[:, None], gammas)
         assert grid.shape == (alphas.size, gammas.size, len(psis), d * d)
-        assert np.array_equal(grid, _measure_batch(psis, alphas[:, None], gammas, alone))
         for i, a in enumerate(alphas):
             for j, g in enumerate(gammas):
-                assert np.array_equal(grid[i, j], _measure_batch(psis, a, g, b))
+                assert np.array_equal(grid[i, j], _measure_batch(psis, a, g))
+        monkeypatch.setattr(tomography, "_SETTINGS", _SETTINGS[_SETTING_OF])
+        monkeypatch.setattr(tomography, "_SETTING_OF", np.arange(d * d))
+        assert np.array_equal(grid, _measure_batch(psis, alphas[:, None], gammas))
 
     def test_shared_settings(self):
-        # I and Z share the identity eigenbasis: 9 settings for the 16 products
-        b = build_basis()
-        assert b.settings.size == 9
-        # each setting is the first matrix of its diagonalizer, in order of first index
-        assert b.settings.tolist() == [0, 1, 2, 4, 5, 6, 8, 9, 10]
-        assert b.setting_of.tolist() == [0, 1, 2, 0, 3, 4, 5, 3, 6, 7, 8, 6, 0, 1, 2, 0]
-        for k in range(16):
-            assert np.array_equal(b.diagonalizers[k], b.diagonalizers[b.settings[b.setting_of[k]]])
+        # I and Z share the identity eigenbasis: 9 settings for the 16 products, setting
+        # 3 s(p1) + s(p2) for the product p1 x p2, with s(I) = s(Z) = 0, s(X) = 1, s(Y) = 2
+        assert _SETTINGS.shape == (9, 4, 4)
+        assert _SETTING_OF.tolist() == [0, 1, 2, 0, 3, 4, 5, 3, 6, 7, 8, 6, 0, 1, 2, 0]
+        # setting 3 s1 + s2 diagonalizes the Z, X or Y (s = 0, 1, 2) of each factor
+        paulis = [np.diag([1.0, -1.0]), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])]
+        for s1, s2 in np.ndindex(3, 3):
+            uh = _SETTINGS[3 * s1 + s2]
+            for p in (np.kron(paulis[s1], np.eye(2)), np.kron(np.eye(2), paulis[s2])):
+                rotated = uh @ p @ uh.conj().T
+                assert np.max(np.abs(rotated - np.diag(np.diag(rotated)))) < 1e-12
+        assert len({uh.tobytes() for uh in _SETTINGS}) == 9
 
     def test_zero_threshold_in_an_array_rejected(self):
         with pytest.raises(BornsimError, match="every mode crosses threshold at gamma = 0"):
             _conditional_clicks(np.ones((2, 3)), np.array([[1.0], [0.0]]))
         with pytest.raises(BornsimError, match="every mode crosses threshold at gamma = 0"):
-            _measure_batch(np.eye(4)[:1].astype(complex), 1.0, np.array([1.0, 0.0]), build_basis())
+            _measure_batch(np.eye(4)[:1].astype(complex), 1.0, np.array([1.0, 0.0]))
 
     def test_monte_carlo_post_selection_matches(self):
         # estimate the conditional click distribution in one rotated setting
-        b = build_basis()
         alpha, g, n, k = 1.0, 1.0, 300_000, 5
         psi = bell_direction()
-        psi_k = b.diagonalizers[k].conj().T @ psi
+        psi_k = _SETTINGS[_SETTING_OF[k]] @ psi
         psi_k /= np.linalg.norm(psi_k)
         state = CoherentVector(alpha, psi_k)
         p = _conditional_clicks(np.abs(state.mode_amplitudes()), g)
@@ -219,22 +220,19 @@ class TestMeasurement:
 
 class TestLinearInversion:
     def test_round_trip_on_valid_densities(self):
-        b = build_basis()
         for seed in range(50):
             rho = random_density(4, seed)
-            m = np.real(np.einsum("ij,kji->k", rho, b.matrices))
-            assert np.max(np.abs(_reconstruct(m, b, "linear")[0] - rho)) < 1e-10
+            m = np.real(np.einsum("ij,kji->k", rho, _BASIS))
+            assert np.max(np.abs(_reconstruct(m, "linear")[0] - rho)) < 1e-10
 
     def test_vacuum_reconstructs_maximally_mixed(self):
-        b = build_basis()
-        m = _measure_batch(np.eye(4)[:1].astype(complex), 0.0, 1.0, b)[0]
-        assert np.array_equal(_reconstruct(m, b, "linear")[0], np.eye(4) / 4)
+        m = _measure_batch(np.eye(4)[:1].astype(complex), 0.0, 1.0)[0]
+        assert np.array_equal(_reconstruct(m, "linear")[0], np.eye(4) / 4)
 
     def test_large_amplitude_goes_indefinite(self):
-        b = build_basis()
         psi = random_direction(4, 11)
-        m = _measure_batch(psi[None], 3.0, 1.0, b)[0]
-        rho, least = _reconstruct(m, b, "linear")
+        m = _measure_batch(psi[None], 3.0, 1.0)[0]
+        rho, least = _reconstruct(m, "linear")
         assert np.linalg.eigvalsh(rho).min() < -1e-6
         assert least == pytest.approx(np.linalg.eigvalsh(rho).min(), abs=1e-14)
 
@@ -243,25 +241,23 @@ class TestLinearInversion:
         for method in ("linear", "mle"):
             for m in (np.zeros(16), np.eye(16)[0] * -0.5):
                 with pytest.raises(BornsimError, match="nonpositive trace"):
-                    _reconstruct(m, build_basis(), method)
+                    _reconstruct(m, method)
 
 
 class TestConstrainedFit:
     def test_recovers_valid_density(self):
-        b = build_basis()
         rho = random_density(4, 42)
-        m = np.real(np.einsum("ij,kji->k", rho, b.matrices))
-        fit = _reconstruct(m, b, "mle")[0]
-        assert fit_objective(fit, m, b) <= 1e-12
+        m = np.real(np.einsum("ij,kji->k", rho, _BASIS))
+        fit = _reconstruct(m, "mle")[0]
+        assert fit_objective(fit, m) <= 1e-12
         assert np.max(np.abs(fit - rho)) < 1e-5
 
     def test_output_always_psd_unit_trace_hermitian(self):
-        b = build_basis()
         rng = np.random.default_rng(0)
         for _ in range(20):
             m = rng.normal(scale=0.3, size=16)
             m[0] = 0.5  # identity component fixes the trace
-            fit = _reconstruct(m, b, "mle")[0]
+            fit = _reconstruct(m, "mle")[0]
             w = np.linalg.eigvalsh(fit)
             assert w.min() >= -1e-10
             assert np.real(np.trace(fit)) == pytest.approx(1.0, abs=1e-10)
@@ -269,21 +265,18 @@ class TestConstrainedFit:
 
     def test_gradient_matches_finite_differences(self):
         # the L-BFGS reference fit is only as good as its analytic gradient
-        b = build_basis()
         rng = np.random.default_rng(1)
         m = rng.normal(scale=0.3, size=16)
         m[0] = 0.5
         x0 = rng.normal(size=16)
-        numeric = optimize.approx_fprime(x0, lambda x: lbfgs_objective(x, m, b)[0], 1e-7)
-        assert np.max(np.abs(lbfgs_objective(x0, m, b)[1] - numeric)) < 1e-5
+        numeric = optimize.approx_fprime(x0, lambda x: lbfgs_objective(x, m)[0], 1e-7)
+        assert np.max(np.abs(lbfgs_objective(x0, m)[1] - numeric)) < 1e-5
 
     def test_deterministic(self):
-        b = build_basis()
-        m = _measure_batch(bell_direction()[None], 1.0, 1.0, b)[0]
-        assert np.array_equal(_reconstruct(m, b, "mle")[0], _reconstruct(m, b, "mle")[0])
+        m = _measure_batch(bell_direction()[None], 1.0, 1.0)[0]
+        assert np.array_equal(_reconstruct(m, "mle")[0], _reconstruct(m, "mle")[0])
 
     def test_objective_never_above_lbfgs(self):
-        b = build_basis()
         rng = np.random.default_rng(2)
         cases = []
         for _ in range(12):
@@ -292,17 +285,17 @@ class TestConstrainedFit:
             cases.append(m)
         for seed in range(4):
             rho = random_density(4, seed)
-            cases.append(np.real(np.einsum("ij,kji->k", rho, b.matrices)))
+            cases.append(np.real(np.einsum("ij,kji->k", rho, _BASIS)))
             psi = random_direction(4, 20 + seed)
-            cases.append(_measure_batch(psi[None], 3.0, 1.0, b)[0])
+            cases.append(_measure_batch(psi[None], 3.0, 1.0)[0])
         indefinite = 0
         for m in cases:
-            linear, least_linear = _reconstruct(m, b, "linear")
+            linear, least_linear = _reconstruct(m, "linear")
             indefinite += np.linalg.eigvalsh(linear).min() < -1e-12
             assert least_linear == pytest.approx(np.linalg.eigvalsh(linear).min(), abs=1e-14)
-            fit, least = _reconstruct(m, b, "mle")
+            fit, least = _reconstruct(m, "mle")
             assert least == least_linear
-            assert fit_objective(fit, m, b) <= lbfgs_fit(m, b)[1] + 1e-12
+            assert fit_objective(fit, m) <= lbfgs_fit(m)[1] + 1e-12
             assert np.linalg.eigvalsh(fit).min() >= -1e-12
             assert np.real(np.trace(fit)) == pytest.approx(1.0, abs=1e-12)
         assert indefinite >= 10
@@ -352,13 +345,12 @@ class TestFidelityAndWitness:
 
 class TestReportsAndSweeps:
     def test_one_state_reconstruction(self):
-        b = build_basis()
         psi = bell_direction()
-        m = _measure_batch(psi[None], 1.0, 1.0, b)[0]
+        m = _measure_batch(psi[None], 1.0, 1.0)[0]
         # the raw linear inversion already has unit trace
-        raw_trace = np.real(np.trace(np.einsum("k,kij->ij", m, b.matrices)))
+        raw_trace = np.real(np.trace(np.einsum("k,kij->ij", m, _BASIS)))
         assert abs(raw_trace - 1.0) < 1e-10
-        fit = _reconstruct(m, b, "mle")[0]
+        fit = _reconstruct(m, "mle")[0]
         assert np.linalg.eigvalsh(fit).min() >= -1e-10
         assert np.isfinite(ppt_witness(fit))
         assert 0.0 <= fidelity(psi, fit) <= 1.0 + 1e-9
@@ -366,12 +358,11 @@ class TestReportsAndSweeps:
     def test_bell_witness_scan_equals_per_alpha_reconstruction(self):
         alphas = np.round(0.1 * np.arange(31), 12)
         scan = bell_witness_scan(alphas, 1.0)
-        b = build_basis()
         psi = bell_direction()
         cols = {"witness": [], "fidelity": [], "min_eigenvalue": []}
         for a in alphas:
-            m = _measure_batch(psi[None], a, 1.0, b)[0]
-            rho = _reconstruct(m, b, "mle")[0]
+            m = _measure_batch(psi[None], a, 1.0)[0]
+            rho = _reconstruct(m, "mle")[0]
             cols["witness"].append(ppt_witness(rho))
             cols["fidelity"].append(fidelity(psi, rho))
             cols["min_eigenvalue"].append(np.linalg.eigvalsh(rho)[0])
@@ -398,10 +389,9 @@ class TestReportsAndSweeps:
         # whole alpha rows per call, at most the block cap unless one row exceeds it
         measure, calls = tomography._measure_batch, []
 
-        def counted(psis, alpha, gamma, basis):
-            calls.append((alpha.ravel().tolist(),
-                          alpha.size * gamma.size * psis.size * len(basis.matrices)))
-            return measure(psis, alpha, gamma, basis)
+        def counted(psis, alpha, gamma):
+            calls.append((alpha.ravel().tolist(), alpha.size * gamma.size * psis.size * 16))
+            return measure(psis, alpha, gamma)
 
         monkeypatch.setattr(tomography, "_measure_batch", counted)
         alphas, gammas = np.linspace(0.1, 3.0, n_alpha), np.linspace(0.5, 3.0, 12)
@@ -435,9 +425,9 @@ class TestReportsAndSweeps:
         # no call reconstructs more density matrices than one block of alpha rows holds
         reconstruct, sizes = tomography._reconstruct, []
 
-        def counted(m, basis, method):
-            sizes.append(m.size // len(basis.matrices))
-            return reconstruct(m, basis, method)
+        def counted(m, method):
+            sizes.append(m.size // 16)
+            return reconstruct(m, method)
 
         monkeypatch.setattr(tomography, "_reconstruct", counted)
         grid, n_states = np.linspace(0.25, 3.0, 12), 20
@@ -499,10 +489,9 @@ def test_measurement_refuses_saturated_detectors():
     # far above threshold a setting that splits e_0 over two modes makes both click with
     # probability 1 at float precision: every single-click probability reads 0, so the
     # measurement is refused instead of conditioned on a limit the floats cannot resolve
-    b = build_basis()
     refused = "^single-click conditionals are refused where two or more modes click"
     with pytest.raises(BornsimError, match=refused):
-        _measure_batch(np.eye(4)[:1].astype(complex), 30.0, 0.5, b)
+        _measure_batch(np.eye(4)[:1].astype(complex), 30.0, 0.5)
     with pytest.raises(BornsimError, match=refused):
         fidelity_scan(np.array([30.0]), 0.5, 2, RngStream(90), method="linear",
                       psis=np.eye(4)[:2].astype(complex))
