@@ -17,17 +17,22 @@ byte for byte; a manifest after masking what differs from run to run: the
 values of ``wall_clock_seconds`` and ``out_dir``, and the whole
 ``stage_seconds`` member (its ``scenario`` and ``write`` keys checked), which
 trees older than it do not write. The files that differ are printed, and the
-exit code is 1 on any difference or failed run. Each run's line also gives the
-peak resident set size and the wall time of both processes, old first, from
-``os.wait4`` (ru_maxrss, in KiB on Linux). The tree that runs first alternates
-from run to run, so that neither side's times always come from the process
-that starts on a cold file cache or a quieter host.
+exit code is 1 on any difference or failed run. Next to a differing CSV whose
+header and row count are the same on both sides stand the number of its cells
+that moved and their largest absolute and relative move, as in
+``fidelity-42.csv  724 of 1953 cells, max abs 3.6e-15, max rel 2.4e-15``.
+Each run's line also gives the peak resident set size and the wall time of
+both processes, old first, from ``os.wait4`` (ru_maxrss, in KiB on Linux). The
+tree that runs first alternates from run to run, so that neither side's times
+always come from the process that starts on a cold file cache or a quieter
+host.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -105,6 +110,34 @@ def differing_files(old_dir: Path, new_dir: Path) -> list[str]:
                   or compared_bytes(old[name]) != compared_bytes(new[name]))
 
 
+def cell_moves(old: Path, new: Path) -> str:
+    """"N of M cells, max abs A, max rel R" for two CSVs with the same header and
+    row count, else "". A cell moves when its text differs; its relative move is
+    over the old value, and a cell that is no number moves by inf."""
+    if old.suffix != ".csv" or not old.exists() or not new.exists():
+        return ""
+    old_rows, new_rows = (p.read_text().splitlines() for p in (old, new))
+    if old_rows[:1] != new_rows[:1] or len(old_rows) != len(new_rows):
+        return ""
+    cells = moved = 0
+    max_abs = max_rel = 0.0
+    for old_row, new_row in zip(old_rows[1:], new_rows[1:]):
+        pairs = list(zip(old_row.split(","), new_row.split(",")))
+        cells += len(pairs)
+        for a, b in pairs:
+            if a == b:
+                continue
+            moved += 1
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                x, y = 0.0, math.inf
+            shift = abs(y - x)
+            max_abs = max(max_abs, shift)
+            max_rel = max(max_rel, shift / abs(x) if x else (math.inf if shift else 0.0))
+    return f"{moved} of {cells} cells, max abs {max_abs:.1e}, max rel {max_rel:.1e}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", type=Path)
@@ -139,8 +172,10 @@ def main(argv: list[str] | None = None) -> int:
                     continue
                 diff = differing_files(*dirs)
                 bad += bool(diff)
+                moves = [cell_moves(dirs[0] / name, dirs[1] / name) for name in diff]
                 print(f"{'DIFFERS' if diff else 'same':<7} {label}"
-                      + "".join(f"\n        {name}" for name in diff))
+                      + "".join(f"\n        {name}" + (f"  {m}" if m else "")
+                                for name, m in zip(diff, moves)))
     print(f"{bad} of {len(seeds) * len(runs)} runs differ or failed")
     return 1 if bad else 0
 

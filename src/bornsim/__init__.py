@@ -20,5 +20,4 @@ from .optics import (
     gate_hadamard,
     gate_phase,
     gate_x,
-    haar_unitary,
 )

@@ -185,7 +185,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
     if values.get("fast"):
         values["n_states"] = FAST_STATES
     if values.get("circuit") is not None:
-        psi = circuit_from_json(values["circuit"], d=4)[:, 0]  # prepared from mode 1
+        psi = circuit_from_json(values["circuit"])[:, 0]  # prepared from mode 1
         values["psi"] = psi / np.linalg.norm(psi)
         if "n_states" in values:  # its one state replaces the ensemble
             values["n_states"] = 1

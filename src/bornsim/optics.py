@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BornsimError
-from .field import RngStream
 
 
 def gate_hadamard() -> np.ndarray:
@@ -43,22 +41,6 @@ def gate_cnot() -> np.ndarray:
     c = np.eye(4, dtype=complex)
     c[[2, 3]] = c[[3, 2]]
     return c
-
-
-def haar_unitary(d: int, streams: Sequence[RngStream]) -> np.ndarray:
-    """Stack (n, d, d) of Haar-distributed unitaries, matrix i drawn from stream i.
-
-    Each is Q from the QR of a complex Gaussian matrix, with R's diagonal phases
-    folded back in so the law is exactly Haar. One is haar_unitary(d, [rng])[0].
-    """
-    d = int(d)
-    if d < 1:
-        raise BornsimError("haar_unitary needs d >= 1")
-    z = np.array([s.complex_normals((d, d)) for s in streams], dtype=complex).reshape(-1, d, d)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +72,8 @@ def _gate_entry(n: int, entry) -> tuple[np.ndarray, list[int]]:
             or len(set(wires)) != len(wires)):
         raise BornsimError(f"entry {n}: wires must be a list of distinct nonnegative "
                            f"integers (got {wires!r})")
+    if max(wires, default=-1) >= 4:
+        raise BornsimError(f"entry {n}: wire {max(wires)} out of range for d = 4")
     counts, takes, build = _GATES[name]
     if counts is not None and len(wires) not in counts:
         raise BornsimError(f"entry {n}: {name} takes {' or '.join(map(str, counts))} "
@@ -104,38 +88,30 @@ def _gate_entry(n: int, entry) -> tuple[np.ndarray, list[int]]:
     return build(float(phi), len(wires)), wires
 
 
-def circuit_unitary(spec: list[dict], d: int | None = None) -> np.ndarray:
-    """Compose an ordered gate list [{gate, params, wires}, ...] into one unitary.
+def circuit_unitary(spec: list[dict]) -> np.ndarray:
+    """Compose an ordered gate list [{gate, params, wires}, ...] into one 4 x 4 unitary.
 
     Gates apply in list order (first entry acts first), each on its distinct
-    mode indices ``wires`` in the order given, as many as ``_GATES`` allows.
-    Only ``phase`` takes ``params``: ``phi`` (default 0), put as e^{i phi} on its
-    last wire. ``d`` defaults to max wire + 1. An unknown key or a malformed
-    entry raises BornsimError.
+    mode indices ``wires`` (0 to 3) in the order given, as many as ``_GATES``
+    allows. Only ``phase`` takes ``params``: ``phi`` (default 0), put as
+    e^{i phi} on its last wire. An unknown key or a malformed entry raises
+    BornsimError.
     """
     if not isinstance(spec, list):
         raise BornsimError("circuit description must be a list of gate entries")
     gates = [_gate_entry(n, entry) for n, entry in enumerate(spec)]
-    max_wire = max((w for _, wires in gates for w in wires), default=-1)
-    if d is None:
-        if max_wire < 0:
-            raise BornsimError("cannot infer mode count from an empty wire set")
-        d = max_wire + 1
-    if max_wire >= d:
-        raise BornsimError(f"wire {max_wire} out of range for d = {d}")
-
-    total = np.eye(d, dtype=complex)
+    total = np.eye(4, dtype=complex)
     for gate, wires in gates:
-        step = np.eye(d, dtype=complex)
+        step = np.eye(4, dtype=complex)
         step[np.ix_(wires, wires)] = gate
         total = step @ total
     return total
 
 
-def circuit_from_json(path: str | Path, d: int | None = None) -> np.ndarray:
+def circuit_from_json(path: str | Path) -> np.ndarray:
     """Load a circuit description file (JSON list of {gate, params, wires})."""
     try:
         spec = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or a >4300-digit int
         raise BornsimError(f"cannot read circuit file {path}: {exc}") from exc
-    return circuit_unitary(spec, d=d)
+    return circuit_unitary(spec)

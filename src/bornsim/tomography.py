@@ -28,7 +28,6 @@ from .detection import _conditional_clicks, gamma_of, visibility_single
 from .errors import BornsimError
 from .experiments import ScenarioResult, _write_csv, _write_json
 from .field import RngStream
-from .optics import haar_unitary
 
 __all__ = [
     "SweepResult",
@@ -174,8 +173,14 @@ def bell_direction() -> np.ndarray:
 
 
 def haar_states(n_states: int, rng: RngStream) -> np.ndarray:
-    """n Haar-random pure four-mode directions, one substream per state."""
-    return haar_unitary(4, [rng.substream(s) for s in range(n_states)])[:, :, 0]
+    """n Haar-random pure four-mode directions, one substream per state.
+
+    A normalized standard complex Gaussian vector is uniform on the unit sphere:
+    state s is column 0 of substream s's 4 x 4 draw over its norm. All 16 normals
+    are drawn so that it is column 0 of the Haar unitary (QR) of that draw.
+    """
+    z = np.array([rng.substream(s).complex_normals((4, 4))[:, 0] for s in range(n_states)])
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 def bell_witness_scan(alphas: np.ndarray, th: float, psi: np.ndarray | None = None):

@@ -10,12 +10,15 @@ The detector efficiency and the count model built on it agree with
 ``detection.detect_prob`` to second order in the amplitude, a small-alpha
 cross-check of the Marcum Q click probability. ``detection.marcum_q1`` is held
 against its own Poisson series at 40 digits and, bit for bit, against the same
-series run element by element over the broadcast shape.
+series run element by element over the broadcast shape. ``haar_unitary`` is the
+random-unitary helper of the optics and field tests, and the QR construction
+whose first columns ``tomography.haar_states`` must equal.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import mpmath
@@ -285,6 +288,22 @@ def apply(u: np.ndarray, state: CoherentVector) -> CoherentVector:
     if not np.isfinite(nrm) or nrm == 0.0:
         raise BornsimError("transformed direction is not normalizable")
     return CoherentVector(state.alpha, psi / nrm)
+
+
+def haar_unitary(d: int, streams: Sequence[RngStream]) -> np.ndarray:
+    """Stack (n, d, d) of Haar-distributed unitaries, matrix i drawn from stream i.
+
+    Each is Q from the QR of a complex Gaussian matrix, with R's diagonal phases
+    folded back in so the law is exactly Haar. One is haar_unitary(d, [rng])[0].
+    """
+    d = int(d)
+    if d < 1:
+        raise BornsimError("haar_unitary needs d >= 1")
+    z = np.array([s.complex_normals((d, d)) for s in streams], dtype=complex).reshape(-1, d, d)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornsim import RngStream, haar_unitary
+from bornsim import RngStream
 from bornsim.errors import BornsimError
 from bornsim.field import _COS32_ERR, CLICK_BLOCK, R_MAX, threshold_clicks
-from oracles import CoherentVector, realize_batch
+from oracles import CoherentVector, haar_unitary, realize_batch
 
 VACUUM_3 = CoherentVector(0.0, np.eye(3)[0])
 

@@ -70,6 +70,26 @@ def test_differing_and_missing_files_are_named(tmp_path):
     assert same_outputs.differing_files(old, new) == ["extra.json", "moved.csv"]
 
 
+def test_differing_csv_gives_its_cell_moves(monkeypatch, capsys):
+    # the same header and row count: moved cells and their largest moves; else the name alone
+    files = {"old": {"moved.csv": "a,b\n1,2\n30,4\n", "rows.csv": "a\n1\n", "moved.json": "1"},
+             "new": {"moved.csv": "a,b\n1,2.5\n31,4\n", "rows.csv": "a\n1\n2\n",
+                     "moved.json": "2"}}
+
+    def run_tree(src, run, seed, out_dir):
+        out_dir.mkdir(parents=True)
+        for name, text in files[str(src)].items():
+            (out_dir / name).write_text(text)
+        return None, 1.0, 0.5
+    monkeypatch.setattr(same_outputs, "run_tree", run_tree)
+    assert same_outputs.main(["old", "new", "--seeds", "1", "--commands", "a"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "        moved.csv  2 of 4 cells, max abs 1.0e+00, max rel 2.5e-01",
+        "        moved.json",
+        "        rows.csv",
+        "1 of 1 runs differ or failed"]
+
+
 def test_manifest_without_stage_seconds_is_the_same(tmp_path):
     # a tree older than stage_seconds writes the manifest without it
     old, new, manifest = manifests(tmp_path)

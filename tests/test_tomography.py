@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, stats
 
 from bornsim import RngStream, marcum_q1
 from bornsim.detection import _conditional_clicks
@@ -21,10 +21,17 @@ from bornsim.tomography import (
     ensemble_sweep,
     fidelity,
     fidelity_scan,
+    haar_states,
     partial_transpose,
     ppt_witness,
 )
-from oracles import CoherentVector, detect_batch, outcome_distribution, realize_batch
+from oracles import (
+    CoherentVector,
+    detect_batch,
+    haar_unitary,
+    outcome_distribution,
+    realize_batch,
+)
 
 
 def random_density(d: int, seed: int) -> np.ndarray:
@@ -341,6 +348,28 @@ class TestFidelityAndWitness:
         scan = bell_witness_scan(np.array([0.7, 1.0, 3.0]), 1.0)
         assert scan.analytic["witness"][0] < 0.0
         assert scan.analytic["witness"][2] == pytest.approx(-0.5, abs=0.02)
+
+
+class TestHaarStates:
+    def test_rows_are_first_columns_of_the_haar_unitaries(self):
+        rng = RngStream(42)
+        psis = haar_states(100, rng)
+        expected = np.array([haar_unitary(4, [rng.substream(s)])[0][:, 0] for s in range(100)])
+        assert psis.shape == (100, 4)
+        assert np.max(np.abs(psis - expected)) <= 1e-15
+        assert np.max(np.abs(np.linalg.norm(psis, axis=1) - 1.0)) <= 1e-15
+
+    def test_uniform_on_the_unit_sphere(self):
+        n, bins = 5000, 20
+        psis = haar_states(n, RngStream(43))
+        # |psi_0|^2 is Beta(1, 3): mean 1/4, variance 3/80
+        weight = np.abs(psis[:, 0]) ** 2
+        assert abs(weight.mean() - 0.25) < 5.0 * np.sqrt(3.0 / 80.0 / n)
+        # each component's phase is uniform on the circle
+        for phases in np.angle(psis).T:
+            hist, _ = np.histogram(phases, bins=bins, range=(-np.pi, np.pi))
+            chi2 = float(np.sum((hist - n / bins) ** 2 / (n / bins)))
+            assert chi2 < stats.chi2.ppf(0.99, bins - 1)
 
 
 class TestReportsAndSweeps:
